@@ -642,10 +642,13 @@ def main(argv=None):
         if args.command == "run":
             text = Path(args.config).read_text()
             cfg = parse_config(text)
+            known = {f.name for f in dataclasses.fields(ExperimentConfig)}
             for item in args.set:
                 key, _, val = item.partition("=")
                 if not val:
                     raise ValueError(f"override needs KEY=VALUE, got {item!r}")
+                if key not in known:
+                    raise ValueError(f"unknown config key {key!r} in --set")
                 parser = _FIELD_PARSERS.get(key, str)
                 setattr(cfg, key, parser(val))
             return run(cfg.validate())

@@ -11,11 +11,13 @@ Four modes share one operator type:
             cells missing a neighbor.
 
 Nonlocal energies are 2 * sum over unordered pairs of w |u_i - u_j|^p
-(the factor 2 restores the ordered double integral).  Small grids get a
-materialized pair list; energies of piecewise-constant profiles on large
-grids are streamed in blocks without ever materializing O(N^2) pairs,
-with an optional process-wide visibility-mask cache keyed by domain,
-radius and cell size.
+(the factor 2 restores the ordered double integral).  ``energy`` is the
+one entry point: an assembled form sums over its pair list, a lazy form
+(no pair list) streams the pairs between cells of distinct values in
+blocks, without ever materializing O(N^2) pairs; this suits indicator and
+step profiles on grids too large to assemble.  Visibility masks of
+streamed vis-mode blocks are kept in a process-wide cache keyed by
+domain, radius and cell size.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .kernels import KernelSpec
 
 MODES = ("vis", "cen", "ball", "local")
 
-PAIR_BLOCK = 1 << 21
+#: most distinct values a profile may take for a lazy form's energy
+MAX_GROUPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +51,6 @@ class FormOperator:
     weight: np.ndarray | None = None     # k(r) m_i m_j
     nbr_right: np.ndarray | None = None  # local stencil neighbors, -1 if none
     nbr_up: np.ndarray | None = None
-
-    @property
-    def materialized(self):
-        return self.pair_i is not None or self.mode == "local"
 
     @property
     def n_pairs(self):
@@ -107,7 +106,11 @@ def assemble(grid, pairs, kernel, mode, p=2.0):
 
 
 def lazy_form(grid, kernel, mode, p=2.0):
-    """Operator handle without a materialized pair list; streamed paths only."""
+    """Operator handle without a pair list.
+
+    ``energy`` streams its pairs, which is exact for profiles taking at
+    most MAX_GROUPS distinct values; local forms are assembled as usual.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown form mode {mode!r}")
     if mode == "local":
@@ -120,7 +123,11 @@ def lazy_form(grid, kernel, mode, p=2.0):
 # ---------------------------------------------------------------------------
 
 def energy(form, u, p=None):
-    """Total energy of the values u under the form."""
+    """Total energy of the values u under the form.
+
+    A local form sums its stencil, an assembled form its pair list, and a
+    lazy form streams its pairs through ``grouped_energy``.
+    """
     u = np.asarray(u, dtype=float)
     grid = form.grid
     if u.shape[0] != grid.n_cells:
@@ -130,8 +137,7 @@ def energy(form, u, p=None):
     if form.mode == "local":
         return _local_energy(form, u, p)
     if form.pair_i is None:
-        raise ValueError("energy() needs a materialized pair list; "
-                         "use energy_sparse or the streamed evaluators")
+        return grouped_energy(grid, form.kernel, form.mode, u, p)
     du = np.abs(u[form.pair_i] - u[form.pair_j])
     return float(2.0 * np.dot(form.weight, du ** p))
 
@@ -148,75 +154,34 @@ def _local_energy(form, u, p):
     return float(np.dot(grid.measures, g2 ** (p / 2.0)))
 
 
-def energy_sparse(form, u, support, p=None, block=PAIR_BLOCK, cache=None):
-    """Energy touching only pairs with an endpoint in ``support``.
-
-    Exact under the contract that u is constant outside the support (the
-    skipped pairs then contribute nothing).  Local forms are O(N) and are
-    evaluated in full.
-    """
-    u = np.asarray(u, dtype=float)
-    grid = form.grid
-    if u.shape[0] != grid.n_cells:
-        raise ValueError("value vector length does not match the grid")
-    if p is None:
-        p = form.p
-    if form.mode == "local":
-        return _local_energy(form, u, p)
-
-    support = np.asarray(support, dtype=np.int64)
-    in_support = np.zeros(grid.n_cells, dtype=bool)
-    in_support[support] = True
-    rest = np.nonzero(~in_support)[0]
-    if rest.size:
-        vals = np.unique(u[rest])
-        if vals.size != 1:
-            raise ValueError(
-                "support inconsistent with u: values vary off the support")
-
-    ctx = _StreamContext(grid, form.kernel, form.mode, cache=cache)
-    total = 0.0
-    # pairs inside the support
-    if support.size > 1:
-        if support.size > 10000:
-            raise ValueError("support too large to enumerate pairwise")
-        a, b = np.triu_indices(support.size, k=1)
-        total += ctx.pair_sum(support[a], support[b], u, p)
-    # support x complement, streamed
-    if rest.size and support.size:
-        total += ctx.cross_sum(support, rest, u, p, block)
-    return float(2.0 * total)
-
-
-def grouped_energy(grid, kernel, mode, u, p, block=PAIR_BLOCK, cache=None,
-                   max_groups=64):
+def grouped_energy(grid, kernel, mode, u, p):
     """Exact energy for u taking few distinct values (streamed).
 
     Cells are grouped by exact value; same-value pairs contribute nothing
     and are skipped, distinct-value group pairs are streamed in blocks.
-    Intended for indicator and step profiles on grids too large for a
-    materialized pair list.
+    ``energy`` calls this for a lazy form.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[0] != grid.n_cells:
         raise ValueError("value vector length does not match the grid")
     values, inverse = np.unique(u, return_inverse=True)
-    if values.size > max_groups:
+    if values.size > MAX_GROUPS:
         raise ValueError(
-            f"u takes {values.size} distinct values; grouped streaming "
-            f"handles at most {max_groups}")
+            f"u takes {values.size} distinct values; a lazy form streams at "
+            f"most {MAX_GROUPS}: assemble the form with a PairSet "
+            "(mesh.visibility_pairs) instead")
     groups = [np.nonzero(inverse == g)[0] for g in range(values.size)]
-    ctx = _StreamContext(grid, kernel, mode, cache=cache)
+    ctx = _StreamContext(grid, kernel, mode)
     total = 0.0
     for a in range(values.size):
         for b in range(a + 1, values.size):
             jump = abs(values[a] - values[b]) ** p
-            total += jump * ctx.cross_weight_sum(groups[a], groups[b], block)
+            total += jump * ctx.cross_weight_sum(groups[a], groups[b])
     return float(2.0 * total)
 
 
 # ---------------------------------------------------------------------------
-# streamed pair evaluation with optional visibility caching
+# streamed pair evaluation with visibility caching in vis mode
 # ---------------------------------------------------------------------------
 
 #: process-wide packed visibility masks, keyed by (domain, R, h, groups, block)
@@ -235,14 +200,13 @@ def _cache_bytes():
 class _StreamContext:
     """Blocked pair evaluation against one grid/kernel/mode triple."""
 
-    def __init__(self, grid, kernel, mode, cache=None):
+    def __init__(self, grid, kernel, mode):
         self.grid = grid
         self.kernel = kernel
         self.mode = mode
-        self.use_cache = cache if cache is not None else (mode == "vis")
         self.delta = boundary_distances(grid) if mode == "ball" else None
         self.all_visible = grid.domain.all_visible
-        if self.use_cache and not self.all_visible:
+        if mode == "vis" and not self.all_visible:
             dom = geometry.domain_to_text(grid.domain).encode()
             self._key_base = (hashlib.sha1(dom).hexdigest(),
                               repr(grid.R), repr(grid.h), repr(grid.x0))
@@ -264,19 +228,6 @@ class _StreamContext:
             _VIS_CACHE[cache_key] = np.packbits(vis)
         return vis
 
-    def pair_sum(self, ii, jj, u, p):
-        """sum of w |du|^p over explicit index pairs (unordered, i != j)."""
-        d = self.grid.centers[jj] - self.grid.centers[ii]
-        r = np.sqrt(np.einsum("ij,ij->i", d, d))
-        keep = self._mask(ii, jj, r)
-        if keep is not None:
-            ii, jj, r = ii[keep], jj[keep], r[keep]
-        if ii.size == 0:
-            return 0.0
-        w = self.kernel.k(r) * self.grid.measures[ii] * self.grid.measures[jj]
-        du = np.abs(u[ii] - u[jj])
-        return float(np.dot(w, du ** p))
-
     def _mask(self, ii, jj, r, cache_key=None):
         if self.mode == "cen":
             return None
@@ -294,37 +245,16 @@ class _StreamContext:
             near[sub[~vis]] = False
         return near
 
-    def _blocks(self, A, B, block):
-        total = A.size * B.size
-        for lo in range(0, total, block):
-            hi = min(lo + block, total)
-            flat = np.arange(lo, hi, dtype=np.int64)
-            yield lo, A[flat // B.size], B[flat % B.size]
-
-    def cross_sum(self, A, B, u, p, block):
-        """sum of w |du|^p over the cross product A x B."""
-        total = 0.0
-        keyA = self._group_key(A) if self._key_base else None
-        keyB = self._group_key(B) if self._key_base else None
-        for lo, ii, jj in self._blocks(A, B, block):
-            d = self.grid.centers[jj] - self.grid.centers[ii]
-            r = np.sqrt(np.einsum("ij,ij->i", d, d))
-            ck = (self._key_base + (keyA, keyB, lo)) if self._key_base else None
-            keep = self._mask(ii, jj, r, ck)
-            if keep is not None:
-                ii, jj, r = ii[keep], jj[keep], r[keep]
-            if ii.size == 0:
-                continue
-            w = self.kernel.k(r) * self.grid.measures[ii] * self.grid.measures[jj]
-            total += float(np.dot(w, np.abs(u[ii] - u[jj]) ** p))
-        return total
-
-    def cross_weight_sum(self, A, B, block):
+    def cross_weight_sum(self, A, B):
         """sum of kernel weights over A x B (values handled by the caller)."""
         total = 0.0
         keyA = self._group_key(A) if self._key_base else None
         keyB = self._group_key(B) if self._key_base else None
-        for lo, ii, jj in self._blocks(A, B, block):
+        n_pairs = A.size * B.size
+        for lo in range(0, n_pairs, mesh.PAIR_BLOCK):
+            flat = np.arange(lo, min(lo + mesh.PAIR_BLOCK, n_pairs),
+                             dtype=np.int64)
+            ii, jj = A[flat // B.size], B[flat % B.size]
             d = self.grid.centers[jj] - self.grid.centers[ii]
             r = np.sqrt(np.einsum("ij,ij->i", d, d))
             ck = (self._key_base + (keyA, keyB, lo)) if self._key_base else None
@@ -393,9 +323,8 @@ def counterexample_ratio(n, resolution_factor=8):
     kernel = KernelSpec("constant")
     centre_sum = grid.centers[:, 0] + grid.centers[:, 1]
     u = (centre_sum < 1.0 / n - h / 2).astype(float)
-    support = np.nonzero(u == 1.0)[0]
-    if support.size == 0:
+    if not u.any():
         raise ValueError("strip resolved to no cells; refine the grid")
-    num = energy_sparse(lazy_form(grid, kernel, "ball"), u, support)
-    den = energy_sparse(lazy_form(grid, kernel, "cen"), u, support)
+    num = energy(lazy_form(grid, kernel, "ball"), u)
+    den = energy(lazy_form(grid, kernel, "cen"), u)
     return num, den, num / den

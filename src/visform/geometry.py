@@ -399,6 +399,16 @@ class DomainSpec:
         X = _as_points(X)
         Y = _as_points(Y)
         V = Y - X
+        # decide each segment from its lexicographically smaller endpoint:
+        # a segment touching the boundary tangentially is decided by the
+        # rounding of a double root, which must not depend on the direction
+        # (X - Y is exactly -(Y - X), so V stays the difference of the ends);
+        # a batch of rightward segments allocates no mask
+        if V[:, 0].min(initial=_INF) <= 0.0:
+            swap = (V[:, 0] < 0.0) | ((V[:, 0] == 0.0) & (V[:, 1] < 0.0))
+            if swap.any():
+                X = np.where(swap[:, None], Y, X)
+                V[swap] = -V[swap]
         slots = []
         for prim in self.primitives:
             slots.extend(prim.segment_slots(X, V))

@@ -123,11 +123,12 @@ class PairSet:
         return self.i.shape[0]
 
 
-#: pairs processed per vectorized visibility block
+#: pairs processed per vectorized visibility block, here and in the
+#: streamed energies of ``forms``
 PAIR_BLOCK = 1 << 21
 
 
-def visibility_pairs(grid, block=PAIR_BLOCK):
+def visibility_pairs(grid):
     """Exact visibility flags for every unordered cell pair.
 
     O(N^2) segment tests, evaluated in vectorized blocks; pairs come out
@@ -138,8 +139,9 @@ def visibility_pairs(grid, block=PAIR_BLOCK):
         raise ValueError("empty grid")
     if n > 20000:
         raise ValueError(
-            f"refusing to materialize {n*(n-1)//2} pairs; "
-            "use the streamed evaluators for grids this large")
+            f"refusing to materialize {n*(n-1)//2} pairs; for a profile "
+            "taking few values use forms.energy(forms.lazy_form(...), u), "
+            "which streams them")
     ii, jj = np.triu_indices(n, k=1)
     ii = ii.astype(np.int32)
     jj = jj.astype(np.int32)
@@ -149,8 +151,8 @@ def visibility_pairs(grid, block=PAIR_BLOCK):
         vis = np.ones(ii.shape[0], dtype=bool)
     else:
         vis = np.empty(ii.shape[0], dtype=bool)
-        for lo in range(0, ii.shape[0], block):
-            hi = min(lo + block, ii.shape[0])
+        for lo in range(0, ii.shape[0], PAIR_BLOCK):
+            hi = min(lo + PAIR_BLOCK, ii.shape[0])
             vis[lo:hi] = grid.domain.segment_inside_many(
                 grid.centers[ii[lo:hi]], grid.centers[jj[lo:hi]])
     return PairSet(i=ii, j=jj, visible=vis, r=r)

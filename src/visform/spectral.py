@@ -6,8 +6,8 @@ energy quadratic form and M the diagonal cell-measure matrix; it is
 computed by inverse power iteration with the constant vector deflated
 and conjugate-gradient inner solves.  For general p the step-profile
 witness gives a certified lower bound via its Rayleigh quotient, which
-is the instrument of choice at large radii (its energy is streamed, the
-eigensolver needs a materialized operator).
+is the instrument of choice at large radii (its energy is streamed from a
+lazy form, the eigensolver needs an assembled pair list).
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def quadratic_matrix(form):
             directed=False)[0]
         return A, ncomp == 1
     if form.pair_i is None:
-        raise ValueError("eigen path needs a materialized pair list")
+        raise ValueError("the eigen path needs a pair list: build the form "
+                         "with forms.assemble and a PairSet, not lazy_form")
     if n > MAX_EIGEN_CELLS:
         raise ValueError(f"{n} cells exceeds the eigensolver limit "
                          f"{MAX_EIGEN_CELLS}")
@@ -174,18 +175,10 @@ def witness_step_function(grid):
     return u
 
 
-def form_energy(form, u, p=None):
-    """Energy through the best available path (materialized or streamed)."""
-    if form.mode == "local" or form.pair_i is not None:
-        return forms.energy(form, u, p)
-    return forms.grouped_energy(form.grid, form.kernel, form.mode,
-                                u, form.p if p is None else p)
-
-
 def rayleigh_ratio(form, grid, u, p=2.0):
     """|u - mean|_p^p over the energy: a lower bound for the best constant."""
     u = np.asarray(u, dtype=float)
-    den = form_energy(form, u, p)
+    den = forms.energy(form, u, p)
     if den <= 0.0:
         raise ValueError("zero energy: u is constant on every pair-connected "
                          "component, the Rayleigh quotient is undefined")

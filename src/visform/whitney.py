@@ -257,10 +257,7 @@ def coverage_residual(decomp, oversample=2):
         stop = min(start + block, counts[0])
         mesh_axes = np.meshgrid(axes[0][start:stop], *axes[1:], indexing="ij")
         pts = np.stack([m.ravel() for m in mesh_axes], axis=1)
-        if decomp.dim == 1:
-            inside = decomp.domain.contains_many_1d(pts[:, 0])
-        else:
-            inside = decomp.domain.contains_many(pts)
+        inside = decomp.domain.contains_many(pts)
         cov = covered[start:stop].ravel()
         measure += float(inside.sum()) * cell
         residual += float((inside & ~cov).sum()) * cell

@@ -188,6 +188,17 @@ def test_run_bad_override_exits_one(tmp_path):
     assert cli.main(["run", "--config", str(missing := tmp_path / "nope.cfg")]) == 1
 
 
+def test_run_unknown_override_key_exits_one(tmp_path, capsys):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("[experiment]\nname = counterexample\n"
+                       "n_list = 4\nquick = true\n"
+                       f"outdir = {tmp_path}\n")
+    assert cli.main(["run", "--config", str(cfgfile),
+                     "--set", "smaples=5"]) == 1
+    assert "'smaples'" in capsys.readouterr().err
+    assert not (tmp_path / "counterexample").exists()
+
+
 def test_suite_entry_picklable():
     import pickle
     item = cli.suite_configs("/tmp/x", seed=0, quick=True)[0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from visform import forms, geometry as geo, kernels as kn, mesh
 from conftest import two_cell_grid
@@ -102,34 +103,17 @@ def test_ball_mode_requires_distances_and_validates_mode(two_cells, const_kernel
 
 
 # ---------------------------------------------------------------------------
-# sparse and streamed evaluation
+# lazy forms: streamed evaluation
 # ---------------------------------------------------------------------------
 
 def test_sparse_matches_dense_indicator(annulus_grid):
     kernel = kn.KernelSpec("power", s=0.5, p=2)
     pairs = mesh.visibility_pairs(annulus_grid)
     u = (annulus_grid.centers[:, 0] > 0.5).astype(float)
-    support = np.nonzero(u == 1.0)[0]
     for mode in ("vis", "cen", "ball"):
         dense = forms.energy(forms.assemble(annulus_grid, pairs, kernel, mode), u)
-        sparse = forms.energy_sparse(forms.lazy_form(annulus_grid, kernel, mode),
-                                     u, support)
-        assert sparse == pytest.approx(dense, rel=1e-12)
-
-
-def test_sparse_full_support_matches_energy(two_cells, const_kernel):
-    grid, pairs = two_cells
-    form = forms.assemble(grid, pairs, const_kernel, "cen", p=2)
-    val = forms.energy_sparse(form, [0.0, 1.0], [0, 1])
-    assert val == pytest.approx(forms.energy(form, [0.0, 1.0]))
-
-
-def test_sparse_rejects_varying_complement(annulus_grid):
-    kernel = kn.KernelSpec("power", s=0.5, p=2)
-    u = annulus_grid.centers[:, 0].copy()
-    with pytest.raises(ValueError):
-        forms.energy_sparse(forms.lazy_form(annulus_grid, kernel, "cen"),
-                            u, [0, 1])
+        streamed = forms.energy(forms.lazy_form(annulus_grid, kernel, mode), u)
+        assert streamed == pytest.approx(dense, rel=1e-12)
 
 
 def test_grouped_energy_matches_dense(annulus_grid):
@@ -139,12 +123,51 @@ def test_grouped_energy_matches_dense(annulus_grid):
                  np.where(annulus_grid.centers[:, 0] > 0, -1.0, 0.25))
     for mode in ("vis", "cen", "ball"):
         dense = forms.energy(forms.assemble(annulus_grid, pairs, kernel, mode), u)
-        streamed = forms.grouped_energy(annulus_grid, kernel, mode, u, 2.0)
+        streamed = forms.energy(forms.lazy_form(annulus_grid, kernel, mode), u)
         assert streamed == pytest.approx(dense, rel=1e-12)
-    with pytest.raises(ValueError):
-        rng = np.random.default_rng(0)
-        forms.grouped_energy(annulus_grid, kernel, "cen",
-                             rng.standard_normal(annulus_grid.n_cells), 2.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="assemble"):
+        forms.energy(forms.lazy_form(annulus_grid, kernel, "cen"),
+                     rng.standard_normal(annulus_grid.n_cells))
+
+
+_DOMAINS = {"annulus": geo.make_annulus(),
+            "straight": geo.make_dumbbell("straight"),
+            "curved": geo.make_dumbbell("curved")}
+
+
+@st.composite
+def small_grids(draw):
+    name = draw(st.sampled_from(sorted(_DOMAINS)))
+    domain = _DOMAINS[name]
+    if name == "annulus":
+        x0, R = (0.0, 0.0), 1.0
+        h = 1.0 / draw(st.integers(4, 9))
+    else:
+        x0 = domain.dumbbell.x0
+        R = draw(st.floats(2.5, 4.5))
+        h = draw(st.sampled_from([0.5, 0.4, 1.0 / 3.0]))
+    subsamples = draw(st.sampled_from([1, 4]))
+    return mesh.build_grid(domain, x0, R, h, subsamples=subsamples)
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid=small_grids(),
+       values=st.lists(st.integers(-28, 28).map(lambda k: k / 7.0),
+                       min_size=2, max_size=5, unique=True),
+       seed=st.integers(0, 2 ** 32 - 1),
+       s=st.sampled_from([0.25, 0.5, 0.75]))
+def test_lazy_energy_matches_assembled(grid, values, seed, s):
+    """energy(lazy_form) equals energy(assemble) on random few-valued
+    profiles over random small grids, in every nonlocal mode."""
+    kernel = kn.KernelSpec("power", s=s, p=2)
+    rng = np.random.default_rng(seed)
+    u = np.asarray(values)[rng.integers(0, len(values), grid.n_cells)]
+    pairs = mesh.visibility_pairs(grid)
+    for mode in ("vis", "cen", "ball"):
+        dense = forms.energy(forms.assemble(grid, pairs, kernel, mode), u)
+        lazy = forms.energy(forms.lazy_form(grid, kernel, mode), u)
+        assert lazy == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 def test_visibility_cache_consistency(straight_dumbbell):
@@ -153,9 +176,10 @@ def test_visibility_cache_consistency(straight_dumbbell):
     u = np.where(grid.tags == geo.TAG_MINUS, -1.0,
                  np.where(grid.tags == geo.TAG_PLUS, 1.0, 0.0))
     forms.clear_visibility_cache()
-    cold = forms.grouped_energy(grid, kernel, "vis", u, 2.0)
+    form = forms.lazy_form(grid, kernel, "vis")
+    cold = forms.energy(form, u)
     assert len(forms._VIS_CACHE) > 0
-    warm = forms.grouped_energy(grid, kernel, "vis", u, 2.0)
+    warm = forms.energy(form, u)
     assert warm == cold
     forms.clear_visibility_cache()
 
@@ -224,9 +248,3 @@ def test_operator_csv_dump(tmp_path, annulus_grid):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "i,j,w"
     assert len(lines) == form.n_pairs + 1
-
-
-def test_lazy_form_rejects_plain_energy(annulus_grid):
-    form = forms.lazy_form(annulus_grid, kn.KernelSpec("constant"), "cen")
-    with pytest.raises(ValueError, match="materialized"):
-        forms.energy(form, np.zeros(annulus_grid.n_cells))

@@ -75,6 +75,13 @@ def test_segment_visibility_symmetry(annulus, curved_dumbbell):
         fwd = dom.segment_inside_many(X, Y)
         bwd = dom.segment_inside_many(Y, X)
         assert np.array_equal(fwd, bwd)
+    # segments touching the tube's upper edge at (0, -1): the tangent
+    # contact rounded differently in the two directions before segments
+    # were decided from one endpoint
+    X = np.array([[-1.8, -1.0], [-1.6, -1.0], [-1.0, -1.0]])
+    Y = np.array([[0.8, -1.0], [1.8, -1.0], [1.8, -1.0]])
+    assert np.array_equal(curved_dumbbell.segment_inside_many(X, Y),
+                          curved_dumbbell.segment_inside_many(Y, X))
 
 
 def test_segment_monotone_in_primitives(annulus):

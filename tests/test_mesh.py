@@ -40,6 +40,13 @@ def test_empty_grid_errors(unit_square):
         mesh.build_grid(unit_square, (0.5, 0.5), 1.0, 0.5, subsamples=0)
 
 
+def test_visibility_pairs_refusal_names_lazy_energy(unit_square):
+    grid = mesh.build_grid(unit_square, (0.5, 0.5), 1.0, 1.0 / 150)
+    assert grid.n_cells > 20000
+    with pytest.raises(ValueError, match=r"forms\.energy\(forms\.lazy_form"):
+        mesh.visibility_pairs(grid)
+
+
 @pytest.mark.parametrize("maker,x0,R", [
     ("unit_square", (0.5, 0.5), 1.0),
     ("annulus", (0.0, 0.0), 1.0),

@@ -86,6 +86,12 @@ def test_ball_mode_rejected(annulus_grid):
         spectral.poincare_constant_l2(form, annulus_grid)
 
 
+def test_quadratic_matrix_refuses_lazy_form(annulus_grid):
+    form = forms.lazy_form(annulus_grid, kn.KernelSpec("constant"), "cen")
+    with pytest.raises(ValueError, match="forms.assemble"):
+        spectral.quadratic_matrix(form)
+
+
 # ---------------------------------------------------------------------------
 # witness profile and Rayleigh quotients
 # ---------------------------------------------------------------------------

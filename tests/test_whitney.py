@@ -14,7 +14,8 @@ class Interval1D:
         x = pts[:, 0]
         return np.minimum(x, 1.0 - x)
 
-    def contains_many_1d(self, x):
+    def contains_many(self, pts):
+        x = pts[:, 0]
         return (x > 0.0) & (x < 1.0)
 
 

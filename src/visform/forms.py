@@ -197,6 +197,20 @@ def _cache_bytes():
     return sum(v.nbytes for v in _VIS_CACHE.values())
 
 
+def _product_block(rows, cols, lo, hi):
+    """Entries lo..hi-1 of the row-major product rows x cols, as the pair
+    (rows[k // len(cols)], cols[k % len(cols)]) of arrays."""
+    n = cols.shape[0]
+    first, last = lo // n, (hi - 1) // n
+    counts = np.full(last - first + 1, n)
+    counts[0] -= lo - first * n
+    counts[-1] -= (last + 1) * n - hi
+    start = lo - first * n
+    tiled = np.tile(cols, (last - first + 1,) + (1,) * (cols.ndim - 1))
+    return (np.repeat(rows[first:last + 1], counts, axis=0),
+            tiled[start:start + hi - lo])
+
+
 class _StreamContext:
     """Blocked pair evaluation against one grid/kernel/mode triple."""
 
@@ -216,23 +230,22 @@ class _StreamContext:
     def _group_key(self, idx):
         return (idx.size, hashlib.sha1(idx.tobytes()).hexdigest()[:16])
 
-    def _visible(self, ii, jj, cache_key=None):
+    def _visible(self, X, Y, cache_key=None):
         if self.all_visible:
             return None                  # all pairs visible
         if cache_key is not None and cache_key in _VIS_CACHE:
             packed = _VIS_CACHE[cache_key]
-            return np.unpackbits(packed, count=ii.size).astype(bool)
-        vis = self.grid.domain.segment_inside_many(
-            self.grid.centers[ii], self.grid.centers[jj])
+            return np.unpackbits(packed, count=X.shape[0]).astype(bool)
+        vis = self.grid.domain.segment_inside_many(X, Y)
         if cache_key is not None and _cache_bytes() < _VIS_CACHE_LIMIT_BYTES:
             _VIS_CACHE[cache_key] = np.packbits(vis)
         return vis
 
-    def _mask(self, ii, jj, r, cache_key=None):
+    def _mask(self, ii, jj, X, Y, r, cache_key=None):
         if self.mode == "cen":
             return None
         if self.mode == "vis":
-            return self._visible(ii, jj, cache_key)
+            return self._visible(X, Y, cache_key)
         # ball mode: radius restriction first (cheap), then visibility on survivors
         radius = np.maximum(self.delta[ii], self.delta[jj]) / 2.0
         near = r < radius
@@ -240,8 +253,7 @@ class _StreamContext:
             return near
         sub = np.nonzero(near)[0]
         if sub.size:
-            vis = self.grid.domain.segment_inside_many(
-                self.grid.centers[ii[sub]], self.grid.centers[jj[sub]])
+            vis = self.grid.domain.segment_inside_many(X[sub], Y[sub])
             near[sub[~vis]] = False
         return near
 
@@ -251,14 +263,15 @@ class _StreamContext:
         keyA = self._group_key(A) if self._key_base else None
         keyB = self._group_key(B) if self._key_base else None
         n_pairs = A.size * B.size
+        cA, cB = self.grid.centers[A], self.grid.centers[B]
         for lo in range(0, n_pairs, mesh.PAIR_BLOCK):
-            flat = np.arange(lo, min(lo + mesh.PAIR_BLOCK, n_pairs),
-                             dtype=np.int64)
-            ii, jj = A[flat // B.size], B[flat % B.size]
-            d = self.grid.centers[jj] - self.grid.centers[ii]
+            hi = min(lo + mesh.PAIR_BLOCK, n_pairs)
+            ii, jj = _product_block(A, B, lo, hi)
+            X, Y = _product_block(cA, cB, lo, hi)
+            d = Y - X
             r = np.sqrt(np.einsum("ij,ij->i", d, d))
             ck = (self._key_base + (keyA, keyB, lo)) if self._key_base else None
-            keep = self._mask(ii, jj, r, ck)
+            keep = self._mask(ii, jj, X, Y, r, ck)
             if keep is not None:
                 ii, jj, r = ii[keep], jj[keep], r[keep]
             if ii.size == 0:

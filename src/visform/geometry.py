@@ -26,6 +26,9 @@ import numpy as np
 # flipping under refinement.
 TAU_GEOM = 1e-9
 
+#: segments per pass of DomainSpec.segment_inside_many (cache-sized chunks)
+SEGMENT_CHUNK = 1 << 14
+
 _INF = np.inf
 
 
@@ -179,6 +182,8 @@ class Box(Primitive):
         t_in = np.full(X.shape[0], -_INF)
         t_out = np.full(X.shape[0], _INF)
         for d in range(2):
+            if self.lo[d] == -_INF and self.hi[d] == _INF:
+                continue                 # an unbounded axis cuts nothing
             v = V[:, d]
             a = self.lo[d] - X[:, d]
             b = self.hi[d] - X[:, d]
@@ -315,21 +320,32 @@ class ParabolicTube(Primitive):
     def signed_distance(self, pts):
         pts = np.atleast_2d(pts)
         a, w = self.amplitude, self.radius
-        out = np.empty(pts.shape[0])
-        for i, (px, py) in enumerate(pts):
-            best = _INF
-            for sigma in (w, -w):
-                # minimize (u-px)^2 + (a u^2 - a + sigma - py)^2 over u
-                c0 = sigma - a - py
-                roots = np.roots([2.0 * a * a, 0.0, 2.0 * a * c0 + 1.0, -px])
-                u = roots[np.abs(roots.imag) < 1e-9].real
-                if u.size == 0:
-                    continue
-                d2 = (u - px) ** 2 + (a * u * u - a + sigma - py) ** 2
-                best = min(best, float(np.sqrt(d2.min())))
-            q = py - a * px * px + a
-            out[i] = best if abs(q) < w else -best
-        return out
+        px, py = pts[:, 0], pts[:, 1]
+        lead = 2.0 * a * a
+        # a root px = 0 is split off by np.roots; those few points use it
+        full = px != 0.0
+        best = np.full(px.shape[0], _INF)
+        for sigma in (w, -w):
+            # minimize (u-px)^2 + (a u^2 - a + sigma - py)^2 over u: the real
+            # roots of lead u^3 + lin u - px, as eigenvalues of the companion
+            # matrix that np.roots builds, all points in one batch
+            lin = 2.0 * a * (sigma - a - py) + 1.0
+            comp = np.zeros((int(full.sum()), 3, 3))
+            comp[:, 0, 0] = -0.0 / lead
+            comp[:, 0, 1] = -lin[full] / lead
+            comp[:, 0, 2] = px[full] / lead
+            comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+            roots = np.empty((px.shape[0], 3), dtype=complex)
+            roots[full] = np.linalg.eigvals(comp)
+            for i in np.flatnonzero(~full):
+                roots[i] = np.roots([lead, 0.0, lin[i], -px[i]])
+            u = roots.real
+            d2 = (u - px[:, None]) ** 2 + (a * u * u - a + sigma
+                                           - py[:, None]) ** 2
+            d2[np.abs(roots.imag) >= 1e-9] = _INF
+            best = np.minimum(best, np.sqrt(d2.min(axis=1)))
+        q = py - a * px * px + a
+        return np.where(np.abs(q) < w, best, -best)
 
     def record(self):
         return ("tube", self.amplitude, self.radius)
@@ -394,10 +410,18 @@ class DomainSpec:
 
         Both endpoints are assumed to lie in the domain.  The clip ball is
         convex, so it never cuts a segment between interior points and is
-        ignored here.
+        ignored here.  Segments are decided SEGMENT_CHUNK at a time, so the
+        temporaries of a chunk stay in cache.
         """
         X = _as_points(X)
         Y = _as_points(Y)
+        inside = np.empty(X.shape[0], dtype=bool)
+        for lo in range(0, X.shape[0], SEGMENT_CHUNK):
+            hi = lo + SEGMENT_CHUNK
+            inside[lo:hi] = self._segment_chunk_inside(X[lo:hi], Y[lo:hi])
+        return inside
+
+    def _segment_chunk_inside(self, X, Y):
         V = Y - X
         # decide each segment from its lexicographically smaller endpoint:
         # a segment touching the boundary tangentially is decided by the
@@ -416,11 +440,15 @@ class DomainSpec:
         his = [np.clip(hi, 0.0, 1.0) for lo, hi in slots]
         cover = np.zeros(X.shape[0])
         # fixed-point sweep: len(slots) passes reach the transitive closure
-        # of overlapping intervals regardless of their order
+        # of overlapping intervals regardless of their order; a pass that
+        # changes nothing has reached it already
         for _ in range(len(slots)):
+            before = cover
             for lo, hi in zip(los, his):
                 cover = np.where(lo <= cover + TAU_GEOM,
                                  np.maximum(cover, hi), cover)
+            if np.array_equal(cover, before):
+                break
         return cover >= 1.0 - TAU_GEOM
 
     def segment_inside(self, x, y):

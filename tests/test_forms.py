@@ -170,6 +170,19 @@ def test_lazy_energy_matches_assembled(grid, values, seed, s):
         assert lazy == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
+def test_product_block_matches_flat_indexing():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        na, nb = (int(v) for v in rng.integers(1, 30, 2))
+        rows, cols = rng.integers(0, 1000, na), rng.normal(size=(nb, 2))
+        lo = int(rng.integers(0, na * nb))
+        hi = int(rng.integers(lo + 1, na * nb + 1))
+        flat = np.arange(lo, hi)
+        got_rows, got_cols = forms._product_block(rows, cols, lo, hi)
+        assert np.array_equal(got_rows, rows[flat // nb])
+        assert np.array_equal(got_cols, cols[flat % nb])
+
+
 def test_visibility_cache_consistency(straight_dumbbell):
     grid = mesh.build_grid(straight_dumbbell, (0.0, 0.0), 4.0, 0.5)
     kernel = kn.KernelSpec("power", s=0.25, p=2)

@@ -141,6 +141,25 @@ def test_tube_distance_off_axis_minimum():
     assert sd == pytest.approx(np.sqrt(7.0) / 4.0, rel=1e-9)
 
 
+def test_tube_distance_batch_matches_per_point_roots():
+    # the batched companion-matrix solve gives np.roots' bits point by point,
+    # also at x1 = 0, where np.roots splits off the root u = 0
+    tube = geo.ParabolicTube()
+    rng = np.random.default_rng(11)
+    pts = np.vstack([rng.uniform(-3.0, 3.0, (200, 2)),
+                     [[0.0, -0.75], [-0.0, 0.5], [0.0, -2.75]]])
+    ref = []
+    for px, py in pts:
+        best = np.inf
+        for sigma in (1.0, -1.0):
+            roots = np.roots([8.0, 0.0, 4.0 * (sigma - 2.0 - py) + 1.0, -px])
+            u = roots[np.abs(roots.imag) < 1e-9].real
+            d2 = (u - px) ** 2 + (2.0 * u * u - 2.0 + sigma - py) ** 2
+            best = min(best, float(np.sqrt(d2.min())))
+        ref.append(best if abs(py - 2.0 * px * px + 2.0) < 1.0 else -best)
+    assert np.array_equal(tube.signed_distance(pts), ref)
+
+
 @pytest.mark.parametrize("maker", ["unit_square", "annulus",
                                    "straight_dumbbell", "curved_dumbbell"])
 def test_delta_ball_inside_domain(maker, request):

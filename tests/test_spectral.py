@@ -24,7 +24,7 @@ def test_two_cell_eigenvalue(two_cell_form):
     assert spectral.poincare_constant_l2(form, grid) == pytest.approx(0.25)
 
 
-def test_power_iteration_against_eigh(annulus_grid):
+def test_eigensolver_against_eigh(annulus_grid):
     pairs = mesh.visibility_pairs(annulus_grid)
     form = forms.assemble(annulus_grid, pairs,
                           kn.KernelSpec("power", s=0.5, p=2), "vis")
@@ -34,7 +34,7 @@ def test_power_iteration_against_eigh(annulus_grid):
     w = scipy.linalg.eigh(A, np.diag(annulus_grid.measures),
                           eigvals_only=True)
     assert w[0] == pytest.approx(0.0, abs=1e-8)
-    assert cp == pytest.approx(1.0 / w[1], rel=1e-6)
+    assert cp == pytest.approx(1.0 / w[1], rel=1e-10)
 
 
 def test_neumann_square_benchmark():
@@ -64,7 +64,7 @@ def test_scale_sanity(annulus_grid):
                                 weight=4.0 * base.weight)
     c1 = spectral.poincare_constant_l2(base, annulus_grid)
     c2 = spectral.poincare_constant_l2(scaled, annulus_grid)
-    assert c2 == pytest.approx(c1 / 4.0, rel=1e-6)
+    assert c2 == pytest.approx(c1 / 4.0, rel=1e-10)
 
 
 def test_mode_monotonicity(annulus_grid):
@@ -208,6 +208,16 @@ def test_scaling_experiment_small_local(straight_dumbbell):
     assert len(rep.samples) == 3
     assert rep.tolerance == 0.3
     assert 1.5 < rep.fitted < 2.5
+
+
+def test_scaling_experiment_local_eigen(straight_dumbbell):
+    # the local stencil needs no pair list, so the sweep reaches R = 64
+    # (50,460 cells), past the size refusal of mesh.visibility_pairs
+    rep = spectral.scaling_experiment(straight_dumbbell, None, 2.0,
+                                      [8, 16, 32, 64], method="eigen", h=0.5)
+    assert rep.predicted == 2.0 and rep.log_correction
+    assert rep.n_cells[-1] > 20_000
+    assert rep.verdict
 
 
 def test_cut_corridor_reports_infinite_constant(straight_dumbbell):

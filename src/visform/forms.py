@@ -138,8 +138,11 @@ def energy(form, u, p=None):
         return _local_energy(form, u, p)
     if form.pair_i is None:
         return grouped_energy(grid, form.kernel, form.mode, u, p)
-    du = np.abs(u[form.pair_i] - u[form.pair_j])
-    return float(2.0 * np.dot(form.weight, du ** p))
+    terms = np.abs(u[form.pair_i] - u[form.pair_j]) ** p
+    terms *= form.weight
+    # products are summed by np.sum (pairwise, one thread), not BLAS dot,
+    # whose long sums are split by thread count and so round by it
+    return float(2.0 * np.sum(terms))
 
 
 def _local_energy(form, u, p):
@@ -151,7 +154,7 @@ def _local_energy(form, u, p):
         d = np.zeros(grid.n_cells)
         d[has] = (u[nbr[has]] - u[has]) / h
         g2 += d * d
-    return float(np.dot(grid.measures, g2 ** (p / 2.0)))
+    return float(np.sum(grid.measures * g2 ** (p / 2.0)))
 
 
 def grouped_energy(grid, kernel, mode, u, p):
@@ -276,8 +279,9 @@ class _StreamContext:
                 ii, jj, r = ii[keep], jj[keep], r[keep]
             if ii.size == 0:
                 continue
-            total += float(np.dot(self.kernel.k(r),
-                                  self.grid.measures[ii] * self.grid.measures[jj]))
+            mass = self.grid.measures[ii] * self.grid.measures[jj]
+            mass *= self.kernel.k(r)
+            total += float(np.sum(mass))
         return total
 
 

@@ -163,4 +163,5 @@ def cell_mean(grid, u):
     u = np.asarray(u, dtype=float)
     if u.shape[0] != grid.n_cells:
         raise ValueError("value vector length does not match the grid")
-    return float(np.dot(u, grid.measures) / grid.measures.sum())
+    # thread-count independent sum, as in forms.energy
+    return float(np.sum(u * grid.measures) / grid.measures.sum())

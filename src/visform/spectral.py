@@ -132,7 +132,8 @@ def rayleigh_ratio(form, grid, u, p=2.0):
         raise ValueError("zero energy: u is constant on every pair-connected "
                          "component, the Rayleigh quotient is undefined")
     ubar = mesh.cell_mean(grid, u)
-    num = float(np.dot(grid.measures, np.abs(u - ubar) ** p))
+    # thread-count independent sum, as in forms.energy
+    num = float(np.sum(grid.measures * np.abs(u - ubar) ** p))
     return num / den
 
 

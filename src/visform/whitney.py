@@ -7,6 +7,15 @@ minimum of the boundary-distance field over the cube, the upper bound
 through the field at the cube center.  Boundary-hugging cubes recurse to
 ``max_level`` and the uncovered sliver is reported as residual measure.
 
+The construction is level-synchronous: the live cubes of one level are
+an (n, d) array of lattice anchors, their centers are evaluated in one
+``boundary_distance_many`` call, the certified lower bounds come from
+(n, 2^d, d) corner arrays, and masks decide accept, drop (wholly
+outside, or a sliver at ``max_level``) or split into the next level's
+anchors.  Each cube's decision depends on that cube alone, so the cube
+set is the one a per-cube recursion gives; the ``WhitneyCube`` list is
+built once, sorted by (level, anchor).
+
 Level-L cubes have side  base * 2^-L  with base a quarter of the
 bounding-box side, so level 0 starts below the domain scale and the
 finest cells at the default audit depth resolve the boundary to ~1e-3
@@ -47,59 +56,60 @@ class WhitneyCube:
         return self.side * np.sqrt(len(self.lo))
 
     def corners(self):
-        dim = len(self.lo)
-        out = []
-        for mask in range(1 << dim):
-            out.append(tuple(self.hi[d] if (mask >> d) & 1 else self.lo[d]
-                             for d in range(dim)))
-        return np.asarray(out)
+        return _corners(np.asarray([self.lo]), np.asarray([self.hi]))[0]
 
 
-def _exact_min_sd(prim, lo, hi, corners):
-    """Exact min over the box of the primitive's signed distance, or None."""
+def _corners(lows, highs):
+    """(n, 2^d, d) cube corners; bit k of corner j picks hi on axis k."""
+    dim = lows.shape[1]
+    pick = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1).astype(bool)
+    return np.where(pick, highs[:, None, :], lows[:, None, :])
+
+
+def _exact_min_sd(prim, lows, highs, corners):
+    """Exact min over each cube of the primitive's signed distance.
+
+    -inf where no exact minimum is known (a tube, or a box corner outside
+    the box), which leaves the cube to the Lipschitz bound.
+    """
+    n, k, dim = corners.shape
+    flat = corners.reshape(n * k, dim)
     if isinstance(prim, geometry.HalfSpace):
-        return float(prim.signed_distance(corners).min())
-    if isinstance(prim, geometry.Ball):
+        return prim.signed_distance(flat).reshape(n, k).min(axis=1)
+    if isinstance(prim, (geometry.Ball, geometry.Annulus)):
         c = np.asarray(prim.center)
-        far = np.sqrt(np.max(np.einsum("ij,ij->i", corners - c, corners - c)))
-        return float(prim.radius - far)
-    if isinstance(prim, geometry.Annulus):
-        c = np.asarray(prim.center)
-        far = np.sqrt(np.max(np.einsum("ij,ij->i", corners - c, corners - c)))
-        near_pt = np.clip(c, lo, hi)
-        near = float(np.hypot(*(near_pt - c)))
-        return float(min(prim.r_out - far, near - prim.r_in))
+        off = flat - c
+        far2 = np.einsum("ij,ij->i", off, off).reshape(n, k)
+        far = np.sqrt(far2.max(axis=1))
+        if isinstance(prim, geometry.Ball):
+            return prim.radius - far
+        near = np.hypot(*(np.clip(c, lows, highs) - c).T)
+        return np.minimum(prim.r_out - far, near - prim.r_in)
     if isinstance(prim, geometry.Box):
-        sd = prim.signed_distance(corners)
-        if np.all(sd > 0.0):             # wall distances are linear inside
-            return float(sd.min())
-        return None
-    return None
+        sd = prim.signed_distance(flat).reshape(n, k)
+        # wall distances are linear inside
+        return np.where(np.all(sd > 0.0, axis=1), sd.min(axis=1), -np.inf)
+    return np.full(n, -np.inf)
 
 
-def _min_delta_lower_bound(domain, cube, center_delta):
-    """Certified lower bound on min over the cube of boundary_distance.
+def _min_delta_lower_bound(domain, lows, highs, center_delta, diam):
+    """Certified lower bound on min over each cube of boundary_distance.
 
     The 1-Lipschitz center bound always applies; exact per-primitive box
     minima sharpen it where available (the union field is a max of the
     primitive fields, the clip then caps it from above).
     """
-    lipschitz = center_delta - cube.diam / 2.0
+    lipschitz = center_delta - diam / 2.0
     if not isinstance(domain, geometry.DomainSpec):
         return lipschitz
-    corners = cube.corners()
-    lo = np.asarray(cube.lo)
-    hi = np.asarray(cube.hi)
-    union = -np.inf
+    corners = _corners(lows, highs)
+    exact = np.full(len(lows), -np.inf)
     for prim in domain.primitives:
-        ex = _exact_min_sd(prim, lo, hi, corners)
-        if ex is not None and ex > union:
-            union = ex
-    exact = union
-    if domain.clip is not None:
-        clip_ex = _exact_min_sd(domain.clip, lo, hi, corners)
-        exact = min(exact, clip_ex)          # clip intersects the union
-    return max(lipschitz, exact)
+        exact = np.maximum(exact, _exact_min_sd(prim, lows, highs, corners))
+    if domain.clip is not None:              # clip intersects the union
+        exact = np.minimum(exact, _exact_min_sd(domain.clip, lows, highs,
+                                                corners))
+    return np.maximum(lipschitz, exact)
 
 
 @dataclass
@@ -113,23 +123,40 @@ class WhitneyDecomposition:
     bbox_hi: tuple
     _centers: np.ndarray = None
     _sides: np.ndarray = None
+    _lows: np.ndarray = None
+    _highs: np.ndarray = None
     _adjacency: list = None
 
     @property
     def n_cubes(self):
         return len(self.cubes)
 
+    def _cube_array(self, values):
+        return np.asarray(values, dtype=float).reshape(self.n_cubes, -1)
+
     @property
     def centers(self):
         if self._centers is None:
-            self._centers = np.asarray([c.center for c in self.cubes])
+            self._centers = self._cube_array([c.center for c in self.cubes])
         return self._centers
 
     @property
     def sides(self):
         if self._sides is None:
-            self._sides = np.asarray([c.side for c in self.cubes])
+            self._sides = np.asarray([c.side for c in self.cubes], dtype=float)
         return self._sides
+
+    @property
+    def lows(self):
+        if self._lows is None:
+            self._lows = self._cube_array([c.lo for c in self.cubes])
+        return self._lows
+
+    @property
+    def highs(self):
+        if self._highs is None:
+            self._highs = self._cube_array([c.hi for c in self.cubes])
+        return self._highs
 
     def set_distance(self, qi, si):
         """Euclidean distance between the two closed cubes."""
@@ -137,6 +164,12 @@ class WhitneyDecomposition:
         gaps = np.maximum(0.0, np.maximum(np.asarray(a.lo) - np.asarray(b.hi),
                                           np.asarray(b.lo) - np.asarray(a.hi)))
         return float(np.sqrt(np.sum(gaps ** 2)))
+
+    def set_distances(self, qi):
+        """set_distance from cube qi to every cube (same arithmetic)."""
+        gaps = np.maximum(0.0, np.maximum(self.lows[qi] - self.highs,
+                                          self.lows - self.highs[qi]))
+        return np.sqrt(np.sum(gaps ** 2, axis=1))
 
     def long_distance(self, qi, si):
         a, b = self.cubes[qi], self.cubes[si]
@@ -189,42 +222,46 @@ def whitney_decompose(domain, max_level=8):
     side0 = float(np.max(bb_hi - bb_lo))
     base = side0 / 4.0
 
-    cubes = []
     # level-0 tiling of the box with side-base cubes
     counts = np.maximum(1, np.ceil((bb_hi - bb_lo) / base - 1e-12).astype(int))
-    queue = []
-    for anchor in np.ndindex(*counts):
-        queue.append((0, anchor))
-
-    def bounds(level, anchor):
+    anchors = np.asarray(list(np.ndindex(*counts)), dtype=np.int64)
+    children = np.asarray(list(np.ndindex(*(2,) * dim)), dtype=np.int64)
+    levels, sides, lows, highs, kept = [], [], [], [], []
+    for level in range(max_level + 1):
         side = base * 2.0 ** (-level)
-        lo = bb_lo + np.asarray(anchor) * side
-        return side, lo, lo + side
-
-    while queue:
-        level, anchor = queue.pop()
-        side, lo, hi = bounds(level, anchor)
-        cube = WhitneyCube(level=level, anchor=tuple(int(a) for a in anchor),
-                           side=side, lo=tuple(lo), hi=tuple(hi))
-        center = np.asarray(cube.center)
-        delta = float(domain.boundary_distance_many(center[None, :])[0])
+        diam = side * np.sqrt(dim)
+        lo = bb_lo + anchors * side
+        hi = lo + side
+        delta = domain.boundary_distance_many((lo + hi) / 2.0)
+        lower = _min_delta_lower_bound(domain, lo, hi, delta, diam)
         # wholly outside: boundary_distance is -dist(x, D) out there
-        if delta + cube.diam / 2.0 <= 0.0:
-            continue
-        lower = _min_delta_lower_bound(domain, cube, delta)
-        if lower >= cube.diam and delta <= 4.0 * cube.diam:
-            cubes.append(cube)
-            continue
-        if level >= max_level:
-            continue                      # boundary sliver, reported below
-        for child in np.ndindex(*(2,) * dim):
-            queue.append((level + 1,
-                          tuple(2 * a + c for a, c in zip(anchor, child))))
+        live = ~(delta + diam / 2.0 <= 0.0)
+        accept = live & (lower >= diam) & (delta <= 4.0 * diam)
+        done = np.flatnonzero(accept)
+        done = done[np.lexsort(anchors[done].T[::-1])]      # anchor order
+        levels.append(np.full(done.size, level))
+        sides.append(np.full(done.size, side))
+        lows.append(lo[done])
+        highs.append(hi[done])
+        kept.append(anchors[done])
+        # cubes still undecided at max_level are the boundary sliver,
+        # reported by coverage_residual
+        split = anchors[live & ~accept]
+        anchors = (2 * split[:, None, :] + children).reshape(-1, dim)
 
-    cubes.sort(key=lambda c: (c.level, c.anchor))
+    sides = np.concatenate(sides)
+    lows = np.concatenate(lows)
+    highs = np.concatenate(highs)
+    # plain Python ints and floats, so reprs (cubes.csv) carry no numpy types
+    cubes = list(map(WhitneyCube, np.concatenate(levels).tolist(),
+                     map(tuple, np.concatenate(kept).tolist()),
+                     sides.tolist(), map(tuple, lows.tolist()),
+                     map(tuple, highs.tolist())))
     return WhitneyDecomposition(domain=domain, cubes=cubes, base=base,
                                 max_level=max_level, dim=dim,
-                                bbox_lo=tuple(bb_lo), bbox_hi=tuple(bb_hi))
+                                bbox_lo=tuple(bb_lo), bbox_hi=tuple(bb_hi),
+                                _centers=(lows + highs) / 2.0, _sides=sides,
+                                _lows=lows, _highs=highs)
 
 
 def coverage_residual(decomp, oversample=2):
@@ -270,19 +307,21 @@ def check_sandwich(decomp):
     Checks the implied necessary conditions on the domain's distance
     field: every corner and the center sit at least diam from the
     boundary, the certified cube minimum reaches diam, and the center
-    value caps dist(Q, bdry) at 4 diam.
+    value caps dist(Q, bdry) at 4 diam.  Returns the failing indices.
     """
-    bad = []
-    for k, cube in enumerate(decomp.cubes):
-        pts = np.vstack([cube.corners(), np.asarray(cube.center)[None, :]])
-        dvals = decomp.domain.boundary_distance_many(pts)
-        center_delta = float(dvals[-1])
-        lower = _min_delta_lower_bound(decomp.domain, cube, center_delta)
-        if not (dvals.min() >= cube.diam - 1e-12
-                and lower >= cube.diam - 1e-12
-                and center_delta <= 4.0 * cube.diam + 1e-12):
-            bad.append(k)
-    return bad
+    lows, highs = decomp.lows, decomp.highs
+    diam = decomp.sides * np.sqrt(decomp.dim)
+    pts = np.concatenate([_corners(lows, highs), decomp.centers[:, None, :]],
+                         axis=1)
+    dvals = decomp.domain.boundary_distance_many(
+        pts.reshape(-1, decomp.dim)).reshape(pts.shape[:2])
+    center_delta = dvals[:, -1]
+    lower = _min_delta_lower_bound(decomp.domain, lows, highs, center_delta,
+                                   diam)
+    ok = ((dvals.min(axis=1) >= diam - 1e-12)
+          & (lower >= diam - 1e-12)
+          & (center_delta <= 4.0 * diam + 1e-12))
+    return np.flatnonzero(~ok).tolist()
 
 
 def disjoint_interiors(decomp):
@@ -357,9 +396,11 @@ def validate_chain(decomp, chain):
 
 
 def _dijkstra_feasible(decomp, start, feasible, limit, budget):
-    """Min side-length-sum tree over nodes passing the per-node predicate."""
+    """Min side-length-sum tree over the nodes where ``feasible`` holds."""
     adj = decomp.adjacency()
-    best = {start: decomp.cubes[start].side}
+    sides = decomp.sides.tolist()
+    feasible = feasible.tolist()
+    best = {start: sides[start]}
     parent = {start: -1}
     heap = [(best[start], start)]
     expansions = 0
@@ -369,9 +410,9 @@ def _dijkstra_feasible(decomp, start, feasible, limit, budget):
             continue
         expansions += 1
         for nxt in adj[node]:
-            ncost = cost + decomp.cubes[nxt].side
-            if (ncost <= limit + 1e-12 and ncost < best.get(nxt, np.inf)
-                    and feasible(nxt)):
+            ncost = cost + sides[nxt]
+            if (feasible[nxt] and ncost <= limit + 1e-12
+                    and ncost < best.get(nxt, np.inf)):
                 best[nxt] = ncost
                 parent[nxt] = node
                 heapq.heappush(heap, (ncost, nxt))
@@ -406,14 +447,17 @@ def find_admissible_chain(decomp, qi, si, eps, budget=SEARCH_BUDGET):
     limit = decomp.long_distance(qi, si) / eps
     tol = 1e-12
 
-    from_q, parent_q = _dijkstra_feasible(
-        decomp, qi,
-        lambda p: cubes[p].side >= eps * decomp.long_distance(qi, p) - tol,
-        limit, budget // 2)
-    from_s, parent_s = _dijkstra_feasible(
-        decomp, si,
-        lambda p: cubes[p].side >= eps * decomp.long_distance(p, si) - tol,
-        limit, budget // 2)
+    # the growth conditions of every cube at once, summed in long_distance's
+    # order: side(a) + set_distance(a, b) + side(b)
+    sides = decomp.sides
+    grows_q = sides >= eps * (sides[qi] + decomp.set_distances(qi)
+                              + sides) - tol
+    grows_s = sides >= eps * (sides + decomp.set_distances(si)
+                              + sides[si]) - tol
+    from_q, parent_q = _dijkstra_feasible(decomp, qi, grows_q, limit,
+                                          budget // 2)
+    from_s, parent_s = _dijkstra_feasible(decomp, si, grows_s, limit,
+                                          budget // 2)
 
     best_total = np.inf
     junction = -1
@@ -455,10 +499,9 @@ def verify_whitney_sum(decomp, a, b, max_sources=4000):
     n = decomp.n_cubes
     if n == 0:
         raise ValueError("empty decomposition")
-    centers = decomp.centers
     sides = decomp.sides
-    lows = np.asarray([c.lo for c in decomp.cubes])
-    highs = np.asarray([c.hi for c in decomp.cubes])
+    lows = decomp.lows
+    highs = decomp.highs
     if n > max_sources:
         qs = np.unique(np.linspace(0, n - 1, max_sources).astype(int))
     else:
@@ -472,7 +515,7 @@ def verify_whitney_sum(decomp, a, b, max_sources=4000):
         D = sides[q] + dist + sides
         val = sides[q] ** (b - a) * float(np.sum(powered / D ** b))
         if val > sup:
-            sup = val
+            sup = float(val)
             arg = int(q)
     return sup, arg
 

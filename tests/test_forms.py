@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,3 +266,42 @@ def test_operator_csv_dump(tmp_path, annulus_grid):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "i,j,w"
     assert len(lines) == form.n_pairs + 1
+
+
+# ---------------------------------------------------------------------------
+# thread-count independence
+# ---------------------------------------------------------------------------
+
+_THREADED_ENERGIES = """
+import numpy as np
+from visform import forms, geometry as geo, kernels as kn, mesh, spectral
+values = list(forms.counterexample_ratio(8))            # streamed ball form
+dumbbell = geo.make_dumbbell("straight")
+grid = mesh.build_grid(dumbbell, (0.0, 0.0), 6.0, 0.5)
+form = forms.assemble(grid, mesh.visibility_pairs(grid),
+                      kn.parse_kernel("power:s=0.25,p=2"), "vis")
+values.append(forms.energy(form, np.tanh(grid.centers[:, 0])))
+box = mesh.build_grid(geo.make_box(1, 1), (0.5, 0.5), 2.0, 1.0 / 128.0)
+u = np.cos(3.0 * box.centers[:, 0]) + box.centers[:, 1] / 3.0
+local = forms.assemble(box, None, None, "local")
+values += [forms.energy(local, u), mesh.cell_mean(box, u),
+           spectral.rayleigh_ratio(local, box, u)]
+print(repr(values))
+"""
+
+
+def test_energies_independent_of_blas_threads():
+    # BLAS may split a long dot product between threads, which changes its
+    # rounding; each sum here has over 10,000 terms
+    src = str(Path(forms.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREADED_ENERGIES],
+                             env=env, capture_output=True, text=True,
+                             timeout=600, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

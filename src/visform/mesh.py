@@ -9,6 +9,7 @@ so that boundary cells carry their covered fraction of h^2.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ class Grid:
                       f"{self.centers[k,1]!r},{self.measures[k]!r},"
                       f"{int(self.tags[k])}\n")
         text = buf.getvalue()
-        if isinstance(path_or_buf, (str,)):
+        if isinstance(path_or_buf, (str, os.PathLike)):
             with open(path_or_buf, "w") as fh:
                 fh.write(text)
         else:

@@ -36,8 +36,12 @@ class ChainModel:
     def cdf(self):
         if self._cdf is None:
             self._cdf = np.cumsum(self.P, axis=1)
-            # guard right edge against roundoff during inverse sampling
-            self._cdf[:, -1] = 1.0
+            # a draw above a row's rounded total must land on the row's last
+            # reachable state, not on state N-1: the row reads 1.0 from its
+            # last positive entry on, and stays monotone for the bisection
+            for row, p in zip(self._cdf, self.P):
+                reach = np.flatnonzero(p)
+                row[reach[-1] if reach.size else -1:] = 1.0
         return self._cdf
 
 

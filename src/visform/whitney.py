@@ -13,8 +13,8 @@ an (n, d) array of lattice anchors, their centers are evaluated in one
 (n, 2^d, d) corner arrays, and masks decide accept, drop (wholly
 outside, or a sliver at ``max_level``) or split into the next level's
 anchors.  Each cube's decision depends on that cube alone, so the cube
-set is the one a per-cube recursion gives; the ``WhitneyCube`` list is
-built once, sorted by (level, anchor).
+set is the one a per-cube recursion gives.  A decomposition holds its
+cubes only as rows of arrays, sorted by (level, anchor).
 
 Level-L cubes have side  base * 2^-L  with base a quarter of the
 bounding-box side, so level 0 starts below the domain scale and the
@@ -39,24 +39,10 @@ SIZE_WINDOW = (1.0 / 16.0, 1.0)
 SEARCH_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class WhitneyCube:
-    level: int
-    anchor: tuple            # lattice position at this level
-    side: float
-    lo: tuple
-    hi: tuple
-
-    @property
-    def center(self):
-        return tuple((a + b) / 2.0 for a, b in zip(self.lo, self.hi))
-
-    @property
-    def diam(self):
-        return self.side * np.sqrt(len(self.lo))
-
-    def corners(self):
-        return _corners(np.asarray([self.lo]), np.asarray([self.hi]))[0]
+def _box_distance(lo_a, hi_a, lo_b, hi_b):
+    """Euclidean distance between closed boxes, row by row."""
+    gaps = np.maximum(0.0, np.maximum(lo_a - hi_b, lo_b - hi_a))
+    return np.sqrt(np.sum(gaps ** 2, axis=-1))
 
 
 def _corners(lows, highs):
@@ -114,66 +100,44 @@ def _min_delta_lower_bound(domain, lows, highs, center_delta, diam):
 
 @dataclass
 class WhitneyDecomposition:
+    """Accepted cubes as rows of arrays, sorted by (level, anchor)."""
     domain: object
-    cubes: list
+    levels: np.ndarray           # (n,) dyadic level
+    anchors: np.ndarray          # (n, d) lattice position at that level
+    sides: np.ndarray            # (n,)
+    lows: np.ndarray             # (n, d)
+    highs: np.ndarray            # (n, d)
     base: float
     max_level: int
-    dim: int
     bbox_lo: tuple
     bbox_hi: tuple
-    _centers: np.ndarray = None
-    _sides: np.ndarray = None
-    _lows: np.ndarray = None
-    _highs: np.ndarray = None
-    _adjacency: list = None
+    centers: np.ndarray = field(init=False)
+    _adjacency: list = field(default=None, init=False)
+
+    def __post_init__(self):
+        self.centers = (self.lows + self.highs) / 2.0
 
     @property
     def n_cubes(self):
-        return len(self.cubes)
-
-    def _cube_array(self, values):
-        return np.asarray(values, dtype=float).reshape(self.n_cubes, -1)
+        return self.sides.shape[0]
 
     @property
-    def centers(self):
-        if self._centers is None:
-            self._centers = self._cube_array([c.center for c in self.cubes])
-        return self._centers
-
-    @property
-    def sides(self):
-        if self._sides is None:
-            self._sides = np.asarray([c.side for c in self.cubes], dtype=float)
-        return self._sides
-
-    @property
-    def lows(self):
-        if self._lows is None:
-            self._lows = self._cube_array([c.lo for c in self.cubes])
-        return self._lows
-
-    @property
-    def highs(self):
-        if self._highs is None:
-            self._highs = self._cube_array([c.hi for c in self.cubes])
-        return self._highs
+    def dim(self):
+        return self.lows.shape[1]
 
     def set_distance(self, qi, si):
         """Euclidean distance between the two closed cubes."""
-        a, b = self.cubes[qi], self.cubes[si]
-        gaps = np.maximum(0.0, np.maximum(np.asarray(a.lo) - np.asarray(b.hi),
-                                          np.asarray(b.lo) - np.asarray(a.hi)))
-        return float(np.sqrt(np.sum(gaps ** 2)))
+        return float(_box_distance(self.lows[qi], self.highs[qi],
+                                   self.lows[si], self.highs[si]))
 
     def set_distances(self, qi):
         """set_distance from cube qi to every cube (same arithmetic)."""
-        gaps = np.maximum(0.0, np.maximum(self.lows[qi] - self.highs,
-                                          self.lows - self.highs[qi]))
-        return np.sqrt(np.sum(gaps ** 2, axis=1))
+        return _box_distance(self.lows[qi], self.highs[qi], self.lows,
+                             self.highs)
 
     def long_distance(self, qi, si):
-        a, b = self.cubes[qi], self.cubes[si]
-        return a.side + self.set_distance(qi, si) + b.side
+        return float(self.sides[qi] + self.set_distance(qi, si)
+                     + self.sides[si])
 
     def adjacency(self):
         """Neighbor lists under closed-cube touching (corner contact counts)."""
@@ -185,7 +149,7 @@ class WhitneyDecomposition:
         tol = 1e-9 * self.base
         max_side = float(self.sides.max())
         adj = [[] for _ in range(n)]
-        for pos, i in enumerate(order):
+        for i in order:
             reach = (self.sides[i] + max_side) / 2.0 + tol
             lo = np.searchsorted(cx, self.centers[i, 0] - reach)
             hi = np.searchsorted(cx, self.centers[i, 0] + reach)
@@ -207,10 +171,11 @@ class WhitneyDecomposition:
             fh.write("level,side," +
                      ",".join(f"lo{d}" for d in range(self.dim)) + "," +
                      ",".join(f"hi{d}" for d in range(self.dim)) + "\n")
-            for c in self.cubes:
-                fh.write(f"{c.level},{c.side!r}," +
-                         ",".join(repr(v) for v in c.lo) + "," +
-                         ",".join(repr(v) for v in c.hi) + "\n")
+            # plain Python ints and floats, so no numpy types in the reprs
+            for level, side, lo, hi in zip(
+                    self.levels.tolist(), self.sides.tolist(),
+                    self.lows.tolist(), self.highs.tolist()):
+                fh.write(",".join(map(repr, [level, side, *lo, *hi])) + "\n")
 
 
 def whitney_decompose(domain, max_level=8):
@@ -249,19 +214,11 @@ def whitney_decompose(domain, max_level=8):
         split = anchors[live & ~accept]
         anchors = (2 * split[:, None, :] + children).reshape(-1, dim)
 
-    sides = np.concatenate(sides)
-    lows = np.concatenate(lows)
-    highs = np.concatenate(highs)
-    # plain Python ints and floats, so reprs (cubes.csv) carry no numpy types
-    cubes = list(map(WhitneyCube, np.concatenate(levels).tolist(),
-                     map(tuple, np.concatenate(kept).tolist()),
-                     sides.tolist(), map(tuple, lows.tolist()),
-                     map(tuple, highs.tolist())))
-    return WhitneyDecomposition(domain=domain, cubes=cubes, base=base,
-                                max_level=max_level, dim=dim,
-                                bbox_lo=tuple(bb_lo), bbox_hi=tuple(bb_hi),
-                                _centers=(lows + highs) / 2.0, _sides=sides,
-                                _lows=lows, _highs=highs)
+    return WhitneyDecomposition(
+        domain=domain, levels=np.concatenate(levels),
+        anchors=np.concatenate(kept), sides=np.concatenate(sides),
+        lows=np.concatenate(lows), highs=np.concatenate(highs), base=base,
+        max_level=max_level, bbox_lo=tuple(bb_lo), bbox_hi=tuple(bb_hi))
 
 
 def coverage_residual(decomp, oversample=2):
@@ -276,12 +233,11 @@ def coverage_residual(decomp, oversample=2):
     hi = np.asarray(decomp.bbox_hi)
     counts = np.ceil((hi - lo) / step).astype(int)
     covered = np.zeros(tuple(counts), dtype=bool)
-    for c in decomp.cubes:
-        i0 = np.floor((np.asarray(c.lo) - lo) / step + 0.5).astype(int)
-        i1 = np.floor((np.asarray(c.hi) - lo) / step + 0.5).astype(int)
-        sl = tuple(slice(max(0, a), min(n, b))
-                   for a, b, n in zip(i0, i1, counts))
-        covered[sl] = True
+    first = np.floor((decomp.lows - lo) / step + 0.5).astype(int).tolist()
+    stop = np.floor((decomp.highs - lo) / step + 0.5).astype(int).tolist()
+    for i0, i1 in zip(first, stop):
+        covered[tuple(slice(max(0, a), min(n, b))
+                      for a, b, n in zip(i0, i1, counts))] = True
 
     cell = step ** decomp.dim
     residual = 0.0
@@ -326,19 +282,17 @@ def check_sandwich(decomp):
 
 def disjoint_interiors(decomp):
     """True when no two cubes overlap on an open set (dyadic check)."""
-    seen = set()
-    for c in decomp.cubes:
-        key = (c.level, c.anchor)
-        if key in seen:
-            return False
-        seen.add(key)
+    keys = list(map(tuple, np.column_stack([decomp.levels, decomp.anchors])
+                    .tolist()))
+    seen = set(keys)
+    if len(seen) < len(keys):
+        return False
     # a cube's strict ancestors must not be present
-    for c in decomp.cubes:
-        level, anchor = c.level, c.anchor
+    for level, *anchor in keys:
         while level > 0:
             level -= 1
-            anchor = tuple(a // 2 for a in anchor)
-            if (level, anchor) in seen:
+            anchor = [a // 2 for a in anchor]
+            if (level, *anchor) in seen:
                 return False
     return True
 
@@ -359,40 +313,43 @@ class Chain:
                      j0=len(self.indices) - 1 - self.j0, length=self.length)
 
 
+def _path_long_distances(decomp, path):
+    """Sides along a path from q to s, and D(q, c), D(c, s) for each of its
+    cubes c, summed in long_distance's order: side(a) + set_distance(a, b)
+    + side(b)."""
+    sides = decomp.sides[path]
+    lows, highs = decomp.lows[path], decomp.highs[path]
+    to_q = sides[0] + _box_distance(lows[0], highs[0], lows, highs) + sides
+    to_s = sides + _box_distance(lows, highs, lows[-1], highs[-1]) + sides[-1]
+    return sides, to_q, to_s
+
+
 def _central_index(decomp, path, eps):
     """Smallest valid central position, or None."""
-    k = len(path)
-    q, s = path[0], path[-1]
-    sides = [decomp.cubes[i].side for i in path]
-    pref = [sides[j] >= eps * decomp.long_distance(q, path[j]) for j in range(k)]
-    suff = [sides[j] >= eps * decomp.long_distance(path[j], s) for j in range(k)]
-    pref_all = np.cumprod(pref).astype(bool)           # pref holds up to j
-    suff_all = np.cumprod(suff[::-1])[::-1].astype(bool)
-    for j0 in range(k):
-        if pref_all[j0] and suff_all[j0]:
-            return j0
-    return None
+    sides, to_q, to_s = _path_long_distances(decomp, path)
+    # the Q-side condition holds up to j, the S-side one from j on
+    pref_all = np.logical_and.accumulate(sides >= eps * to_q)
+    suff_all = np.logical_and.accumulate((sides >= eps * to_s)[::-1])[::-1]
+    central = np.flatnonzero(pref_all & suff_all)
+    return int(central[0]) if central.size else None
 
 
 def validate_chain(decomp, chain):
     """Re-check the three admissibility clauses from scratch."""
     idx = chain.indices
-    for a, b in zip(idx[:-1], idx[1:]):
-        if decomp.set_distance(a, b) > 1e-9 * decomp.base:
-            return False
-    total = sum(decomp.cubes[i].side for i in idx)
-    if total > decomp.long_distance(idx[0], idx[-1]) / chain.epsilon + 1e-12:
+    lows, highs = decomp.lows[idx], decomp.highs[idx]
+    if np.any(_box_distance(lows[:-1], highs[:-1], lows[1:], highs[1:])
+              > 1e-9 * decomp.base):
         return False
-    j0 = chain.j0
     eps = chain.epsilon
-    q, s = idx[0], idx[-1]
-    for j, c in enumerate(idx):
-        side = decomp.cubes[c].side
-        if j <= j0 and side < eps * decomp.long_distance(q, c) - 1e-12:
-            return False
-        if j >= j0 and side < eps * decomp.long_distance(c, s) - 1e-12:
-            return False
-    return True
+    sides, to_q, to_s = _path_long_distances(decomp, idx)
+    if sum(sides.tolist()) > to_q[-1] / eps + 1e-12:
+        return False
+    pos = np.arange(len(idx))
+    grows_q = sides >= eps * to_q - 1e-12
+    grows_s = sides >= eps * to_s - 1e-12
+    return bool(grows_q[pos <= chain.j0].all()
+                and grows_s[pos >= chain.j0].all())
 
 
 def _dijkstra_feasible(decomp, start, feasible, limit, budget):
@@ -440,16 +397,15 @@ def find_admissible_chain(decomp, qi, si, eps, budget=SEARCH_BUDGET):
     chain is still re-validated from scratch.  None means the search
     gave up within its budget, never that no chain exists.
     """
-    cubes = decomp.cubes
+    sides = decomp.sides
     if qi == si:
-        chain = Chain([qi], eps, 0, cubes[qi].side)
+        chain = Chain([qi], eps, 0, float(sides[qi]))
         return chain if validate_chain(decomp, chain) else None
     limit = decomp.long_distance(qi, si) / eps
     tol = 1e-12
 
     # the growth conditions of every cube at once, summed in long_distance's
     # order: side(a) + set_distance(a, b) + side(b)
-    sides = decomp.sides
     grows_q = sides >= eps * (sides[qi] + decomp.set_distances(qi)
                               + sides) - tol
     grows_s = sides >= eps * (sides + decomp.set_distances(si)
@@ -465,7 +421,7 @@ def find_admissible_chain(decomp, qi, si, eps, budget=SEARCH_BUDGET):
         cs = from_s.get(node)
         if cs is None:
             continue
-        total = cq + cs - cubes[node].side
+        total = cq + cs - float(sides[node])
         if total < best_total - tol or (abs(total - best_total) <= tol
                                         and node < junction):
             best_total = total
@@ -542,30 +498,31 @@ class PathConditionReport:
         return lines
 
 
-def _cube_sample_points(cube, shrink=1e-3):
-    """Corner and center samples of the open cube (corners pulled inward).
+def _cube_sample_points(decomp, cubes, shrink=1e-3):
+    """(len(cubes), 2^d + 1, d) corner and center samples of the open cubes
+    (corners pulled inward).
 
     Closed-cube corners can sit exactly on a wall of the domain, where the
     grazing segment is a measure-zero false negative for the open cube.
     """
-    center = np.asarray(cube.center)
-    corners = center + (1.0 - shrink) * (cube.corners() - center)
-    return np.vstack([corners, center[None, :]])
+    center = decomp.centers[cubes][:, None, :]
+    corners = _corners(decomp.lows[cubes], decomp.highs[cubes])
+    return np.concatenate([center + (1.0 - shrink) * (corners - center),
+                           center], axis=1)
 
 
 def _cube_visible_from_point(domain, x, cubes, decomp):
     """Which cubes are wholly visible from x (corner + center certificate)."""
     if not cubes:
         return np.zeros(0, dtype=bool)
-    pts = np.vstack([_cube_sample_points(decomp.cubes[c]) for c in cubes])
+    pts = _cube_sample_points(decomp, cubes).reshape(-1, decomp.dim)
     X = np.broadcast_to(np.asarray(x), pts.shape)
     vis = domain.segment_inside_many(X, pts)
     return vis.reshape(len(cubes), -1).all(axis=1)
 
 
 def _cubes_mutually_visible(domain, decomp, qa, qb):
-    pa = _cube_sample_points(decomp.cubes[qa])
-    pb = _cube_sample_points(decomp.cubes[qb])
+    pa, pb = _cube_sample_points(decomp, [qa, qb])
     X = np.repeat(pa, pb.shape[0], axis=0)
     Y = np.tile(pb, (pa.shape[0], 1))
     return bool(domain.segment_inside_many(X, Y).all())
@@ -625,8 +582,8 @@ def audit_visible_paths(domain, n_pairs=40, n_max=8, budget=SEARCH_BUDGET,
             continue
         report.found += 1
         report.max_path_len = max(report.max_path_len, len(path))
-        dist_x = _point_cube_distance(x, decomp.cubes[path[0]]) / r
-        dist_y = _point_cube_distance(y, decomp.cubes[path[-1]]) / r
+        dist_x = _point_cube_distance(decomp, x, path[0]) / r
+        dist_y = _point_cube_distance(decomp, y, path[-1]) / r
         gaps = [decomp.set_distance(a, b) / r
                 for a, b in zip(path[:-1], path[1:])] or [0.0]
         report.pair_rows.append((r, len(path), dist_x, dist_y, max(gaps)))
@@ -635,10 +592,8 @@ def audit_visible_paths(domain, n_pairs=40, n_max=8, budget=SEARCH_BUDGET,
     return report
 
 
-def _point_cube_distance(x, cube):
-    gaps = np.maximum(0.0, np.maximum(np.asarray(cube.lo) - x,
-                                      x - np.asarray(cube.hi)))
-    return float(np.sqrt(np.sum(gaps ** 2)))
+def _point_cube_distance(decomp, x, qi):
+    return float(_box_distance(decomp.lows[qi], decomp.highs[qi], x, x))
 
 
 def _bfs_visible_path(domain, decomp, starts, goals, allowed, n_max, budget):

@@ -117,6 +117,14 @@ def test_grid_csv_dump(annulus_grid):
     assert len(lines) == annulus_grid.n_cells + 1
 
 
+def test_grid_csv_dump_to_path(tmp_path, annulus_grid):
+    path = tmp_path / "grid.csv"
+    text = annulus_grid.dump_csv(path)
+    buf = io.StringIO()
+    annulus_grid.dump_csv(buf)
+    assert path.read_text() == text == buf.getvalue()
+
+
 def test_sliver_cell_measure_floored():
     # center inside a slab so thin every stratified subsample point misses
     slab = geo.DomainSpec((geo.Box((-10.0, 0.24), (10.0, 0.26)),))

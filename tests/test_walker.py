@@ -18,6 +18,31 @@ def _two_state_chain(q=0.5):
                              isolated=np.zeros(2, dtype=bool))
 
 
+class _FixedDraws:
+    """Stands in for a Generator whose uniform draws are all ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+def test_draw_above_rounded_row_total_stays_reachable():
+    # the row sums to 1 - 1e-15: a draw above that total must go to the
+    # row's last positive entry (state 2), never to the unreachable state 3
+    P = np.zeros((4, 4))
+    P[0] = [0.0, 0.5, 0.5 - 1e-15, 0.0]
+    P[1:, 0] = 1.0
+    chain = walker.ChainModel(P=P, rates=np.ones(4), grid=None,
+                              isolated=np.zeros(4, dtype=bool))
+    u = 0.9999999999999995
+    assert np.cumsum(P[0])[-1] < u
+    nxt = walker._advance(chain, np.zeros(3, dtype=np.int64), _FixedDraws(u))
+    assert nxt.tolist() == [2, 2, 2]
+    assert np.all(np.diff(chain.cdf(), axis=1) >= 0.0)
+
+
 def test_two_state_geometric_mean():
     chain = _two_state_chain(q=0.5)
     stats = walker.mean_crossing_time(chain, n_paths=4000, max_steps=10_000,

@@ -55,12 +55,11 @@ def _ref_exact_min_sd(prim, lo, hi, corners):
     return None
 
 
-def _ref_lower_bound(domain, cube, center_delta):
-    lipschitz = center_delta - cube.diam / 2.0
+def _ref_lower_bound(domain, lo, hi, side, center_delta):
+    lipschitz = center_delta - side * np.sqrt(len(lo)) / 2.0
     if not isinstance(domain, geo.DomainSpec):
         return lipschitz
-    lo, hi = np.asarray(cube.lo), np.asarray(cube.hi)
-    corners = _ref_corners(cube.lo, cube.hi)
+    corners = _ref_corners(lo, hi)
     exact = -np.inf
     for prim in domain.primitives:
         ex = _ref_exact_min_sd(prim, lo, hi, corners)
@@ -71,51 +70,73 @@ def _ref_lower_bound(domain, cube, center_delta):
     return max(lipschitz, exact)
 
 
+def _decomposition(domain, rows, base, max_level, bbox_lo, bbox_hi):
+    """A decomposition from (level, anchor, side, lo, hi) rows."""
+    levels, anchors, sides, lows, highs = (np.asarray(v) for v in zip(*rows))
+    return wh.WhitneyDecomposition(
+        domain=domain, levels=levels, anchors=anchors,
+        sides=sides.astype(float), lows=lows.astype(float),
+        highs=highs.astype(float), base=base, max_level=max_level,
+        bbox_lo=tuple(bbox_lo), bbox_hi=tuple(bbox_hi))
+
+
+def _rows(decomp):
+    """(level, anchor, side, lo, hi) per cube, as plain Python values."""
+    return list(zip(decomp.levels.tolist(),
+                    map(tuple, decomp.anchors.tolist()),
+                    decomp.sides.tolist(), map(tuple, decomp.lows.tolist()),
+                    map(tuple, decomp.highs.tolist())))
+
+
 def _ref_decompose(domain, max_level):
+    """Accepted (level, anchor, side, lo, hi) rows in (level, anchor) order."""
     bb_lo, bb_hi = (np.asarray(v, dtype=float) for v in domain.bounding_box())
     dim = bb_lo.shape[0]
     base = float(np.max(bb_hi - bb_lo)) / 4.0
     counts = np.maximum(1, np.ceil((bb_hi - bb_lo) / base - 1e-12).astype(int))
     queue = [(0, anchor) for anchor in np.ndindex(*counts)]
-    cubes = []
+    rows = []
     while queue:
         level, anchor = queue.pop()
         side = base * 2.0 ** (-level)
+        diam = side * np.sqrt(dim)
         lo = bb_lo + np.asarray(anchor) * side
-        cube = wh.WhitneyCube(level=level, anchor=tuple(map(int, anchor)),
-                              side=side, lo=tuple(lo), hi=tuple(lo + side))
-        center = np.asarray(cube.center)
+        hi = lo + side
+        center = (lo + hi) / 2.0
         delta = float(domain.boundary_distance_many(center[None, :])[0])
-        if delta + cube.diam / 2.0 <= 0.0:
+        if delta + diam / 2.0 <= 0.0:
             continue
-        lower = _ref_lower_bound(domain, cube, delta)
-        if lower >= cube.diam and delta <= 4.0 * cube.diam:
-            cubes.append(cube)
+        lower = _ref_lower_bound(domain, lo, hi, side, delta)
+        if lower >= diam and delta <= 4.0 * diam:
+            rows.append((level, tuple(map(int, anchor)), side, tuple(lo),
+                         tuple(hi)))
         elif level < max_level:
             queue.extend((level + 1, tuple(2 * a + c
                                            for a, c in zip(anchor, child)))
                          for child in np.ndindex(*(2,) * dim))
-    return sorted(cubes, key=lambda c: (c.level, c.anchor))
+    return sorted(rows, key=lambda r: r[:2])
 
 
 def _ref_sandwich(decomp):
     bad = []
-    for k, cube in enumerate(decomp.cubes):
-        pts = np.vstack([_ref_corners(cube.lo, cube.hi),
-                         np.asarray(cube.center)[None, :]])
+    for k, (side, lo, hi) in enumerate(zip(decomp.sides, decomp.lows,
+                                           decomp.highs)):
+        diam = side * np.sqrt(len(lo))
+        pts = np.vstack([_ref_corners(lo, hi), ((lo + hi) / 2.0)[None, :]])
         dvals = decomp.domain.boundary_distance_many(pts)
         center_delta = float(dvals[-1])
-        lower = _ref_lower_bound(decomp.domain, cube, center_delta)
-        if not (dvals.min() >= cube.diam - 1e-12
-                and lower >= cube.diam - 1e-12
-                and center_delta <= 4.0 * cube.diam + 1e-12):
+        lower = _ref_lower_bound(decomp.domain, lo, hi, side, center_delta)
+        if not (dvals.min() >= diam - 1e-12
+                and lower >= diam - 1e-12
+                and center_delta <= 4.0 * diam + 1e-12):
             bad.append(k)
     return bad
 
 
 def _ref_dijkstra(decomp, start, feasible, limit, budget):
     adj = decomp.adjacency()
-    best = {start: decomp.cubes[start].side}
+    sides = decomp.sides.tolist()
+    best = {start: sides[start]}
     parent = {start: -1}
     heap = [(best[start], start)]
     expansions = 0
@@ -125,7 +146,7 @@ def _ref_dijkstra(decomp, start, feasible, limit, budget):
             continue
         expansions += 1
         for nxt in adj[node]:
-            ncost = cost + decomp.cubes[nxt].side
+            ncost = cost + sides[nxt]
             if (ncost <= limit + 1e-12 and ncost < best.get(nxt, np.inf)
                     and feasible(nxt)):
                 best[nxt] = ncost
@@ -134,25 +155,61 @@ def _ref_dijkstra(decomp, start, feasible, limit, budget):
     return best, parent
 
 
+def _ref_central_index(decomp, path, eps):
+    """Smallest valid central position from scalar long distances."""
+    k = len(path)
+    q, s = path[0], path[-1]
+    sides = [float(decomp.sides[i]) for i in path]
+    pref = [sides[j] >= eps * decomp.long_distance(q, path[j]) for j in range(k)]
+    suff = [sides[j] >= eps * decomp.long_distance(path[j], s) for j in range(k)]
+    pref_all = np.cumprod(pref).astype(bool)
+    suff_all = np.cumprod(suff[::-1])[::-1].astype(bool)
+    for j0 in range(k):
+        if pref_all[j0] and suff_all[j0]:
+            return j0
+    return None
+
+
+def _ref_validate_chain(decomp, chain):
+    """The three admissibility clauses from scalar distances."""
+    idx = chain.indices
+    for a, b in zip(idx[:-1], idx[1:]):
+        if decomp.set_distance(a, b) > 1e-9 * decomp.base:
+            return False
+    total = sum(float(decomp.sides[i]) for i in idx)
+    if total > decomp.long_distance(idx[0], idx[-1]) / chain.epsilon + 1e-12:
+        return False
+    j0 = chain.j0
+    eps = chain.epsilon
+    q, s = idx[0], idx[-1]
+    for j, c in enumerate(idx):
+        side = float(decomp.sides[c])
+        if j <= j0 and side < eps * decomp.long_distance(q, c) - 1e-12:
+            return False
+        if j >= j0 and side < eps * decomp.long_distance(c, s) - 1e-12:
+            return False
+    return True
+
+
 def _ref_chain(decomp, qi, si, eps, budget=wh.SEARCH_BUDGET):
     """The chain search with per-cube growth predicates (qi != si)."""
-    cubes = decomp.cubes
+    sides = decomp.sides.tolist()
     limit = decomp.long_distance(qi, si) / eps
     tol = 1e-12
     from_q, parent_q = _ref_dijkstra(
         decomp, qi,
-        lambda p: cubes[p].side >= eps * decomp.long_distance(qi, p) - tol,
+        lambda p: sides[p] >= eps * decomp.long_distance(qi, p) - tol,
         limit, budget // 2)
     from_s, parent_s = _ref_dijkstra(
         decomp, si,
-        lambda p: cubes[p].side >= eps * decomp.long_distance(p, si) - tol,
+        lambda p: sides[p] >= eps * decomp.long_distance(p, si) - tol,
         limit, budget // 2)
     best_total, junction = np.inf, -1
     for node, cq in from_q.items():
         cs = from_s.get(node)
         if cs is None:
             continue
-        total = cq + cs - cubes[node].side
+        total = cq + cs - sides[node]
         if total < best_total - tol or (abs(total - best_total) <= tol
                                         and node < junction):
             best_total, junction = total, node
@@ -161,18 +218,19 @@ def _ref_chain(decomp, qi, si, eps, budget=wh.SEARCH_BUDGET):
     head = wh._walk_back(parent_q, junction)
     tail = wh._walk_back(parent_s, junction)
     path = head + tail[-2::-1]
-    j0 = wh._central_index(decomp, path, eps)
+    j0 = _ref_central_index(decomp, path, eps)
     if j0 is None:
         return None
     chain = wh.Chain(indices=path, epsilon=eps, j0=j0, length=best_total)
-    return chain if wh.validate_chain(decomp, chain) else None
+    return chain if _ref_validate_chain(decomp, chain) else None
 
 
-def _bits(cubes):
-    """(level, anchor, side, lo, hi) per cube, floats as exact hex strings."""
-    return [(c.level, c.anchor, float(c.side).hex(),
-             tuple(float(v).hex() for v in c.lo),
-             tuple(float(v).hex() for v in c.hi)) for c in cubes]
+def _bits(rows):
+    """(level, anchor, side, lo, hi) rows, floats as exact hex strings."""
+    return [(level, anchor, float(side).hex(),
+             tuple(float(v).hex() for v in lo),
+             tuple(float(v).hex() for v in hi))
+            for level, anchor, side, lo, hi in rows]
 
 
 def _oracle_domains():
@@ -189,36 +247,43 @@ def _oracle_domains():
                          ids=[d[0] for d in _oracle_domains()])
 def test_decompose_and_sandwich_match_per_cube_reference(name, domain, level):
     decomp = wh.whitney_decompose(domain, max_level=level)
-    assert _bits(decomp.cubes) == _bits(_ref_decompose(domain, level))
+    assert _bits(_rows(decomp)) == _bits(_ref_decompose(domain, level))
+    assert np.array_equal(decomp.centers, (decomp.lows + decomp.highs) / 2.0)
     assert wh.check_sandwich(decomp) == _ref_sandwich(decomp) == []
-    # the arrays the decomposition hands out are those of its cube list
-    listed = wh.WhitneyDecomposition(
-        domain=domain, cubes=decomp.cubes, base=decomp.base,
-        max_level=level, dim=decomp.dim, bbox_lo=decomp.bbox_lo,
-        bbox_hi=decomp.bbox_hi)
-    for attr in ("centers", "sides", "lows", "highs"):
-        assert np.array_equal(getattr(decomp, attr), getattr(listed, attr))
 
 
 def test_sandwich_flags_injected_cubes_like_reference(annulus):
     decomp = wh.whitney_decompose(annulus, max_level=6)
     # too large for its distance: the cube reaches into the hole
-    too_big = wh.WhitneyCube(level=1, anchor=(0, 0), side=0.5,
-                             lo=(0.25, -0.25), hi=(0.75, 0.25))
+    too_big = (1, (0, 0), 0.5, (0.25, -0.25), (0.75, 0.25))
     # centre at the middle radius, 1/3 from the boundary > 4 diam
-    too_far = wh.WhitneyCube(level=7, anchor=(0, 0), side=0.01,
-                             lo=(0.66, -0.005), hi=(0.67, 0.005))
-    cubes = decomp.cubes[:10] + [too_big] + decomp.cubes[10:] + [too_far]
-    injected = wh.WhitneyDecomposition(
-        domain=annulus, cubes=cubes, base=decomp.base, max_level=7, dim=2,
-        bbox_lo=decomp.bbox_lo, bbox_hi=decomp.bbox_hi)
+    too_far = (7, (0, 0), 0.01, (0.66, -0.005), (0.67, 0.005))
+    rows = _rows(decomp)
+    rows = rows[:10] + [too_big] + rows[10:] + [too_far]
+    injected = _decomposition(annulus, rows, decomp.base, 7, decomp.bbox_lo,
+                              decomp.bbox_hi)
     assert wh.check_sandwich(injected) == _ref_sandwich(injected) \
-        == [10, len(cubes) - 1]
+        == [10, len(rows) - 1]
+
+
+def _mutations(chain):
+    """The chain with a middle cube dropped, j0 moved by one, eps doubled."""
+    idx, eps, j0, length = (chain.indices, chain.epsilon, chain.j0,
+                            chain.length)
+    out = [wh.Chain(idx, 2.0 * eps, j0, length)]
+    out += [wh.Chain(idx, eps, j, length) for j in (j0 - 1, j0 + 1)
+            if 0 <= j < len(idx)]
+    if len(idx) > 2:
+        mid = len(idx) // 2
+        out.append(wh.Chain(idx[:mid] + idx[mid + 1:], eps, min(j0, mid - 1),
+                            length))
+    return out
 
 
 def test_chains_match_per_cube_reference(annulus_decomp):
     rng = np.random.default_rng(np.random.SeedSequence([20, 0xC4A]))
     found = 0
+    verdicts = set()
     for _ in range(20):
         qi, si = (int(v) for v in
                   rng.integers(0, annulus_decomp.n_cubes, size=2))
@@ -226,11 +291,22 @@ def test_chains_match_per_cube_reference(annulus_decomp):
             got = wh.find_admissible_chain(annulus_decomp, qi, si, eps)
             ref = _ref_chain(annulus_decomp, qi, si, eps)
             assert (got is None) == (ref is None)
-            if got is not None:
-                found += 1
-                assert (got.indices, got.j0, got.length) == \
-                    (ref.indices, ref.j0, ref.length)
+            if got is None:
+                continue
+            found += 1
+            assert (got.indices, got.j0, got.length) == \
+                (ref.indices, ref.j0, ref.length)
+            for chain in [got] + _mutations(got):
+                assert wh._central_index(annulus_decomp, chain.indices,
+                                         chain.epsilon) == \
+                    _ref_central_index(annulus_decomp, chain.indices,
+                                       chain.epsilon)
+                verdict = wh.validate_chain(annulus_decomp, chain)
+                assert verdict is _ref_validate_chain(annulus_decomp, chain)
+                verdicts.add(verdict)
     assert found >= 20
+    # the mutations reach both verdicts, so the comparison can tell them apart
+    assert verdicts == {True, False}
 
 
 def test_dump_csv_writes_plain_floats(tmp_path, annulus_decomp):
@@ -239,15 +315,16 @@ def test_dump_csv_writes_plain_floats(tmp_path, annulus_decomp):
     header, *rows = path.read_text().splitlines()
     assert header == "level,side,lo0,lo1,hi0,hi1"
     assert len(rows) == annulus_decomp.n_cubes
-    for row, cube in zip(rows, annulus_decomp.cubes):
-        level, *values = row.split(",")
-        assert int(level) == cube.level
-        assert [float(v) for v in values] == [cube.side, *cube.lo, *cube.hi]
+    for row, (level, _, side, lo, hi) in zip(rows, _rows(annulus_decomp)):
+        got_level, *values = row.split(",")
+        assert int(got_level) == level
+        assert [float(v) for v in values] == [side, *lo, *hi]
 
 
 def test_1d_dyadic_construction():
     decomp = wh.whitney_decompose(Interval1D(), max_level=6)
-    ivals = sorted((c.lo[0], c.hi[0]) for c in decomp.cubes)
+    ivals = sorted(zip(decomp.lows[:, 0].tolist(),
+                       decomp.highs[:, 0].tolist()))
     assert (0.25, 0.5) in ivals
     assert (0.5, 0.75) in ivals
     # length 1/4 at distance 1/4: the sandwich is tight at the lower edge
@@ -266,34 +343,41 @@ def test_square_sandwich_and_cover(unit_square):
 
 
 def test_long_distance_values(annulus_decomp):
-    c0 = annulus_decomp.cubes[0]
-    assert annulus_decomp.long_distance(0, 0) == pytest.approx(2 * c0.side)
+    sides = annulus_decomp.sides
+    assert annulus_decomp.long_distance(0, 0) == pytest.approx(2 * sides[0])
     # touching equal cubes: distance 0, so long distance is the two sides
     adj = annulus_decomp.adjacency()
     i = next(k for k in range(annulus_decomp.n_cubes) if adj[k])
-    j = next(j for j in adj[i]
-             if annulus_decomp.cubes[j].side == annulus_decomp.cubes[i].side)
-    assert annulus_decomp.long_distance(i, j) == pytest.approx(
-        2 * annulus_decomp.cubes[i].side)
+    j = next(j for j in adj[i] if sides[j] == sides[i])
+    assert annulus_decomp.long_distance(i, j) == pytest.approx(2 * sides[i])
 
 
 def test_long_distance_separated_unit_cubes():
     # two unit-side cubes three apart: 1 + 3 + 1 = 5
-    a = wh.WhitneyCube(level=0, anchor=(0, 0), side=1.0,
-                       lo=(0.0, 0.0), hi=(1.0, 1.0))
-    b = wh.WhitneyCube(level=0, anchor=(4, 0), side=1.0,
-                       lo=(4.0, 0.0), hi=(5.0, 1.0))
-    decomp = wh.WhitneyDecomposition(domain=None, cubes=[a, b], base=1.0,
-                                     max_level=0, dim=2,
-                                     bbox_lo=(0, 0), bbox_hi=(5, 1))
+    a = (0, (0, 0), 1.0, (0.0, 0.0), (1.0, 1.0))
+    b = (0, (4, 0), 1.0, (4.0, 0.0), (5.0, 1.0))
+    decomp = _decomposition(None, [a, b], 1.0, 0, (0, 0), (5, 1))
     assert decomp.long_distance(0, 1) == pytest.approx(5.0)
+
+
+def test_validate_chain_length_clause_like_reference():
+    # three touching unit cubes a, b, c; a zig-zag a b a b a b c keeps every
+    # growth clause at j0 = 5 (long distances 2 there), so only its length
+    # 7 against D(a, c) / eps = 3 / eps decides
+    rows = [(0, (k, 0), 1.0, (float(k), 0.0), (k + 1.0, 1.0))
+            for k in range(3)]
+    decomp = _decomposition(None, rows, 1.0, 0, (0, 0), (3, 1))
+    for eps, ok in ((0.4, True), (0.45, False)):
+        chain = wh.Chain([0, 1, 0, 1, 0, 1, 2], eps, 5, 7.0)
+        assert wh.validate_chain(decomp, chain) is ok
+        assert _ref_validate_chain(decomp, chain) is ok
 
 
 def test_two_cube_chain_small_epsilon(annulus_decomp):
     adj = annulus_decomp.adjacency()
     i = next(k for k in range(annulus_decomp.n_cubes) if adj[k])
-    j = next(j for j in adj[i]
-             if annulus_decomp.cubes[j].side == annulus_decomp.cubes[i].side)
+    sides = annulus_decomp.sides
+    j = next(j for j in adj[i] if sides[j] == sides[i])
     for eps in (0.5, 0.25, 0.05):
         chain = wh.find_admissible_chain(annulus_decomp, i, j, eps)
         assert chain is not None

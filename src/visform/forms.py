@@ -16,13 +16,13 @@ one entry point: an assembled form sums over its pair list, a lazy form
 (no pair list) streams the pairs between cells of distinct values in
 blocks, without ever materializing O(N^2) pairs; this suits indicator and
 step profiles on grids too large to assemble.  Visibility masks of
-streamed vis-mode blocks are kept in a process-wide cache keyed by
-domain, radius and cell size.
+streamed vis-mode blocks are kept in a process-wide cache keyed by value
+(domain, ball centre and radius, cell size, the two cell groups and the
+block), so grids built apart from equal inputs share them.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +59,10 @@ class FormOperator:
     def dump_csv(self, path):
         with open(path, "w") as fh:
             fh.write("i,j,w\n")
-            for i, j, w in zip(self.pair_i, self.pair_j, self.weight):
-                fh.write(f"{i},{j},{w!r}\n")
+            # plain Python ints and floats, so no numpy types in the reprs
+            for row in zip(self.pair_i.tolist(), self.pair_j.tolist(),
+                           self.weight.tolist()):
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _lattice_neighbors(grid):
@@ -174,12 +176,13 @@ def grouped_energy(grid, kernel, mode, u, p):
             f"most {MAX_GROUPS}: assemble the form with a PairSet "
             "(mesh.visibility_pairs) instead")
     groups = [np.nonzero(inverse == g)[0] for g in range(values.size)]
-    ctx = _StreamContext(grid, kernel, mode)
+    delta = boundary_distances(grid) if mode == "ball" else None
     total = 0.0
     for a in range(values.size):
         for b in range(a + 1, values.size):
             jump = abs(values[a] - values[b]) ** p
-            total += jump * ctx.cross_weight_sum(groups[a], groups[b])
+            total += jump * _cross_weight_sum(grid, kernel, mode, delta,
+                                              groups[a], groups[b])
     return float(2.0 * total)
 
 
@@ -187,7 +190,8 @@ def grouped_energy(grid, kernel, mode, u, p):
 # streamed pair evaluation with visibility caching in vis mode
 # ---------------------------------------------------------------------------
 
-#: process-wide packed visibility masks, keyed by (domain, R, h, groups, block)
+#: process-wide packed visibility masks, keyed by the values that decide
+#: them: (domain, x0, R, h, group A, group B, rows per block, first row)
 _VIS_CACHE = {}
 _VIS_CACHE_LIMIT_BYTES = 1 << 31
 
@@ -200,89 +204,51 @@ def _cache_bytes():
     return sum(v.nbytes for v in _VIS_CACHE.values())
 
 
-def _product_block(rows, cols, lo, hi):
-    """Entries lo..hi-1 of the row-major product rows x cols, as the pair
-    (rows[k // len(cols)], cols[k % len(cols)]) of arrays."""
-    n = cols.shape[0]
-    first, last = lo // n, (hi - 1) // n
-    counts = np.full(last - first + 1, n)
-    counts[0] -= lo - first * n
-    counts[-1] -= (last + 1) * n - hi
-    start = lo - first * n
-    tiled = np.tile(cols, (last - first + 1,) + (1,) * (cols.ndim - 1))
-    return (np.repeat(rows[first:last + 1], counts, axis=0),
-            tiled[start:start + hi - lo])
+def _cross_weight_sum(grid, kernel, mode, delta, A, B):
+    """Sum of the weights k(r) m_i m_j over the pairs A x B.
 
-
-class _StreamContext:
-    """Blocked pair evaluation against one grid/kernel/mode triple."""
-
-    def __init__(self, grid, kernel, mode):
-        self.grid = grid
-        self.kernel = kernel
-        self.mode = mode
-        self.delta = boundary_distances(grid) if mode == "ball" else None
-        self.all_visible = grid.domain.all_visible
-        if mode == "vis" and not self.all_visible:
-            dom = geometry.domain_to_text(grid.domain).encode()
-            self._key_base = (hashlib.sha1(dom).hexdigest(),
-                              repr(grid.R), repr(grid.h), repr(grid.x0))
-        else:
-            self._key_base = None
-
-    def _group_key(self, idx):
-        return (idx.size, hashlib.sha1(idx.tobytes()).hexdigest()[:16])
-
-    def _visible(self, X, Y, cache_key=None):
-        if self.all_visible:
-            return None                  # all pairs visible
-        if cache_key is not None and cache_key in _VIS_CACHE:
-            packed = _VIS_CACHE[cache_key]
-            return np.unpackbits(packed, count=X.shape[0]).astype(bool)
-        vis = self.grid.domain.segment_inside_many(X, Y)
-        if cache_key is not None and _cache_bytes() < _VIS_CACHE_LIMIT_BYTES:
-            _VIS_CACHE[cache_key] = np.packbits(vis)
-        return vis
-
-    def _mask(self, ii, jj, X, Y, r, cache_key=None):
-        if self.mode == "cen":
-            return None
-        if self.mode == "vis":
-            return self._visible(X, Y, cache_key)
-        # ball mode: radius restriction first (cheap), then visibility on survivors
-        radius = np.maximum(self.delta[ii], self.delta[jj]) / 2.0
-        near = r < radius
-        if self.all_visible:
-            return near
-        sub = np.nonzero(near)[0]
-        if sub.size:
-            vis = self.grid.domain.segment_inside_many(X[sub], Y[sub])
-            near[sub[~vis]] = False
-        return near
-
-    def cross_weight_sum(self, A, B):
-        """sum of kernel weights over A x B (values handled by the caller)."""
-        total = 0.0
-        keyA = self._group_key(A) if self._key_base else None
-        keyB = self._group_key(B) if self._key_base else None
-        n_pairs = A.size * B.size
-        cA, cB = self.grid.centers[A], self.grid.centers[B]
-        for lo in range(0, n_pairs, mesh.PAIR_BLOCK):
-            hi = min(lo + mesh.PAIR_BLOCK, n_pairs)
-            ii, jj = _product_block(A, B, lo, hi)
-            X, Y = _product_block(cA, cB, lo, hi)
-            d = Y - X
-            r = np.sqrt(np.einsum("ij,ij->i", d, d))
-            ck = (self._key_base + (keyA, keyB, lo)) if self._key_base else None
-            keep = self._mask(ii, jj, X, Y, r, ck)
-            if keep is not None:
-                ii, jj, r = ii[keep], jj[keep], r[keep]
-            if ii.size == 0:
-                continue
-            mass = self.grid.measures[ii] * self.grid.measures[jj]
-            mass *= self.kernel.k(r)
+    A is walked in blocks of whole rows against all of B; ``delta`` holds
+    the boundary distances in ball mode.  A vis-mode block's mask is
+    cached by value, so equal grids built apart share their masks.
+    """
+    domain = grid.domain
+    rows = max(1, mesh.PAIR_BLOCK // B.size)
+    key = (domain, grid.x0, grid.R, grid.h, A.tobytes(), B.tobytes(), rows)
+    cB, mB = grid.centers[B], grid.measures[B]
+    total = 0.0
+    for lo in range(0, A.size, rows):
+        a = A[lo:lo + rows]
+        cA = grid.centers[a]
+        # pair k of the block is (a[k // |B|], B[k % |B|]); segment ends
+        # are formed only for the pairs that get a segment test
+        dx = cB[None, :, 0] - cA[:, None, 0]
+        dy = cB[None, :, 1] - cA[:, None, 1]
+        r = np.sqrt(dx * dx + dy * dy).ravel()
+        keep = None
+        if mode == "vis" and not domain.all_visible:
+            packed = _VIS_CACHE.get(key + (lo,))
+            if packed is not None:
+                keep = np.unpackbits(packed, count=r.size).astype(bool)
+            else:
+                keep = domain.segment_inside_many(
+                    np.repeat(cA, B.size, axis=0), np.tile(cB, (a.size, 1)))
+                if _cache_bytes() < _VIS_CACHE_LIMIT_BYTES:
+                    _VIS_CACHE[key + (lo,)] = np.packbits(keep)
+        elif mode == "ball":
+            # radius restriction first (cheap), then visibility on survivors
+            keep = r < np.maximum.outer(delta[a], delta[B]).ravel() / 2.0
+            sub = np.nonzero(keep)[0]
+            if sub.size and not domain.all_visible:
+                vis = domain.segment_inside_many(cA[sub // B.size],
+                                                 cB[sub % B.size])
+                keep[sub[~vis]] = False
+        mass = np.outer(grid.measures[a], mB).ravel()
+        if keep is not None:
+            r, mass = r[keep], mass[keep]
+        if r.size:
+            mass *= kernel.k(r)
             total += float(np.sum(mass))
-        return total
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,6 @@ class Primitive:
         """Distance to the primitive boundary, positive inside."""
         raise NotImplementedError
 
-    def record(self):
-        """Serialization record: (kind, params...)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class HalfSpace(Primitive):
@@ -107,9 +103,6 @@ class HalfSpace(Primitive):
     def signed_distance(self, pts):
         n = np.asarray(self.normal)
         return self.offset - pts @ n
-
-    def record(self):
-        return ("halfspace", self.normal[0], self.normal[1], self.offset)
 
 
 @dataclass(frozen=True)
@@ -153,9 +146,6 @@ class Ball(Primitive):
     def signed_distance(self, pts):
         d = pts - np.asarray(self.center)
         return self.radius - np.sqrt(np.einsum("ij,ij->i", d, d))
-
-    def record(self):
-        return ("ball", self.center[0], self.center[1], self.radius)
 
 
 @dataclass(frozen=True)
@@ -208,9 +198,6 @@ class Box(Primitive):
         outside = np.sqrt(np.sum(np.maximum(q, 0.0) ** 2, axis=1))
         return np.where(m < 0.0, -m, -outside)
 
-    def record(self):
-        return ("box", self.lo[0], self.lo[1], self.hi[0], self.hi[1])
-
 
 def _interval_difference(olo, ohi, ilo, ihi):
     """Slots of [olo,ohi] minus [ilo,ihi]; inner empty encoded inf/-inf."""
@@ -247,9 +234,6 @@ class Annulus(Primitive):
         d = pts - np.asarray(self.center)
         rho = np.sqrt(np.einsum("ij,ij->i", d, d))
         return np.minimum(self.r_out - rho, rho - self.r_in)
-
-    def record(self):
-        return ("annulus", self.center[0], self.center[1], self.r_in, self.r_out)
 
 
 @dataclass(frozen=True)
@@ -346,9 +330,6 @@ class ParabolicTube(Primitive):
             best = np.minimum(best, np.sqrt(d2.min(axis=1)))
         q = py - a * px * px + a
         return np.where(np.abs(q) < w, best, -best)
-
-    def record(self):
-        return ("tube", self.amplitude, self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -612,79 +593,6 @@ def parse_domain(text):
             raise ValueError(f"box spec needs two side lengths: {text!r}")
         return make_box(float(parts[0]), float(parts[1]))
     raise ValueError(f"unknown domain {text!r}")
-
-
-# ---------------------------------------------------------------------------
-# serialization (one primitive per record, decimal fields)
-# ---------------------------------------------------------------------------
-
-def domain_to_text(domain):
-    lines = [f"name {domain.name}"]
-    for prim in domain.primitives:
-        rec = prim.record()
-        lines.append("primitive " + " ".join(str(v) for v in rec))
-    if domain.clip is not None:
-        lines.append(f"clip {domain.clip.center[0]} {domain.clip.center[1]} "
-                     f"{domain.clip.radius}")
-    if domain.dumbbell is not None:
-        m = domain.dumbbell
-        gt = "none" if m.gamma_tilde_id is None else str(m.gamma_tilde_id)
-        lines.append(
-            "dumbbell minus={} corridor={} plus={} x0={},{} "
-            "gammastar={},{},{},{} gammatilde={}".format(
-                ",".join(map(str, m.minus_ids)),
-                ",".join(map(str, m.corridor_ids)),
-                ",".join(map(str, m.plus_ids)),
-                m.x0[0], m.x0[1],
-                m.gamma_star_lo[0], m.gamma_star_lo[1],
-                m.gamma_star_hi[0], m.gamma_star_hi[1], gt))
-    return "\n".join(lines) + "\n"
-
-
-_PRIM_PARSERS = {
-    "halfspace": lambda p: HalfSpace((p[0], p[1]), p[2]),
-    "ball": lambda p: Ball((p[0], p[1]), p[2]),
-    "box": lambda p: Box((p[0], p[1]), (p[2], p[3])),
-    "tube": lambda p: ParabolicTube(p[0], p[1]),
-    "annulus": lambda p: Annulus((p[0], p[1]), p[2], p[3]),
-}
-
-
-def domain_from_text(text):
-    prims = []
-    clip = None
-    meta = None
-    name = "domain"
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, rest = line.partition(" ")
-        if head == "name":
-            name = rest.strip()
-        elif head == "primitive":
-            kind, *params = rest.split()
-            if kind not in _PRIM_PARSERS:
-                raise ValueError(f"unknown primitive kind {kind!r}")
-            prims.append(_PRIM_PARSERS[kind]([float(v) for v in params]))
-        elif head == "clip":
-            cx, cy, r = (float(v) for v in rest.split())
-            clip = Ball((cx, cy), r)
-        elif head == "dumbbell":
-            kv = dict(item.split("=", 1) for item in rest.split())
-            ids = lambda s: tuple(int(v) for v in kv[s].split(","))
-            gs = [float(v) for v in kv["gammastar"].split(",")]
-            x0 = tuple(float(v) for v in kv["x0"].split(","))
-            gt = kv.get("gammatilde", "none")
-            meta = DumbbellMeta(
-                minus_ids=ids("minus"), corridor_ids=ids("corridor"),
-                plus_ids=ids("plus"), gamma_star_lo=(gs[0], gs[1]),
-                gamma_star_hi=(gs[2], gs[3]), x0=x0,
-                gamma_tilde_id=None if gt == "none" else int(gt))
-        else:
-            raise ValueError(f"unparseable domain line {line!r}")
-    return DomainSpec(primitives=tuple(prims), clip=clip, dumbbell=meta,
-                      name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,11 @@ class Grid:
     def dump_csv(self, path_or_buf):
         buf = io.StringIO()
         buf.write("ix,iy,cx,cy,measure,tag\n")
-        for k in range(self.n_cells):
-            buf.write(f"{self.ix[k]},{self.iy[k]},{self.centers[k,0]!r},"
-                      f"{self.centers[k,1]!r},{self.measures[k]!r},"
-                      f"{int(self.tags[k])}\n")
+        # plain Python ints and floats, so no numpy types in the reprs
+        for row in zip(self.ix.tolist(), self.iy.tolist(),
+                       *self.centers.T.tolist(), self.measures.tolist(),
+                       self.tags.tolist()):
+            buf.write(",".join(map(repr, row)) + "\n")
         text = buf.getvalue()
         if isinstance(path_or_buf, (str, os.PathLike)):
             with open(path_or_buf, "w") as fh:

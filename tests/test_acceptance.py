@@ -354,7 +354,11 @@ def test_criterion_12_reproduce_all_determinism(tmp_path):
                 blobs[str(f.relative_to(out))] = f.read_bytes()
         outputs.append(blobs)
     identical = outputs[0] == outputs[1]
-    ok = identical and codes[0] == codes[1] and codes[0] in (0, 2)
+    # every writer emits plain numbers, never the reprs of numpy scalars
+    numpy_reprs = sorted(name for name, blob in outputs[0].items()
+                         if b"np.float64(" in blob or b"np.int64(" in blob)
+    ok = (identical and not numpy_reprs and codes[0] == codes[1]
+          and codes[0] in (0, 2))
     assert report(12, "reproduce-all-determinism", ok,
                   f"files={len(outputs[0])} byte-identical={identical} "
-                  f"exit-codes={codes}")
+                  f"numpy-reprs={numpy_reprs} exit-codes={codes}")

@@ -175,17 +175,92 @@ def test_lazy_energy_matches_assembled(grid, values, seed, s):
         assert lazy == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
-def test_product_block_matches_flat_indexing():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        na, nb = (int(v) for v in rng.integers(1, 30, 2))
-        rows, cols = rng.integers(0, 1000, na), rng.normal(size=(nb, 2))
-        lo = int(rng.integers(0, na * nb))
-        hi = int(rng.integers(lo + 1, na * nb + 1))
-        flat = np.arange(lo, hi)
-        got_rows, got_cols = forms._product_block(rows, cols, lo, hi)
-        assert np.array_equal(got_rows, rows[flat // nb])
-        assert np.array_equal(got_cols, cols[flat % nb])
+def _reflection(grid, axis):
+    """Cell permutation of x_axis -> -x_axis about x0: lattice ix -> -ix-1."""
+    cells = {(int(a), int(b)): k
+             for k, (a, b) in enumerate(zip(grid.ix, grid.iy))}
+    lattice = np.stack([grid.ix, grid.iy], axis=1)
+    lattice[:, axis] = -lattice[:, axis] - 1
+    return np.array([cells[(int(a), int(b))] for a, b in lattice])
+
+
+@settings(max_examples=12, deadline=None)
+@given(R=st.sampled_from([2.5, 3.5, 4.5]),
+       h=st.sampled_from([0.5, 0.4, 1.0 / 3.0, 0.25]),
+       axis=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_straight_dumbbell_reflection_invariance(straight_dumbbell, R, h,
+                                                 axis, seed):
+    """x1 -> -x1 and x2 -> -x2 map the straight dumbbell's visibility masks
+    onto each other exactly and keep lazy vis energies."""
+    grid = mesh.build_grid(straight_dumbbell, (0.0, 0.0), R, h)
+    perm = _reflection(grid, axis)
+    pairs = mesh.visibility_pairs(grid)
+    vis = np.zeros((grid.n_cells, grid.n_cells), dtype=bool)
+    vis[pairs.i, pairs.j] = vis[pairs.j, pairs.i] = pairs.visible
+    assert np.array_equal(vis[np.ix_(perm, perm)], vis)
+    rng = np.random.default_rng(seed)
+    u = rng.choice([-1.0, 0.0, 0.5, 1.0], grid.n_cells)
+    form = forms.lazy_form(grid, kn.KernelSpec("power", s=0.25, p=2), "vis")
+    assert forms.energy(form, u[perm]) == pytest.approx(
+        forms.energy(form, u), rel=1e-12, abs=0.0)
+
+
+def test_lazy_energy_across_block_boundaries(monkeypatch, annulus_grid):
+    """Blocks of several rows, a partial last block and rows longer than a
+    block give the assembled energies, with a cold and a warm cache."""
+    kernel = kn.KernelSpec("power", s=0.5, p=2)
+    pairs = mesh.visibility_pairs(annulus_grid)
+    x = annulus_grid.centers[:, 0]
+    u = np.where(x > 0.5, 1.0, 0.0)
+    u[:2] = 2.0                       # a group of two: several rows per block
+    n_b = int(np.count_nonzero(u == 1.0))
+    dense = {mode: forms.energy(forms.assemble(annulus_grid, pairs, kernel,
+                                               mode), u)
+             for mode in ("vis", "cen", "ball")}
+    for block in (1, 7, n_b - 1, n_b + 1):
+        monkeypatch.setattr(mesh, "PAIR_BLOCK", block)
+        forms.clear_visibility_cache()
+        for mode in ("vis", "cen", "ball"):
+            form = forms.lazy_form(annulus_grid, kernel, mode)
+            cold = forms.energy(form, u)
+            warm = forms.energy(form, u)
+            assert cold == pytest.approx(dense[mode], rel=1e-12, abs=0.0)
+            assert warm == cold
+    forms.clear_visibility_cache()
+
+
+def test_visibility_masks_reused_by_value(monkeypatch):
+    kernel = kn.KernelSpec("power", s=0.25, p=2)
+
+    def witness_energy(name, R, h):
+        grid = mesh.build_grid(geo.parse_domain(name), (0.0, 0.0), R, h)
+        u = np.where(grid.tags == geo.TAG_MINUS, -1.0,
+                     np.where(grid.tags == geo.TAG_PLUS, 1.0, 0.0))
+        return forms.energy(forms.lazy_form(grid, kernel, "vis"), u)
+
+    forms.clear_visibility_cache()
+    first = witness_energy("straight-dumbbell", 4.0, 0.5)
+    entries = len(forms._VIS_CACHE)
+    assert entries > 0
+    calls = []
+    original = geo.DomainSpec.segment_inside_many
+
+    def counted(self, X, Y):
+        calls.append(len(X))
+        return original(self, X, Y)
+
+    monkeypatch.setattr(geo.DomainSpec, "segment_inside_many", counted)
+    again = witness_energy("straight-dumbbell", 4.0, 0.5)
+    assert calls == []
+    assert again == first
+    for name, R, h in (("straight-dumbbell", 4.5, 0.5),
+                       ("straight-dumbbell", 4.0, 0.4),
+                       ("curved-dumbbell", 4.0, 0.5)):
+        witness_energy(name, R, h)
+        assert len(forms._VIS_CACHE) > entries
+        entries = len(forms._VIS_CACHE)
+    forms.clear_visibility_cache()
 
 
 def test_visibility_cache_consistency(straight_dumbbell):
@@ -263,9 +338,13 @@ def test_operator_csv_dump(tmp_path, annulus_grid):
                           kn.KernelSpec("power", s=0.5, p=2), "vis")
     path = tmp_path / "op.csv"
     form.dump_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "i,j,w"
-    assert len(lines) == form.n_pairs + 1
+    header, *lines = path.read_text().strip().split("\n")
+    assert header == "i,j,w"
+    assert len(lines) == form.n_pairs
+    rows = [line.split(",") for line in lines]
+    assert np.array_equal([int(row[0]) for row in rows], form.pair_i)
+    assert np.array_equal([int(row[1]) for row in rows], form.pair_j)
+    assert np.array_equal([float(row[2]) for row in rows], form.weight)
 
 
 # ---------------------------------------------------------------------------

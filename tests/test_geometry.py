@@ -278,16 +278,6 @@ def test_clip_measure_against_quadrature(straight_dumbbell):
     assert est == pytest.approx(expected, rel=0.02)
 
 
-def test_domain_text_round_trip(straight_dumbbell, curved_dumbbell, annulus):
-    for dom in (straight_dumbbell, curved_dumbbell, annulus,
-                geo.clip_ball(curved_dumbbell, (0.0, 0.0), 8.0)):
-        text = geo.domain_to_text(dom)
-        back = geo.domain_from_text(text)
-        assert geo.domain_to_text(back) == text
-        pts = np.array([[0.3, 0.2], [-2.0, 0.4], [9.0, 9.0], [0.0, -2.0]])
-        assert np.array_equal(dom.contains_many(pts), back.contains_many(pts))
-
-
 def test_parse_domain_names():
     assert geo.parse_domain("straight-dumbbell").name == "straight-dumbbell"
     assert geo.parse_domain("annulus:0.25,2").primitives[0].r_out == 2.0
@@ -342,10 +332,3 @@ def test_condition_A_detects_missing_overlap():
 
 def test_segment_degenerate_same_point(annulus):
     assert annulus.segment_inside((0.6, 0.0), (0.6, 0.0))
-
-
-def test_domain_from_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        geo.domain_from_text("primitive dodecahedron 1 2 3\n")
-    with pytest.raises(ValueError):
-        geo.domain_from_text("gibberish line\n")

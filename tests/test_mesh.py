@@ -109,12 +109,23 @@ def test_cell_mean(unit_square):
         mesh.cell_mean(grid, [1.0, 2.0])
 
 
+def _assert_grid_csv(grid, text):
+    """Every field parses as a plain int or float equal to the grid's."""
+    header, *lines = text.strip().split("\n")
+    assert header == "ix,iy,cx,cy,measure,tag"
+    assert len(lines) == grid.n_cells
+    rows = [line.split(",") for line in lines]
+    for k, col in ((0, grid.ix), (1, grid.iy), (5, grid.tags)):
+        assert np.array_equal([int(row[k]) for row in rows], col)
+    for k, col in ((2, grid.centers[:, 0]), (3, grid.centers[:, 1]),
+                   (4, grid.measures)):
+        assert np.array_equal([float(row[k]) for row in rows], col)
+
+
 def test_grid_csv_dump(annulus_grid):
     buf = io.StringIO()
     text = annulus_grid.dump_csv(buf)
-    lines = text.strip().split("\n")
-    assert lines[0] == "ix,iy,cx,cy,measure,tag"
-    assert len(lines) == annulus_grid.n_cells + 1
+    _assert_grid_csv(annulus_grid, text)
 
 
 def test_grid_csv_dump_to_path(tmp_path, annulus_grid):
@@ -123,6 +134,7 @@ def test_grid_csv_dump_to_path(tmp_path, annulus_grid):
     buf = io.StringIO()
     annulus_grid.dump_csv(buf)
     assert path.read_text() == text == buf.getvalue()
+    _assert_grid_csv(annulus_grid, path.read_text())
 
 
 def test_sliver_cell_measure_floored():

@@ -15,10 +15,17 @@ Nonlocal energies are 2 * sum over unordered pairs of w |u_i - u_j|^p
 one entry point: an assembled form sums over its pair list, a lazy form
 (no pair list) streams the pairs between cells of distinct values in
 blocks, without ever materializing O(N^2) pairs; this suits indicator and
-step profiles on grids too large to assemble.  Visibility masks of
-streamed vis-mode blocks are kept in a process-wide cache keyed by value
-(domain, ball centre and radius, cell size, the two cell groups and the
-block), so grids built apart from equal inputs share them.
+step profiles on grids too large to assemble.
+
+In vis mode, a group pair that joins the two bells of a dumbbell takes
+its visible pairs from the portal rule
+(``geometry.DomainSpec.portal_pairs``): the x2 of a segment at the
+corridor's mouths decides it, and only pairs next to a corridor edge get
+a segment test.  The block sums add the same terms in the same order as
+a segment test of every pair would, so they keep their bits.  Masks of
+the other streamed vis-mode blocks are kept in a process-wide cache keyed
+by value (domain, ball centre and radius, cell size, the two cell groups
+and the block), so grids built apart from equal inputs share them.
 """
 
 from __future__ import annotations
@@ -187,7 +194,8 @@ def grouped_energy(grid, kernel, mode, u, p):
 
 
 # ---------------------------------------------------------------------------
-# streamed pair evaluation with visibility caching in vis mode
+# streamed pair evaluation: the portal rule between the bells, visibility
+# caching for the other vis-mode blocks
 # ---------------------------------------------------------------------------
 
 #: process-wide packed visibility masks, keyed by the values that decide
@@ -204,47 +212,70 @@ def _cache_bytes():
     return sum(v.nbytes for v in _VIS_CACHE.values())
 
 
+def _bell_columns(grid, A, B):
+    """B's lattice columns when A x B joins the two bells of a dumbbell."""
+    ends = {int(grid.tags[A[0]]), int(grid.tags[B[0]])}
+    if (ends != {geometry.TAG_MINUS, geometry.TAG_PLUS}
+            or np.any(grid.tags[A] != grid.tags[A[0]])
+            or np.any(grid.tags[B] != grid.tags[B[0]])):
+        return None
+    return geometry.LatticeColumns.of(grid.centers[B])
+
+
 def _cross_weight_sum(grid, kernel, mode, delta, A, B):
     """Sum of the weights k(r) m_i m_j over the pairs A x B.
 
     A is walked in blocks of whole rows against all of B; ``delta`` holds
-    the boundary distances in ball mode.  A vis-mode block's mask is
-    cached by value, so equal grids built apart share their masks.
+    the boundary distances in ball mode.  In vis mode, a block of a group
+    pair joining the two bells of a dumbbell takes its visible pairs from
+    ``DomainSpec.portal_pairs``; any other block's mask is cached by value,
+    so equal grids built apart share their masks.
     """
     domain = grid.domain
     rows = max(1, mesh.PAIR_BLOCK // B.size)
     key = (domain, grid.x0, grid.R, grid.h, A.tobytes(), B.tobytes(), rows)
     cB, mB = grid.centers[B], grid.measures[B]
+    bell = None
+    if mode == "vis" and not domain.all_visible:
+        bell = _bell_columns(grid, A, B)
     total = 0.0
     for lo in range(0, A.size, rows):
         a = A[lo:lo + rows]
         cA = grid.centers[a]
-        # pair k of the block is (a[k // |B|], B[k % |B|]); segment ends
-        # are formed only for the pairs that get a segment test
-        dx = cB[None, :, 0] - cA[:, None, 0]
-        dy = cB[None, :, 1] - cA[:, None, 1]
-        r = np.sqrt(dx * dx + dy * dy).ravel()
-        keep = None
-        if mode == "vis" and not domain.all_visible:
-            packed = _VIS_CACHE.get(key + (lo,))
-            if packed is not None:
-                keep = np.unpackbits(packed, count=r.size).astype(bool)
-            else:
-                keep = domain.segment_inside_many(
-                    np.repeat(cA, B.size, axis=0), np.tile(cB, (a.size, 1)))
-                if _cache_bytes() < _VIS_CACHE_LIMIT_BYTES:
-                    _VIS_CACHE[key + (lo,)] = np.packbits(keep)
-        elif mode == "ball":
-            # radius restriction first (cheap), then visibility on survivors
-            keep = r < np.maximum.outer(delta[a], delta[B]).ravel() / 2.0
-            sub = np.nonzero(keep)[0]
-            if sub.size and not domain.all_visible:
-                vis = domain.segment_inside_many(cA[sub // B.size],
-                                                 cB[sub % B.size])
-                keep[sub[~vis]] = False
-        mass = np.outer(grid.measures[a], mB).ravel()
-        if keep is not None:
-            r, mass = r[keep], mass[keep]
+        pairs = None if bell is None else domain.portal_pairs(cA, bell)
+        if pairs is not None:
+            # the visible pairs alone, in the block's (source, B) order, so
+            # the block sum below adds the same terms in the same order
+            i, j = pairs
+            dx = cB[j, 0] - cA[i, 0]
+            dy = cB[j, 1] - cA[i, 1]
+            r = np.sqrt(dx * dx + dy * dy)
+            mass = grid.measures[a][i] * mB[j]
+        else:
+            # pair k of the block is (a[k // |B|], B[k % |B|]); segment ends
+            # are formed only for the pairs that get a segment test
+            dx = cB[None, :, 0] - cA[:, None, 0]
+            dy = cB[None, :, 1] - cA[:, None, 1]
+            r = np.sqrt(dx * dx + dy * dy).ravel()
+            keep = None
+            if mode == "vis" and not domain.all_visible:
+                packed = _VIS_CACHE.get(key + (lo,))
+                if packed is not None:
+                    keep = np.unpackbits(packed, count=r.size).astype(bool)
+                else:
+                    keep = domain.segment_inside_many(
+                        np.repeat(cA, B.size, axis=0),
+                        np.tile(cB, (a.size, 1)))
+                    if _cache_bytes() < _VIS_CACHE_LIMIT_BYTES:
+                        _VIS_CACHE[key + (lo,)] = np.packbits(keep)
+            elif mode == "ball":
+                # a survivor has r < max(delta_i, delta_j) / 2, so its
+                # segment lies in the open ball of radius delta about one
+                # end, inside D: it needs no segment test
+                keep = r < np.maximum.outer(delta[a], delta[B]).ravel() / 2.0
+            mass = np.outer(grid.measures[a], mB).ravel()
+            if keep is not None:
+                r, mass = r[keep], mass[keep]
         if r.size:
             mass *= kernel.k(r)
             total += float(np.sum(mass))

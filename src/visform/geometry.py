@@ -92,12 +92,15 @@ class HalfSpace(Primitive):
         a = V @ n
         b = X @ n - self.offset          # f(t) = b + t a < 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            tstar = -b / np.where(a == 0.0, 1.0, a)
-        zero = a == 0.0
-        lo = np.where(zero, np.where(b < 0, 0.0, 2.0),
-                      np.where(a > 0, -_INF, tstar))
-        hi = np.where(zero, np.where(b < 0, 1.0, -1.0),
-                      np.where(a > 0, tstar, _INF))
+            tstar = -b / a
+        lo = np.where(a > 0, -_INF, tstar)
+        hi = np.where(a > 0, tstar, _INF)
+        # segments parallel to the boundary lie wholly in or out
+        zero = np.flatnonzero(a == 0.0)
+        if zero.size:
+            inside = b[zero] < 0
+            lo[zero] = np.where(inside, 0.0, 2.0)
+            hi[zero] = np.where(inside, 1.0, -1.0)
         return [(lo, hi)]
 
     def signed_distance(self, pts):
@@ -178,14 +181,16 @@ class Box(Primitive):
             a = self.lo[d] - X[:, d]
             b = self.hi[d] - X[:, d]
             with np.errstate(divide="ignore", invalid="ignore"):
-                ta = np.where(v == 0.0, 0.0, a) / np.where(v == 0.0, 1.0, v)
-                tb = np.where(v == 0.0, 0.0, b) / np.where(v == 0.0, 1.0, v)
+                ta = a / v
+                tb = b / v
             enter = np.minimum(ta, tb)
             exit_ = np.maximum(ta, tb)
-            zero = v == 0.0
-            in_slab = (a < 0.0) & (b > 0.0)
-            enter = np.where(zero, np.where(in_slab, -_INF, _INF), enter)
-            exit_ = np.where(zero, np.where(in_slab, _INF, -_INF), exit_)
+            # segments parallel to the axis lie wholly in or out of the slab
+            zero = np.flatnonzero(v == 0.0)
+            if zero.size:
+                in_slab = (a[zero] < 0.0) & (b[zero] > 0.0)
+                enter[zero] = np.where(in_slab, -_INF, _INF)
+                exit_[zero] = np.where(in_slab, _INF, -_INF)
             t_in = np.maximum(t_in, enter)
             t_out = np.minimum(t_out, exit_)
         return [(t_in, t_out)]
@@ -349,6 +354,45 @@ class DumbbellMeta:
     gamma_tilde_id: int | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class LatticeColumns:
+    """Cell centres in grid order, read as lattice columns.
+
+    Grid order sorts the cells by lattice index (ix, iy), so by x1 and then
+    x2.  A column is a run of equal x1 whose x2 values are consecutive
+    among the distinct x2 values of all the points, with no holes, as the
+    cells of a convex region clipped to a ball are.
+    """
+
+    points: np.ndarray      # (m, 2) in grid order
+    x: np.ndarray           # (C,) x1 of each column
+    first: np.ndarray       # (C,) index of each column's lowest point
+    count: np.ndarray       # (C,) points per column
+    row0: np.ndarray        # (C,) rank of each column's lowest x2 in levels
+    levels: np.ndarray      # sorted distinct x2 values
+
+    @classmethod
+    def of(cls, points):
+        """The columns of ``points``, or None when they are not in grid
+        order or a column has a hole."""
+        pts = _as_points(points)
+        x = pts[:, 0]
+        levels, rank = np.unique(pts[:, 1], return_inverse=True)
+        step = np.diff(x)
+        new = np.concatenate(([True], step > 0.0))
+        if np.any(step < 0.0) or np.any(np.diff(rank)[~new[1:]] != 1):
+            return None
+        first = np.flatnonzero(new)
+        count = np.diff(np.append(first, pts.shape[0]))
+        return cls(pts, x[first], first, count, rank[first], levels)
+
+    def index(self, q, side):
+        """Per column (last axis of q), the index of the first point with
+        x2 >= q (side "left") or x2 > q (side "right")."""
+        k = np.searchsorted(self.levels, q, side) - self.row0
+        return self.first + np.minimum(np.maximum(k, 0), self.count)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Finite union of primitives, optionally clipped to a ball."""
@@ -424,13 +468,107 @@ class DomainSpec:
         # of overlapping intervals regardless of their order; a pass that
         # changes nothing has reached it already
         for _ in range(len(slots)):
-            before = cover
+            before = cover.copy()
             for lo, hi in zip(los, his):
-                cover = np.where(lo <= cover + TAU_GEOM,
-                                 np.maximum(cover, hi), cover)
+                np.maximum(cover, hi, out=cover, where=lo <= cover + TAU_GEOM)
             if np.array_equal(cover, before):
                 break
         return cover >= 1.0 - TAU_GEOM
+
+    def portal_pairs(self, X, bell):
+        """Visible segments from source points in one bell of a dumbbell to
+        the cells of the other bell, decided through the corridor's mouths.
+
+        ``bell`` holds the target cells as ``LatticeColumns``.  Between the
+        mouths x1 = -1 and x1 = +1 only the corridor covers a bell-to-bell
+        segment, so on the slab it is visible when its x2 at both mouths lies
+        in the slab, the range [e0, e1].  The tube with amplitude a >= 2 w
+        admits none in the open domain: the segment's x2 at x1 = 0 is the
+        mean of its x2 at the mouths, which the tube's mouths hold above -w,
+        while the tube needs it below -a + w <= -w.  The rule takes the tube
+        as the range [e0, e1] = [-w, -w]: nothing is surely visible, and
+        lines near x2 = -w, which touches the tube at (0, -w) when a = 2 w,
+        are left to the slot test.  On the line from (px, py) to (qx, qy),
+        x2 at a mouth mu is py + (qy - py) lam, lam = (mu - px) / (qx - px)
+        in (0, 1), increasing in qy: for one source and one target column
+        the targets with x2 in a range at both mouths are one run of the
+        column.
+
+        Pairs with x2 at a mouth within ``band`` of a corridor edge go to
+        ``segment_inside_many``, so the result is the slot test's, bridged
+        contacts included.  The slot test bridges gaps up to TAU_GEOM in the
+        segment parameter: a line missing a mouth by d in x2 leaves a gap of
+        d / (|Vy| + 2 a Vx) there (edge slope 2 a on the tube, 0 on the
+        slab), and on the tube a line above x2 = -a + w at x1 = 0 by d is
+        decided by the rounding of a double root while d is below about
+        1e-15 a x1^2.  A slot-visible line thus has x2 at both mouths within
+        TAU_GEOM (1 + 2 a) |V| plus twice that rounding zone of an edge;
+        ``band`` doubles the first and takes the second 500 times over.
+
+        Returns None when the rule does not apply (not a ``make_dumbbell``
+        domain, a tube one can see through, or points not beyond opposite
+        mouths), else (i, j): the visible pairs X[i]--bell.points[j], sorted
+        by (i, j).
+        """
+        corridor = self._portal_corridor()
+        X = _as_points(X)
+        if corridor is None or not (
+                (X[:, 0].max() < -1.0 and bell.x[0] > 1.0)
+                or (X[:, 0].min() > 1.0 and bell.x[-1] < -1.0)):
+            return None
+        if isinstance(corridor, Box):
+            a, e0, e1 = 0.0, corridor.lo[1], corridor.hi[1]
+        else:
+            a, e0, e1 = corridor.amplitude, -corridor.radius, -corridor.radius
+        scale = 1.0 + max(np.abs(X).max(), np.abs(bell.x).max(),
+                          np.abs(bell.levels).max())
+        # |V| <= 2 scale
+        band = (4.0 * (1.0 + 2.0 * a) * TAU_GEOM * scale
+                + 1e-12 * (1.0 + a) * scale * scale)
+        # per source, column and mouth, the qy at which x2 at the mouth is
+        # e0 - band, e0 + band (lower ends), e1 + band, e1 - band (upper
+        # ends); q[mouth, end, source, column]
+        px, py = X[:, :1], X[:, 1:]
+        inv = (bell.x - px) / (np.array([-1.0, 1.0])[:, None, None] - px)
+        ends = np.array([e0 - band, e0 + band, e1 + band, e1 - band])
+        q = py + (ends[:, None, None] - py) * inv[:, None]
+        # both mouths: maybe visible in [lo, hi), visible in [mid_lo, mid_hi)
+        lo, mid_lo = bell.index(np.maximum(q[0, :2], q[1, :2]), "left")
+        hi, mid_hi = bell.index(np.minimum(q[0, 2:], q[1, 2:]), "right")
+        hi = np.maximum(hi, lo)
+        mid_lo = np.minimum(np.maximum(mid_lo, lo), hi)
+        mid_hi = np.minimum(np.maximum(mid_hi, mid_lo), hi)
+        # expand the runs [lo, hi) to pairs, row by row and column by column
+        size = (hi - lo).ravel()
+        i = np.repeat(np.arange(X.shape[0]), (hi - lo).sum(axis=1))
+        j = np.arange(size.sum()) + np.repeat(
+            lo.ravel() - (np.cumsum(size) - size), size)
+        keep = ((j >= np.repeat(mid_lo.ravel(), size))
+                & (j < np.repeat(mid_hi.ravel(), size)))
+        edge = np.flatnonzero(~keep)
+        if edge.size:
+            keep[edge] = self.segment_inside_many(X[i[edge]],
+                                                  bell.points[j[edge]])
+        return i[keep], j[keep]
+
+    def _portal_corridor(self):
+        """The corridor of a ``make_dumbbell`` domain whose bells see each
+        other only through it and its mouths x1 = +-1, else None."""
+        meta = self.dumbbell
+        if (meta is None or len(self.primitives) != 3
+                or (meta.minus_ids, meta.corridor_ids, meta.plus_ids)
+                != ((0,), (1,), (2,))
+                or self.primitives[0] != HalfSpace((1.0, 0.0), -1.0)
+                or self.primitives[2] != HalfSpace((-1.0, 0.0), -1.0)):
+            return None
+        corridor = self.primitives[1]
+        if isinstance(corridor, Box) and corridor.lo[0] == -_INF \
+                and corridor.hi[0] == _INF:
+            return corridor
+        if (isinstance(corridor, ParabolicTube)
+                and corridor.amplitude >= 2.0 * corridor.radius):
+            return corridor
+        return None
 
     def segment_inside(self, x, y):
         x = np.asarray(x, dtype=float)

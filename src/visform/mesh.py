@@ -133,8 +133,10 @@ PAIR_BLOCK = 1 << 21
 def visibility_pairs(grid):
     """Exact visibility flags for every unordered cell pair.
 
-    O(N^2) segment tests, evaluated in vectorized blocks; pairs come out
-    sorted lexicographically so downstream results are order-independent.
+    O(N^2) pairs, evaluated in vectorized blocks: a pair with both ends in
+    one convex primitive is visible, every other pair gets a segment test.
+    Pairs come out sorted lexicographically so downstream results are
+    order-independent.
     """
     n = grid.n_cells
     if n == 0:
@@ -152,11 +154,19 @@ def visibility_pairs(grid):
     if grid.domain.all_visible:
         vis = np.ones(ii.shape[0], dtype=bool)
     else:
-        vis = np.empty(ii.shape[0], dtype=bool)
+        # a pair with both ends in one convex primitive is visible with no
+        # segment test
+        inside = [prim.contains_many(grid.centers)
+                  for prim in grid.domain.primitives if prim.convex]
+        vis = np.zeros(ii.shape[0], dtype=bool)
         for lo in range(0, ii.shape[0], PAIR_BLOCK):
-            hi = min(lo + PAIR_BLOCK, ii.shape[0])
-            vis[lo:hi] = grid.domain.segment_inside_many(
-                grid.centers[ii[lo:hi]], grid.centers[jj[lo:hi]])
+            i, j = ii[lo:lo + PAIR_BLOCK], jj[lo:lo + PAIR_BLOCK]
+            block = vis[lo:lo + PAIR_BLOCK]
+            for member in inside:
+                block |= member[i] & member[j]
+            test = np.flatnonzero(~block)
+            block[test] = grid.domain.segment_inside_many(
+                grid.centers[i[test]], grid.centers[j[test]])
     return PairSet(i=ii, j=jj, visible=vis, r=r)
 
 

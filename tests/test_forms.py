@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from visform import forms, geometry as geo, kernels as kn, mesh
+from visform import forms, geometry as geo, kernels as kn, mesh, spectral
 from conftest import two_cell_grid
 
 
@@ -230,7 +230,15 @@ def test_lazy_energy_across_block_boundaries(monkeypatch, annulus_grid):
     forms.clear_visibility_cache()
 
 
+def _bell_to_bell(X, Y):
+    return bool(np.all(np.abs(X[:, 0]) > 1.0) and np.all(np.abs(Y[:, 0]) > 1.0)
+                and np.all(np.sign(X[:, 0]) != np.sign(Y[:, 0])))
+
+
 def test_visibility_masks_reused_by_value(monkeypatch):
+    """A warm repeat makes no segment test for the group pairs that are
+    streamed and cached; the portal rule's edge pairs between the bells are
+    not cached and are tested again, as many as in the cold run."""
     kernel = kn.KernelSpec("power", s=0.25, p=2)
 
     def witness_energy(name, R, h):
@@ -239,20 +247,24 @@ def test_visibility_masks_reused_by_value(monkeypatch):
                      np.where(grid.tags == geo.TAG_PLUS, 1.0, 0.0))
         return forms.energy(forms.lazy_form(grid, kernel, "vis"), u)
 
-    forms.clear_visibility_cache()
-    first = witness_energy("straight-dumbbell", 4.0, 0.5)
-    entries = len(forms._VIS_CACHE)
-    assert entries > 0
     calls = []
     original = geo.DomainSpec.segment_inside_many
 
     def counted(self, X, Y):
-        calls.append(len(X))
+        calls.append((_bell_to_bell(X, Y), len(X)))
         return original(self, X, Y)
 
     monkeypatch.setattr(geo.DomainSpec, "segment_inside_many", counted)
+    forms.clear_visibility_cache()
+    first = witness_energy("straight-dumbbell", 4.0, 0.5)
+    entries = len(forms._VIS_CACHE)
+    assert entries > 0
+    cold = list(calls)
+    assert any(not portal for portal, _ in cold)
+    calls.clear()
     again = witness_energy("straight-dumbbell", 4.0, 0.5)
-    assert calls == []
+    assert all(portal for portal, _ in calls)
+    assert calls == [c for c in cold if c[0]]
     assert again == first
     for name, R, h in (("straight-dumbbell", 4.5, 0.5),
                        ("straight-dumbbell", 4.0, 0.4),
@@ -261,6 +273,83 @@ def test_visibility_masks_reused_by_value(monkeypatch):
         assert len(forms._VIS_CACHE) > entries
         entries = len(forms._VIS_CACHE)
     forms.clear_visibility_cache()
+
+
+def _brute_energy(grid, kernel, u, p=2.0):
+    """A lazy vis energy with every mask from segment_inside_many, in the
+    streamed path's groups, blocks and pair order."""
+    values, inverse = np.unique(u, return_inverse=True)
+    groups = [np.flatnonzero(inverse == g) for g in range(values.size)]
+    total = 0.0
+    for a in range(values.size):
+        for b in range(a + 1, values.size):
+            A, B = groups[a], groups[b]
+            cB, mB = grid.centers[B], grid.measures[B]
+            rows = max(1, mesh.PAIR_BLOCK // B.size)
+            part = 0.0
+            for lo in range(0, A.size, rows):
+                cA = grid.centers[A[lo:lo + rows]]
+                dx = cB[None, :, 0] - cA[:, None, 0]
+                dy = cB[None, :, 1] - cA[:, None, 1]
+                r = np.sqrt(dx * dx + dy * dy).ravel()
+                keep = grid.domain.segment_inside_many(
+                    np.repeat(cA, B.size, axis=0), np.tile(cB, (len(cA), 1)))
+                mass = np.outer(grid.measures[A[lo:lo + rows]], mB).ravel()
+                r, mass = r[keep], mass[keep]
+                if r.size:
+                    mass *= kernel.k(r)
+                    part += float(np.sum(mass))
+            total += abs(values[a] - values[b]) ** p * part
+    return float(2.0 * total)
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+def test_witness_energy_equals_brute_force_masks(monkeypatch, variant):
+    """Witness energies with the portal rule equal (==) the sums over
+    brute-force masks, block for block, at R <= 16."""
+    portal_calls = []
+    original = geo.DomainSpec.portal_pairs
+
+    def counted(self, X, bell):
+        pairs = original(self, X, bell)
+        portal_calls.append(pairs is not None)
+        return pairs
+
+    monkeypatch.setattr(geo.DomainSpec, "portal_pairs", counted)
+    domain = geo.make_dumbbell(variant)
+    for R, h in ((4.0, 0.5), (8.0, 0.5), (16.0, 0.5), (10.0, 0.3)):
+        grid = mesh.build_grid(domain, (0.0, 0.0), R, h)
+        u = spectral.witness_step_function(grid)
+        for s in (0.25, 0.75):
+            kernel = kn.KernelSpec("power", s=s, p=2)
+            forms.clear_visibility_cache()
+            lazy = forms.energy(forms.lazy_form(grid, kernel, "vis"), u)
+            assert lazy == _brute_energy(grid, kernel, u)
+    forms.clear_visibility_cache()
+    assert portal_calls and all(portal_calls)
+
+
+_BALL_GRIDS = {
+    "straight": (geo.make_dumbbell("straight"), (0.0, 0.0), 5.0, 0.25),
+    "curved": (geo.make_dumbbell("curved"), (0.0, 0.0), 5.0, 0.25),
+    "annulus": (geo.make_annulus(), (0.0, 0.0), 1.0, 1.0 / 24.0),
+    "box": (geo.make_box(2.0, 1.0), (1.0, 0.5), 2.0, 1.0 / 24.0)}
+
+
+@pytest.mark.parametrize("name", sorted(_BALL_GRIDS))
+def test_ball_mode_survivors_are_visible(name):
+    """Ball mode keeps pairs with r < max(delta_i, delta_j) / 2 and tests no
+    segment: each such segment lies in a ball inside D, so the slot test
+    calls every one visible."""
+    domain, x0, R, h = _BALL_GRIDS[name]
+    grid = mesh.build_grid(domain, x0, R, h, subsamples=4)
+    delta = forms.boundary_distances(grid)
+    ii, jj = np.triu_indices(grid.n_cells, k=1)
+    d = grid.centers[jj] - grid.centers[ii]
+    near = np.hypot(d[:, 0], d[:, 1]) < np.maximum(delta[ii], delta[jj]) / 2
+    assert near.sum() > 1000
+    assert domain.segment_inside_many(grid.centers[ii[near]],
+                                      grid.centers[jj[near]]).all()
 
 
 def test_visibility_cache_consistency(straight_dumbbell):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from visform import geometry as geo
+from visform import geometry as geo, mesh
 from conftest import sample_points_in
 
 
@@ -177,6 +177,96 @@ def test_tube_segment_slots_two_components():
     y = np.array([[1.1, 2 * 1.1 ** 2 - 2]])
     assert dom.contains_many(x)[0] and dom.contains_many(y)[0]
     assert not dom.segment_inside_many(x, y)[0]
+
+
+# ---------------------------------------------------------------------------
+# bell-to-bell visibility through the portals
+# ---------------------------------------------------------------------------
+
+def _bells(domain, R, h):
+    grid = mesh.build_grid(domain, (0.0, 0.0), R, h)
+    return (grid.centers[grid.tags == geo.TAG_MINUS],
+            grid.centers[grid.tags == geo.TAG_PLUS])
+
+
+def _portal_mask(domain, src, bell):
+    i, j = domain.portal_pairs(src, bell)
+    order = i * bell.points.shape[0] + j
+    assert np.all(np.diff(order) > 0)          # sorted by (source, target)
+    mask = np.zeros((src.shape[0], bell.points.shape[0]), dtype=bool)
+    mask[i, j] = True
+    return mask
+
+
+def _brute_mask(domain, src, tgt):
+    return domain.segment_inside_many(
+        np.repeat(src, tgt.shape[0], axis=0),
+        np.tile(tgt, (src.shape[0], 1))).reshape(src.shape[0], tgt.shape[0])
+
+
+#: (R, h) of the oracle grids: h = 0.3 and 0.4 put cell centres off the
+#: dyadic lattice, and at R = 9, h = 0.4 the curved dumbbell has 273
+#: bell-to-bell pairs along x2 = -1 that the slot test calls visible by
+#: bridging the tangency at (0, -1)
+_PORTAL_GRIDS = ((6, 0.5), (12, 0.5), (18, 0.5), (32, 0.5), (16, 0.25),
+                 (10, 0.3), (9, 0.4))
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+@pytest.mark.parametrize("R,h", _PORTAL_GRIDS)
+def test_portal_pairs_equal_segment_tests(variant, R, h):
+    """The portal rule's bell-to-bell masks are the slot test's, bit for
+    bit, in blocks of rows as the streamed energies take them; on small
+    grids also from bell+ to bell-."""
+    domain = geo.make_dumbbell(variant)
+    minus, plus = _bells(domain, R, h)
+    directions = [(minus, plus)]
+    if minus.shape[0] * plus.shape[0] < 5e6:
+        directions.append((plus, minus))
+    visible = 0
+    for src, tgt in directions:
+        bell = geo.LatticeColumns.of(tgt)
+        rows = max(1, mesh.PAIR_BLOCK // tgt.shape[0])
+        for lo in range(0, src.shape[0], rows):
+            block = src[lo:lo + rows]
+            mask = _portal_mask(domain, block, bell)
+            assert np.array_equal(mask, _brute_mask(domain, block, tgt))
+            visible += int(mask.sum())
+    if variant == "curved":
+        assert visible == (2 * 273 if (R, h) == (9, 0.4) else 0)
+    else:
+        assert visible > 0
+
+
+def test_portal_pairs_corner_segment(straight_dumbbell):
+    """(-1.25, -1.25)--(1.25, 1.25) passes through both slab corners; the
+    slot test bridges them and calls it visible, and so does the rule."""
+    minus, plus = _bells(straight_dumbbell, 6.0, 0.5)
+    src = np.array([[-1.25, -1.25]])
+    bell = geo.LatticeColumns.of(plus)
+    k = int(np.flatnonzero((plus == (1.25, 1.25)).all(axis=1))[0])
+    assert straight_dumbbell.segment_inside_many(src, plus[k:k + 1])[0]
+    assert _portal_mask(straight_dumbbell, src, bell)[0, k]
+
+
+def test_portal_pairs_declines(straight_dumbbell, annulus):
+    minus, plus = _bells(straight_dumbbell, 6.0, 0.5)
+    bell = geo.LatticeColumns.of(plus)
+    # not a dumbbell, sources not beyond a mouth, or sources and targets
+    # beyond the same mouth
+    assert annulus.portal_pairs(minus, bell) is None
+    assert straight_dumbbell.portal_pairs([[0.25, 0.25]], bell) is None
+    assert straight_dumbbell.portal_pairs(plus[:5], bell) is None
+    # a tube shallow enough to see through (amplitude < 2 radius) has
+    # visible bell-to-bell pairs
+    wide = geo.DomainSpec(
+        (straight_dumbbell.primitives[0], geo.ParabolicTube(1.0, 1.0),
+         straight_dumbbell.primitives[2]),
+        dumbbell=straight_dumbbell.dumbbell)
+    assert wide.portal_pairs(minus, bell) is None
+    # the targets must be in grid order, with no hole in a column
+    assert geo.LatticeColumns.of(plus[::-1]) is None
+    assert geo.LatticeColumns.of(np.delete(plus, 1, axis=0)) is None
 
 
 # ---------------------------------------------------------------------------

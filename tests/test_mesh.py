@@ -79,6 +79,30 @@ def test_visibility_pairs_annulus_blocked(annulus_grid):
     assert np.array_equal(recheck, pairs.visible)
 
 
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+@pytest.mark.parametrize("R,h", [(4.0, 0.5), (8.0, 0.5), (6.0, 0.4),
+                                 (5.0, 0.3)])
+def test_visibility_pairs_convex_primitive_skip(monkeypatch, variant, R, h):
+    """Pairs with both ends in one convex primitive skip the segment test;
+    the flags equal a segment test of every pair."""
+    domain = geo.make_dumbbell(variant)
+    grid = mesh.build_grid(domain, (0.0, 0.0), R, h)
+    tested = []
+    original = geo.DomainSpec.segment_inside_many
+
+    def counted(self, X, Y):
+        tested.append(len(X))
+        return original(self, X, Y)
+
+    monkeypatch.setattr(geo.DomainSpec, "segment_inside_many", counted)
+    pairs = mesh.visibility_pairs(grid)
+    assert 0 < sum(tested) < pairs.n_pairs * 0.6
+    monkeypatch.undo()
+    brute = domain.segment_inside_many(grid.centers[pairs.i],
+                                       grid.centers[pairs.j])
+    assert np.array_equal(pairs.visible, brute)
+
+
 def test_visibility_pairs_curved_bells_disconnected(curved_dumbbell):
     grid = mesh.build_grid(curved_dumbbell, (0.0, 0.0), 4.0, 0.5)
     pairs = mesh.visibility_pairs(grid)

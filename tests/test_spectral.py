@@ -210,6 +210,18 @@ def test_scaling_experiment_small_local(straight_dumbbell):
     assert 1.5 < rep.fitted < 2.5
 
 
+def test_witness_sweep_reaches_R128(straight_dumbbell):
+    """The straight s = 0.25 witness sweep out to R = 128 (203,860 cells)
+    stays in criterion 5's band [1.35, 1.65] (predicted 1.5)."""
+    kernel = kn.KernelSpec("power", s=0.25, p=2)
+    rep = spectral.scaling_experiment(straight_dumbbell, kernel, 2.0,
+                                      [16, 32, 64, 128], method="witness")
+    assert rep.n_cells[-1] == 203_860
+    assert 1.35 <= rep.fitted <= 1.65
+    # recorded when the point was first reached, fit 1.4558
+    assert rep.samples[-1][1] == pytest.approx(157.2050356879103, rel=1e-12)
+
+
 def test_scaling_experiment_local_eigen(straight_dumbbell):
     # the local stencil needs no pair list, so the sweep reaches R = 64
     # (50,460 cells), past the size refusal of mesh.visibility_pairs

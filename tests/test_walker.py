@@ -106,6 +106,38 @@ def test_curved_chain_has_no_direct_cross(curved_dumbbell):
     assert stats.n_completed > 0
 
 
+def _exact_mean_crossing(chain, deep_fraction=0.5):
+    """Exact mean first-hit step count: (I - Q) t = 1 solved densely over
+    the non-target states, averaged over the measure-weighted live start
+    cells deep in the minus bell."""
+    grid = chain.grid
+    rest = np.flatnonzero(grid.tags != TAG_PLUS)
+    Q = chain.P[np.ix_(rest, rest)]
+    t = np.zeros(grid.n_cells)
+    t[rest] = np.linalg.solve(np.eye(rest.size) - Q, np.ones(rest.size))
+    start = np.flatnonzero((grid.tags == TAG_MINUS)
+                           & (grid.centers[:, 0] < -deep_fraction * grid.R)
+                           & ~chain.isolated)
+    w = grid.measures[start]
+    return float(np.sum(w * t[start]) / np.sum(w))
+
+
+@pytest.mark.parametrize("name", ["straight", "curved"])
+def test_crossing_mean_matches_exact_hitting_time(name):
+    grid = mesh.build_grid(geo.make_dumbbell(name), (0.0, 0.0), 8.0, 0.5)
+    chain = walker.build_chain(grid, mesh.visibility_pairs(grid),
+                               kn.KernelSpec("power", s=0.25, p=2))
+    if name == "curved":
+        minus, plus = grid.tags == TAG_MINUS, grid.tags == TAG_PLUS
+        assert np.all(chain.P[np.ix_(minus, plus)] == 0.0)
+    exact = _exact_mean_crossing(chain)
+    stats = walker.mean_crossing_time(chain, n_paths=3000,
+                                      max_steps=200_000, seed=0)
+    assert stats.n_censored == 0
+    z = (stats.mean_steps - exact) / (stats.ci95 / 1.96)
+    assert abs(z) < 4.0, f"mean {stats.mean_steps}, exact {exact}, z {z}"
+
+
 def test_seed_determinism(straight_dumbbell):
     grid = mesh.build_grid(straight_dumbbell, (0.0, 0.0), 6.0, 0.5)
     pairs = mesh.visibility_pairs(grid)

@@ -225,6 +225,34 @@ def _ref_chain(decomp, qi, si, eps, budget=wh.SEARCH_BUDGET):
     return chain if _ref_validate_chain(decomp, chain) else None
 
 
+def _ref_whitney_sum(decomp, a, b, max_sources):
+    """The stratified sources and their chain-sum values, one source at a
+    time over (n, d) rows of the cube bounds."""
+    n = decomp.n_cubes
+    sides, lows, highs = decomp.sides, decomp.lows, decomp.highs
+    if n > max_sources:
+        qs = np.unique(np.linspace(0, n - 1, max_sources).astype(int))
+    else:
+        qs = np.arange(n)
+    powered = sides ** a
+    values = []
+    for q in qs:
+        gaps = np.maximum(0.0, np.maximum(lows[q] - highs, lows - highs[q]))
+        dist = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+        D = sides[q] + dist + sides
+        values.append(float(sides[q] ** (b - a)
+                            * float(np.sum(powered / D ** b))))
+    return qs, values
+
+
+def _ref_first_max(qs, values):
+    sup, arg = 0.0, -1
+    for q, val in zip(qs.tolist(), values):
+        if val > sup:
+            sup, arg = val, q
+    return sup, arg
+
+
 def _bits(rows):
     """(level, anchor, side, lo, hi) rows, floats as exact hex strings."""
     return [(level, anchor, float(side).hex(),
@@ -412,6 +440,54 @@ def test_whitney_sum_preconditions(annulus_decomp):
         wh.verify_whitney_sum(annulus_decomp, 2.0, 2.0)
     with pytest.raises(ValueError):
         wh.verify_whitney_sum(annulus_decomp, 0.5, 3.0)
+    # no sources would give (0.0, -1) and a zero sup to divide by
+    for bad in (0, -3, 2.5, 4000.0, True, "10", None):
+        with pytest.raises(ValueError, match="max_sources"):
+            wh.verify_whitney_sum(annulus_decomp, 2.0, 3.0, max_sources=bad)
+    sup, arg = wh.verify_whitney_sum(annulus_decomp, 2.0, 3.0,
+                                     max_sources=np.int64(5))
+    assert sup > 0.0 and arg >= 0
+
+
+def _sum_cases():
+    straight = geo.clip_ball(geo.make_dumbbell("straight"), (0.0, 0.0), 8.0)
+    curved = geo.clip_ball(geo.make_dumbbell("curved"), (0.0, 0.0), 8.0)
+    domains = [("square", geo.make_box(1, 1)), ("annulus", geo.make_annulus()),
+               ("straight", straight), ("curved", curved)]
+    # 257 sources leave a last block shorter than CHUNK // n at every n here
+    cases = [(f"{name}-{level}", dom, level, 257)
+             for name, dom in domains for level in (5, 6, 7)]
+    return cases + [("square-5-every", geo.make_box(1, 1), 5, "n"),
+                    ("interval-8-every", Interval1D(), 8, 4000)]
+
+
+@pytest.mark.parametrize("name,domain,level,sources", _sum_cases(),
+                         ids=[c[0] for c in _sum_cases()])
+def test_whitney_sum_matches_per_source_reference(name, domain, level,
+                                                  sources):
+    decomp = wh.whitney_decompose(domain, max_level=level)
+    n = decomp.n_cubes
+    max_sources = n if sources == "n" else sources
+    rows = max(1, wh.CHUNK // n)
+    # b = 2 takes numpy's square for D ** b (a = 1 needs d = 1); at
+    # (1.25, 2.9) numpy's array power differs from the scalar
+    # side(Q)^(b-a) in the last bit for some sources
+    exponents = [(2.0, 3.0), (1.5, 2.0), (1.25, 2.9)]
+    if decomp.dim == 1:
+        exponents.append((1.0, 2.0))
+    for a, b in exponents:
+        qs, ref = _ref_whitney_sum(decomp, a, b, max_sources)
+        if sources == 257:
+            assert len(qs) == 257 < n and len(qs) % rows != 0
+        else:
+            assert len(qs) == n <= max_sources
+        got = wh._whitney_sum_values(decomp, a, b, qs)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref]
+        sup, arg = wh.verify_whitney_sum(decomp, a, b,
+                                         max_sources=max_sources)
+        assert type(sup) is float and type(arg) is int
+        ref_sup, ref_arg = _ref_first_max(qs, ref)
+        assert (sup.hex(), arg) == (ref_sup.hex(), ref_arg)
 
 
 def test_whitney_sum_1d_bounded():

@@ -20,7 +20,6 @@ import argparse
 import configparser
 import dataclasses
 import io
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -69,7 +68,7 @@ class ExperimentConfig:
     def validate(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
-        geometry.parse_domain(self.domain)
+        domain = geometry.parse_domain(self.domain)
         if self.name in ("scaling-nonlocal", "comparability", "walk"):
             spec = kernels.parse_kernel(self.kernel)
             if spec.family == "power" and self.name == "scaling-nonlocal":
@@ -89,17 +88,36 @@ class ExperimentConfig:
         if self.name in ("scaling-nonlocal", "scaling-local"):
             if len(self.R) < 3:
                 raise ValueError("need at least 3 radii")
+        if self.name == "walk" and domain.dumbbell is None:
+            raise ValueError(f"walk needs a dumbbell domain, got "
+                             f"{self.domain!r}")
         if self.h <= 0:
             raise ValueError("h must be positive")
+        if not all(R > 0 for R in self.R):
+            raise ValueError(f"radii must be positive, got {self.R}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if self.max_level < 0:
+            raise ValueError(f"max_level must be >= 0, got {self.max_level}")
+        for key in ("pairs", "paths", "max_steps", "n_random", "samples"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         return self
+
+
+def _parse_bool(s):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[s.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {s!r}") from None
 
 
 _FIELD_PARSERS = {
     "p": float, "h": float, "seed": int, "resolution_factor": int,
     "n_random": int, "epsilon": float, "max_level": int, "pairs": int,
     "paths": int, "max_steps": int, "clip_R": float, "samples": int,
-    "quick": lambda s: s.lower() in ("1", "true", "yes"),
-    "path_audit": lambda s: s.lower() in ("1", "true", "yes"),
+    "quick": _parse_bool, "path_audit": _parse_bool,
     "R": lambda s: tuple(float(v) for v in s.split(",")),
     "n_list": lambda s: tuple(int(v) for v in s.split(",")),
 }
@@ -494,25 +512,10 @@ def suite_configs(outdir, seed=0, quick=False):
     return cfgs
 
 
-def _suite_entry(item):
-    subdir, cfg = item
-    return subdir, run(cfg, subdir=subdir)
-
-
 def reproduce_all(outdir, seed=0, quick=False):
-    """Run the whole suite; nonzero exit iff any experiment fails.
-
-    VISFORM_WORKERS > 1 runs experiments in a process pool (each writes
-    its own directory, so outputs are identical either way).
-    """
-    workers = int(os.environ.get("VISFORM_WORKERS", "1"))
-    items = suite_configs(outdir, seed=seed, quick=quick)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_suite_entry, items))
-    else:
-        results = [_suite_entry(item) for item in items]
+    """Run the whole suite in order; nonzero exit iff any experiment fails."""
+    results = [(subdir, run(cfg, subdir=subdir))
+               for subdir, cfg in suite_configs(outdir, seed=seed, quick=quick)]
     for subdir, code in results:
         print(f"[{'pass' if code == 0 else 'FAIL' if code == 2 else 'ERROR'}] "
               f"{subdir}")

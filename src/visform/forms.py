@@ -22,10 +22,10 @@ its visible pairs from the portal rule
 (``geometry.DomainSpec.portal_pairs``): the x2 of a segment at the
 corridor's mouths decides it, and only pairs next to a corridor edge get
 a segment test.  The block sums add the same terms in the same order as
-a segment test of every pair would, so they keep their bits.  Masks of
-the other streamed vis-mode blocks are kept in a process-wide cache keyed
-by value (domain, ball centre and radius, cell size, the two cell groups
-and the block), so grids built apart from equal inputs share them.
+a segment test of every pair would, so they keep their bits.  Every
+other streamed vis-mode block takes a segment test of each pair; nothing
+is kept between calls, so an energy's cost does not depend on what ran
+before it.
 """
 
 from __future__ import annotations
@@ -194,22 +194,15 @@ def grouped_energy(grid, kernel, mode, u, p):
 
 
 # ---------------------------------------------------------------------------
-# streamed pair evaluation: the portal rule between the bells, visibility
-# caching for the other vis-mode blocks
+# streamed pair evaluation: the portal rule between the bells, segment
+# tests for the other vis-mode blocks
 # ---------------------------------------------------------------------------
 
-#: process-wide packed visibility masks, keyed by the values that decide
-#: them: (domain, x0, R, h, group A, group B, rows per block, first row)
-_VIS_CACHE = {}
-_VIS_CACHE_LIMIT_BYTES = 1 << 31
-
-
 def clear_visibility_cache():
-    _VIS_CACHE.clear()
+    """Does nothing: streamed energies keep no state between calls.
 
-
-def _cache_bytes():
-    return sum(v.nbytes for v in _VIS_CACHE.values())
+    Kept only because ``perfbench/worker.py`` calls it before every pass.
+    """
 
 
 def _bell_columns(grid, A, B):
@@ -228,12 +221,11 @@ def _cross_weight_sum(grid, kernel, mode, delta, A, B):
     A is walked in blocks of whole rows against all of B; ``delta`` holds
     the boundary distances in ball mode.  In vis mode, a block of a group
     pair joining the two bells of a dumbbell takes its visible pairs from
-    ``DomainSpec.portal_pairs``; any other block's mask is cached by value,
-    so equal grids built apart share their masks.
+    ``DomainSpec.portal_pairs``; any other block tests each pair's segment
+    with ``DomainSpec.segment_inside_many``.
     """
     domain = grid.domain
     rows = max(1, mesh.PAIR_BLOCK // B.size)
-    key = (domain, grid.x0, grid.R, grid.h, A.tobytes(), B.tobytes(), rows)
     cB, mB = grid.centers[B], grid.measures[B]
     bell = None
     if mode == "vis" and not domain.all_visible:
@@ -259,15 +251,8 @@ def _cross_weight_sum(grid, kernel, mode, delta, A, B):
             r = np.sqrt(dx * dx + dy * dy).ravel()
             keep = None
             if mode == "vis" and not domain.all_visible:
-                packed = _VIS_CACHE.get(key + (lo,))
-                if packed is not None:
-                    keep = np.unpackbits(packed, count=r.size).astype(bool)
-                else:
-                    keep = domain.segment_inside_many(
-                        np.repeat(cA, B.size, axis=0),
-                        np.tile(cB, (a.size, 1)))
-                    if _cache_bytes() < _VIS_CACHE_LIMIT_BYTES:
-                        _VIS_CACHE[key + (lo,)] = np.packbits(keep)
+                keep = domain.segment_inside_many(
+                    np.repeat(cA, B.size, axis=0), np.tile(cB, (a.size, 1)))
             elif mode == "ball":
                 # a survivor has r < max(delta_i, delta_j) / 2, so its
                 # segment lies in the open ball of radius delta about one

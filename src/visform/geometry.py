@@ -632,23 +632,23 @@ class DomainSpec:
             raise ValueError("domain is unbounded; clip it first")
         return lo, hi
 
+    def _in_any(self, ids, pts):
+        """Mask of the points inside any of the primitives ``ids``."""
+        m = np.zeros(pts.shape[0], dtype=bool)
+        for i in ids:
+            m |= self.primitives[i].contains_many(pts)
+        return m
+
     def region_tags(self, pts):
         """Dumbbell region tag per point: 0 other, 1 bell-, 2 corridor*, 3 bell+."""
         if self.dumbbell is None:
             raise ValueError("domain has no dumbbell metadata")
         pts = _as_points(pts)
         meta = self.dumbbell
-
-        def member(ids):
-            m = np.zeros(pts.shape[0], dtype=bool)
-            for i in ids:
-                m |= self.primitives[i].contains_many(pts)
-            return m
-
         tag = np.zeros(pts.shape[0], dtype=np.int8)
-        minus = member(meta.minus_ids)
-        plus = member(meta.plus_ids)
-        corr = member(meta.corridor_ids)
+        minus = self._in_any(meta.minus_ids, pts)
+        plus = self._in_any(meta.plus_ids, pts)
+        corr = self._in_any(meta.corridor_ids, pts)
         tag[minus] = TAG_MINUS
         tag[plus] = TAG_PLUS
         tag[corr & ~minus & ~plus] = TAG_STAR
@@ -792,18 +792,12 @@ def audit_dumbbell_structure(domain, R_list=(8, 16, 32), n_samples=40000, seed=0
              else domain.primitives[meta.gamma_tilde_id])
     report.gamma_tilde_present = tilde is not None
 
-    def members(ids, pts):
-        m = np.zeros(pts.shape[0], dtype=bool)
-        for i in ids:
-            m |= domain.primitives[i].contains_many(pts)
-        return m
-
     for R in R_list:
         pts = x0 + rng.uniform(-R, R, size=(n_samples, 2))
         in_ball = np.einsum("ij,ij->i", pts - x0, pts - x0) < R * R
         box_area = 4.0 * R * R
-        minus = members(meta.minus_ids, pts) & in_ball
-        plus = members(meta.plus_ids, pts) & in_ball
+        minus = domain._in_any(meta.minus_ids, pts) & in_ball
+        plus = domain._in_any(meta.plus_ids, pts) & in_ball
         ratios = (minus.mean() * box_area / R ** 2,
                   plus.mean() * box_area / R ** 2)
         report.bell_ratios[R] = ratios
@@ -812,8 +806,9 @@ def audit_dumbbell_structure(domain, R_list=(8, 16, 32), n_samples=40000, seed=0
                 violated.append(f"bell_growth_{side}_R={R}")
         if tilde is not None:
             in_tilde = tilde.contains_many(pts) & in_ball
-            tr = ((in_tilde & members(meta.minus_ids, pts)).mean() * box_area / R,
-                  (in_tilde & members(meta.plus_ids, pts)).mean() * box_area / R)
+            tr = tuple((in_tilde & domain._in_any(ids, pts)).mean()
+                       * box_area / R
+                       for ids in (meta.minus_ids, meta.plus_ids))
             report.tilde_ratios[R] = tr
             for side, val in zip(("minus", "plus"), tr):
                 if not TILDE_RATIO_BAND[0] <= val <= TILDE_RATIO_BAND[1]:
@@ -822,9 +817,9 @@ def audit_dumbbell_structure(domain, R_list=(8, 16, 32), n_samples=40000, seed=0
     # the bells must overlap the corridor on a set of positive measure
     Rprobe = max(R_list)
     pts = x0 + rng.uniform(-Rprobe, Rprobe, size=(n_samples, 2))
-    corr = members(meta.corridor_ids, pts)
-    hits = (int((corr & members(meta.minus_ids, pts)).sum()),
-            int((corr & members(meta.plus_ids, pts)).sum()))
+    corr = domain._in_any(meta.corridor_ids, pts)
+    hits = (int((corr & domain._in_any(meta.minus_ids, pts)).sum()),
+            int((corr & domain._in_any(meta.plus_ids, pts)).sum()))
     report.corridor_overlap_hits = hits
     if hits[0] == 0:
         violated.append("corridor_bell_minus_overlap_empty")

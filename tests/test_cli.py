@@ -29,6 +29,11 @@ def test_parse_config_rejects_bad_keys():
         cli.parse_config("[experiment]\ndomain = box:1,1\n")
     with pytest.raises(ValueError):
         cli.parse_config("[other]\nname = walk\n")
+    with pytest.raises(ValueError, match="ture"):
+        cli.parse_config("[experiment]\nname = whitney-audit\n"
+                         "path_audit = ture\n")
+    assert cli.parse_config("[experiment]\nname = whitney-audit\n"
+                            "path_audit = on\n").path_audit is True
 
 
 def test_validate_hypothesis_guards():
@@ -196,10 +201,27 @@ def test_run_unknown_override_key_exits_one(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfgfile),
                      "--set", "smaples=5"]) == 1
     assert "'smaples'" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(cfgfile),
+                     "--set", "quick=ture"]) == 1
+    assert "'ture'" in capsys.readouterr().err
     assert not (tmp_path / "counterexample").exists()
 
 
-def test_suite_entry_picklable():
-    import pickle
-    item = cli.suite_configs("/tmp/x", seed=0, quick=True)[0]
-    assert pickle.loads(pickle.dumps(item))[0] == item[0]
+@pytest.mark.parametrize("argv", [
+    ["whitney-audit", "--epsilon", "0", "--max-level", "4"],
+    ["whitney-audit", "--epsilon", "-1", "--max-level", "4"],
+    ["whitney-audit", "--pairs", "0", "--max-level", "4"],
+    ["whitney-audit", "--max-level", "-1"],
+    ["comparability", "--n-random", "0"],
+    ["walk", "--domain", "annulus:0.3,1", "--R", "4"],
+    ["walk", "--paths", "0", "--R", "4"],
+    ["walk", "--max-steps", "0", "--R", "4"],
+    ["check-domain", "--samples", "0"],
+    ["check-domain", "--R", "0,8"],
+])
+def test_out_of_range_values_exit_one(tmp_path, capsys, argv):
+    code = cli.main([*argv, "--outdir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+

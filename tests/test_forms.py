@@ -208,7 +208,7 @@ def test_straight_dumbbell_reflection_invariance(straight_dumbbell, R, h,
 
 def test_lazy_energy_across_block_boundaries(monkeypatch, annulus_grid):
     """Blocks of several rows, a partial last block and rows longer than a
-    block give the assembled energies, with a cold and a warm cache."""
+    block give the assembled energies, and a repeat gives the same bits."""
     kernel = kn.KernelSpec("power", s=0.5, p=2)
     pairs = mesh.visibility_pairs(annulus_grid)
     x = annulus_grid.centers[:, 0]
@@ -220,59 +220,12 @@ def test_lazy_energy_across_block_boundaries(monkeypatch, annulus_grid):
              for mode in ("vis", "cen", "ball")}
     for block in (1, 7, n_b - 1, n_b + 1):
         monkeypatch.setattr(mesh, "PAIR_BLOCK", block)
-        forms.clear_visibility_cache()
         for mode in ("vis", "cen", "ball"):
             form = forms.lazy_form(annulus_grid, kernel, mode)
             cold = forms.energy(form, u)
             warm = forms.energy(form, u)
             assert cold == pytest.approx(dense[mode], rel=1e-12, abs=0.0)
             assert warm == cold
-    forms.clear_visibility_cache()
-
-
-def _bell_to_bell(X, Y):
-    return bool(np.all(np.abs(X[:, 0]) > 1.0) and np.all(np.abs(Y[:, 0]) > 1.0)
-                and np.all(np.sign(X[:, 0]) != np.sign(Y[:, 0])))
-
-
-def test_visibility_masks_reused_by_value(monkeypatch):
-    """A warm repeat makes no segment test for the group pairs that are
-    streamed and cached; the portal rule's edge pairs between the bells are
-    not cached and are tested again, as many as in the cold run."""
-    kernel = kn.KernelSpec("power", s=0.25, p=2)
-
-    def witness_energy(name, R, h):
-        grid = mesh.build_grid(geo.parse_domain(name), (0.0, 0.0), R, h)
-        u = np.where(grid.tags == geo.TAG_MINUS, -1.0,
-                     np.where(grid.tags == geo.TAG_PLUS, 1.0, 0.0))
-        return forms.energy(forms.lazy_form(grid, kernel, "vis"), u)
-
-    calls = []
-    original = geo.DomainSpec.segment_inside_many
-
-    def counted(self, X, Y):
-        calls.append((_bell_to_bell(X, Y), len(X)))
-        return original(self, X, Y)
-
-    monkeypatch.setattr(geo.DomainSpec, "segment_inside_many", counted)
-    forms.clear_visibility_cache()
-    first = witness_energy("straight-dumbbell", 4.0, 0.5)
-    entries = len(forms._VIS_CACHE)
-    assert entries > 0
-    cold = list(calls)
-    assert any(not portal for portal, _ in cold)
-    calls.clear()
-    again = witness_energy("straight-dumbbell", 4.0, 0.5)
-    assert all(portal for portal, _ in calls)
-    assert calls == [c for c in cold if c[0]]
-    assert again == first
-    for name, R, h in (("straight-dumbbell", 4.5, 0.5),
-                       ("straight-dumbbell", 4.0, 0.4),
-                       ("curved-dumbbell", 4.0, 0.5)):
-        witness_energy(name, R, h)
-        assert len(forms._VIS_CACHE) > entries
-        entries = len(forms._VIS_CACHE)
-    forms.clear_visibility_cache()
 
 
 def _brute_energy(grid, kernel, u, p=2.0):
@@ -306,7 +259,8 @@ def _brute_energy(grid, kernel, u, p=2.0):
 @pytest.mark.parametrize("variant", ["straight", "curved"])
 def test_witness_energy_equals_brute_force_masks(monkeypatch, variant):
     """Witness energies with the portal rule equal (==) the sums over
-    brute-force masks, block for block, at R <= 16."""
+    brute-force masks, block for block, at R <= 16, and the energies on a
+    second grid built apart from equal inputs."""
     portal_calls = []
     original = geo.DomainSpec.portal_pairs
 
@@ -319,13 +273,15 @@ def test_witness_energy_equals_brute_force_masks(monkeypatch, variant):
     domain = geo.make_dumbbell(variant)
     for R, h in ((4.0, 0.5), (8.0, 0.5), (16.0, 0.5), (10.0, 0.3)):
         grid = mesh.build_grid(domain, (0.0, 0.0), R, h)
+        twin = mesh.build_grid(geo.parse_domain(f"{variant}-dumbbell"),
+                               (0.0, 0.0), R, h)
         u = spectral.witness_step_function(grid)
         for s in (0.25, 0.75):
             kernel = kn.KernelSpec("power", s=s, p=2)
-            forms.clear_visibility_cache()
             lazy = forms.energy(forms.lazy_form(grid, kernel, "vis"), u)
             assert lazy == _brute_energy(grid, kernel, u)
-    forms.clear_visibility_cache()
+            assert forms.energy(forms.lazy_form(twin, kernel, "vis"),
+                                spectral.witness_step_function(twin)) == lazy
     assert portal_calls and all(portal_calls)
 
 
@@ -350,20 +306,6 @@ def test_ball_mode_survivors_are_visible(name):
     assert near.sum() > 1000
     assert domain.segment_inside_many(grid.centers[ii[near]],
                                       grid.centers[jj[near]]).all()
-
-
-def test_visibility_cache_consistency(straight_dumbbell):
-    grid = mesh.build_grid(straight_dumbbell, (0.0, 0.0), 4.0, 0.5)
-    kernel = kn.KernelSpec("power", s=0.25, p=2)
-    u = np.where(grid.tags == geo.TAG_MINUS, -1.0,
-                 np.where(grid.tags == geo.TAG_PLUS, 1.0, 0.0))
-    forms.clear_visibility_cache()
-    form = forms.lazy_form(grid, kernel, "vis")
-    cold = forms.energy(form, u)
-    assert len(forms._VIS_CACHE) > 0
-    warm = forms.energy(form, u)
-    assert warm == cold
-    forms.clear_visibility_cache()
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ its visible pairs from the portal rule
 corridor's mouths decides it, and only pairs next to a corridor edge get
 a segment test.  The block sums add the same terms in the same order as
 a segment test of every pair would, so they keep their bits.  Every
-other streamed vis-mode block takes a segment test of each pair; nothing
-is kept between calls, so an energy's cost does not depend on what ran
-before it.
+other streamed vis-mode block takes a segment test of each pair.  The
+same decision (``_visible_pairs``) gives the sparse entries of the
+spectral layer's matrix-free vis operator.  Nothing is kept between
+calls, so an energy's cost does not depend on what ran before it.
 """
 
 from __future__ import annotations
@@ -215,51 +216,62 @@ def _bell_columns(grid, A, B):
     return geometry.LatticeColumns.of(grid.centers[B])
 
 
+def _visible_pairs(domain, cA, cB, bell=None):
+    """The visible segments of the block cA x cB, as indices (i, j) into
+    cA and cB in (source, cB) order.
+
+    ``bell`` holds cB as ``LatticeColumns`` when the block joins the two
+    bells of a dumbbell; ``DomainSpec.portal_pairs`` then decides it.
+    Otherwise each pair gets a segment test from
+    ``DomainSpec.segment_inside_many``.
+    """
+    pairs = None if bell is None else domain.portal_pairs(cA, bell)
+    if pairs is not None:
+        return pairs
+    nb = cB.shape[0]
+    keep = domain.segment_inside_many(np.repeat(cA, nb, axis=0),
+                                      np.tile(cB, (cA.shape[0], 1)))
+    k = np.flatnonzero(keep)
+    i = k // nb
+    return i, k - i * nb
+
+
 def _cross_weight_sum(grid, kernel, mode, delta, A, B):
     """Sum of the weights k(r) m_i m_j over the pairs A x B.
 
     A is walked in blocks of whole rows against all of B; ``delta`` holds
-    the boundary distances in ball mode.  In vis mode, a block of a group
-    pair joining the two bells of a dumbbell takes its visible pairs from
-    ``DomainSpec.portal_pairs``; any other block tests each pair's segment
-    with ``DomainSpec.segment_inside_many``.
+    the boundary distances in ball mode.  In vis mode, ``_visible_pairs``
+    decides each block: by the portal rule when the group pair joins the
+    two bells of a dumbbell, else by segment tests.
     """
     domain = grid.domain
     rows = max(1, mesh.PAIR_BLOCK // B.size)
     cB, mB = grid.centers[B], grid.measures[B]
-    bell = None
-    if mode == "vis" and not domain.all_visible:
-        bell = _bell_columns(grid, A, B)
+    vis = mode == "vis" and not domain.all_visible
+    bell = _bell_columns(grid, A, B) if vis else None
     total = 0.0
     for lo in range(0, A.size, rows):
         a = A[lo:lo + rows]
         cA = grid.centers[a]
-        pairs = None if bell is None else domain.portal_pairs(cA, bell)
-        if pairs is not None:
+        if vis:
             # the visible pairs alone, in the block's (source, B) order, so
             # the block sum below adds the same terms in the same order
-            i, j = pairs
+            i, j = _visible_pairs(domain, cA, cB, bell)
             dx = cB[j, 0] - cA[i, 0]
             dy = cB[j, 1] - cA[i, 1]
             r = np.sqrt(dx * dx + dy * dy)
             mass = grid.measures[a][i] * mB[j]
         else:
-            # pair k of the block is (a[k // |B|], B[k % |B|]); segment ends
-            # are formed only for the pairs that get a segment test
+            # pair k of the block is (a[k // |B|], B[k % |B|])
             dx = cB[None, :, 0] - cA[:, None, 0]
             dy = cB[None, :, 1] - cA[:, None, 1]
             r = np.sqrt(dx * dx + dy * dy).ravel()
-            keep = None
-            if mode == "vis" and not domain.all_visible:
-                keep = domain.segment_inside_many(
-                    np.repeat(cA, B.size, axis=0), np.tile(cB, (a.size, 1)))
-            elif mode == "ball":
+            mass = np.outer(grid.measures[a], mB).ravel()
+            if mode == "ball":
                 # a survivor has r < max(delta_i, delta_j) / 2, so its
                 # segment lies in the open ball of radius delta about one
                 # end, inside D: it needs no segment test
                 keep = r < np.maximum.outer(delta[a], delta[B]).ravel() / 2.0
-            mass = np.outer(grid.measures[a], mB).ravel()
-            if keep is not None:
                 r, mass = r[keep], mass[keep]
         if r.size:
             mass *= kernel.k(r)

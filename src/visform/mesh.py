@@ -145,7 +145,9 @@ def visibility_pairs(grid):
         raise ValueError(
             f"refusing to materialize {n*(n-1)//2} pairs; for a profile "
             "taking few values use forms.energy(forms.lazy_form(...), u), "
-            "which streams them")
+            "which streams them, and for the p = 2 constant on a dumbbell "
+            "pass a lazy vis form to spectral.poincare_constant_l2, which "
+            "needs no pair list")
     ii, jj = np.triu_indices(n, k=1)
     ii = ii.astype(np.int32)
     jj = jj.astype(np.int32)

@@ -3,11 +3,13 @@
 For p = 2 the best constant is the reciprocal of the smallest nonzero
 eigenvalue of the generalized problem  A u = lambda M u,  with A the
 energy quadratic form and M the diagonal cell-measure matrix; it is
-computed by shift-invert Lanczos (``scipy.sparse.linalg.eigsh``) on the
-whitened operator M^-1/2 A M^-1/2.  For general p the step-profile
-witness gives a certified lower bound via its Rayleigh quotient, which
-is the instrument of choice at large radii (its energy is streamed from a
-lazy form, the eigensolver needs an assembled pair list).
+computed by Lanczos (``scipy.sparse.linalg.eigsh``) on the whitened
+operator M^-1/2 A M^-1/2.  A lazy vis form on a dumbbell grid gets a
+matrix-free A (FFT convolution inside the bells, sparse entries for the
+other visible pairs), an assembled form the CSR matrix of its pair list,
+and a local form its sparse stencil, solved by shift-invert.  For general
+p the step-profile witness gives a certified lower bound via its Rayleigh
+quotient, from a streamed lazy energy.
 """
 
 from __future__ import annotations
@@ -18,53 +20,152 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import forms, geometry, mesh
 from .geometry import TAG_MINUS, TAG_OTHER, TAG_PLUS, TAG_STAR
 
-#: materialized operators beyond this many cells exhaust memory
-MAX_EIGEN_CELLS = 6000
+# ---------------------------------------------------------------------------
+# quadratic form operators
+# ---------------------------------------------------------------------------
+
+class VisOperator(LinearOperator):
+    """Matrix-free A = 2 (D - W) of a lazy vis form on a dumbbell grid.
+
+    W_ij = k(r_ij) m_i m_j over the visible pairs and D holds W's row
+    sums, so u.A.u = energy(form, u, p=2).  Each bell clipped to the ball
+    is convex, so every pair inside one bell is visible, and on the
+    lattice that part of W x is a convolution of m x with the table
+    k(h |offset|) (zero at offset 0).  Both bells are convolved in one
+    batched ``numpy.fft`` call on a zero-padded (2 nx, 2 ny) lattice, with
+    the table's spectrum taken once.  The other visible pairs are sparse
+    entries: bell-to-bell pairs and pairs that touch a corridor cell, from
+    ``forms._visible_pairs`` (the portal rule, else segment tests).
+    ``connected`` tells whether the pair graph is connected.
+    """
+
+    def __init__(self, grid, kernel):
+        super().__init__(dtype=np.float64, shape=(grid.n_cells,) * 2)
+        n, m = grid.n_cells, grid.measures
+        in_bell = np.isin(grid.tags, (TAG_MINUS, TAG_PLUS))
+        bells = [np.flatnonzero(grid.tags == tag)
+                 for tag in (TAG_MINUS, TAG_PLUS)]
+        if not all(cells.size for cells in bells):
+            raise ValueError("the vis operator needs cells in both bells")
+        # each bell in a lattice box of nx by ny cells, padded to twice that
+        lx = [grid.ix[c] - grid.ix[c].min() for c in bells]
+        ly = [grid.iy[c] - grid.iy[c].min() for c in bells]
+        nx = 1 + max(x.max() for x in lx)
+        ny = 1 + max(y.max() for y in ly)
+        self._buf = np.zeros((2, 2 * nx, 2 * ny))
+        self._cells = np.concatenate(bells)
+        self._pos = np.concatenate([b * self._buf[0].size + x * 2 * ny + y
+                                    for b, x, y in zip((0, 1), lx, ly)])
+        self._mb = m[self._cells]
+        # k(h |offset|) on the offsets 0..nx, 0..ny, laid out circularly
+        ox, oy = np.ogrid[:nx + 1, :ny + 1]
+        r = grid.h * np.sqrt(ox * ox + oy * oy)
+        r[0, 0] = 1.0
+        quad = kernel.k(r)
+        quad[0, 0] = 0.0
+        if np.any(quad.ravel()[1:] <= 0.0):
+            raise ValueError(f"kernel {kernel.label()} vanishes on the bell "
+                             "lattice; the matrix-free operator needs k > 0 "
+                             "there: use forms.assemble and a PairSet")
+        kx, ky = np.arange(2 * nx), np.arange(2 * ny)
+        table = quad[np.minimum(kx, 2 * nx - kx)[:, None],
+                     np.minimum(ky, 2 * ny - ky)]
+        # the table is even, so its spectrum is real
+        self._spec = np.fft.rfft2(table).real
+
+        # sparse entries, each unordered pair once
+        A, B = bells
+        cB, bell = grid.centers[B], forms._bell_columns(grid, A, B)
+        rows = max(1, mesh.PAIR_BLOCK // B.size)
+        parts = []
+        for lo in range(0, A.size, rows):
+            a = A[lo:lo + rows]
+            i, j = forms._visible_pairs(grid.domain, grid.centers[a], cB, bell)
+            parts.append((a[i], B[j]))
+        for s in np.flatnonzero(~in_bell):
+            # s against every bell cell and every later corridor cell
+            B = np.flatnonzero(in_bell | (np.arange(n) > s))
+            _, j = forms._visible_pairs(grid.domain, grid.centers[s:s + 1],
+                                        grid.centers[B])
+            parts.append((np.full(j.size, s), B[j]))
+        i = np.concatenate([p[0] for p in parts])
+        j = np.concatenate([p[1] for p in parts])
+        d = grid.centers[j] - grid.centers[i]
+        w = kernel.k(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
+        w *= m[i] * m[j]
+        pos = w > 0.0             # truncated profiles zero out far pairs
+        i, j, w = i[pos], j[pos], w[pos]
+        self._sparse = sp.csr_matrix(
+            (np.concatenate((w, w)), (np.concatenate((i, j)),
+                                      np.concatenate((j, i)))), shape=(n, n))
+        self._diag = np.asarray(self._sparse.sum(axis=1)).ravel()
+        self._diag[self._cells] += self._mb * self._convolve(self._mb)
+
+        # a bell is a clique of positive weights: link it to its first cell
+        li = np.concatenate([i] + bells)
+        lj = np.concatenate([j] + [np.full(c.size, c[0]) for c in bells])
+        graph = sp.csr_matrix((np.ones(li.size), (li, lj)), shape=(n, n))
+        self.connected = connected_components(graph, directed=False)[0] == 1
+
+    def _convolve(self, v):
+        """The table convolved with v on the bell cells (v in their order)."""
+        self._buf.flat[self._pos] = v
+        out = np.fft.irfft2(np.fft.rfft2(self._buf) * self._spec,
+                            s=self._buf.shape[1:])
+        return out.reshape(-1)[self._pos]
+
+    def _matvec(self, x):
+        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        wx = self._sparse @ x
+        wx[self._cells] += self._mb * self._convolve(self._mb * x[self._cells])
+        return 2.0 * (self._diag * x - wx)
 
 
-# ---------------------------------------------------------------------------
-# quadratic form matrices
-# ---------------------------------------------------------------------------
+def _convex_bells(domain):
+    """True when each bell of the dumbbell is one convex primitive."""
+    meta = domain.dumbbell
+    return meta is not None and all(
+        len(ids) == 1 and domain.primitives[ids[0]].convex
+        for ids in (meta.minus_ids, meta.plus_ids))
+
 
 def quadratic_matrix(form):
-    """Symmetric A with u.A.u = energy(form, u, p=2), plus connectivity."""
+    """Symmetric A with u.A.u = energy(form, u, p=2), plus connectivity.
+
+    A local form gives the CSR matrix of its stencil and an assembled
+    nonlocal form the CSR matrix of its pair list.  A lazy vis form on a
+    ``make_dumbbell`` grid gives the matrix-free ``VisOperator``.
+    """
     grid = form.grid
     n = grid.n_cells
     if form.mode == "local":
-        h = grid.h
-        rows, cols, vals = [], [], []
-        for nbr in (form.nbr_right, form.nbr_up):
-            has = np.nonzero(nbr >= 0)[0]
-            c = grid.measures[has] / h ** 2
-            rows.extend([has, nbr[has], has, nbr[has]])
-            cols.extend([has, nbr[has], nbr[has], has])
-            vals.extend([c, c, -c, -c])
-        A = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)).tocsr()
-        ncomp = connected_components(sp.csr_matrix(
-            (np.ones(A.nnz), A.indices, A.indptr), shape=(n, n)),
-            directed=False)[0]
-        return A, ncomp == 1
-    if form.pair_i is None:
-        raise ValueError("the eigen path needs a pair list: build the form "
-                         "with forms.assemble and a PairSet, not lazy_form")
-    if n > MAX_EIGEN_CELLS:
-        raise ValueError(f"{n} cells exceeds the eigensolver limit "
-                         f"{MAX_EIGEN_CELLS}")
-    i, j, c = form.pair_i, form.pair_j, 2.0 * form.weight
-    A = np.bincount(i * n + j, -c, n * n).reshape(n, n)
-    A += A.T
-    # one bincount in pair order sums the diagonal as np.add.at would
-    A.flat[::n + 1] += np.bincount(np.concatenate((i, j)),
-                                   np.concatenate((c, c)), n)
-    adj = sp.coo_matrix((np.ones(form.n_pairs), (i, j)), shape=(n, n))
-    ncomp = connected_components(adj.tocsr(), directed=False)[0]
+        has = [np.flatnonzero(nbr >= 0)
+               for nbr in (form.nbr_right, form.nbr_up)]
+        i = np.concatenate(has)
+        j = np.concatenate([form.nbr_right[has[0]], form.nbr_up[has[1]]])
+        c = grid.measures[i] / grid.h ** 2
+    elif form.pair_i is None:
+        if form.mode != "vis" or not _convex_bells(grid.domain):
+            raise ValueError(
+                "a lazy form has a matrix-free operator only in vis mode on "
+                "a make_dumbbell grid; build any other form with "
+                "forms.assemble and a PairSet")
+        A = VisOperator(grid, form.kernel)
+        return A, A.connected
+    else:
+        i, j, c = form.pair_i, form.pair_j, 2.0 * form.weight
+    # +c on both ends' diagonal, -c off it, duplicates summed
+    A = sp.coo_matrix((np.concatenate((c, c, -c, -c)),
+                       (np.concatenate((i, j, i, j)),
+                        np.concatenate((i, j, j, i)))), shape=(n, n)).tocsr()
+    ncomp = connected_components(sp.csr_matrix(
+        (np.ones(A.nnz), A.indices, A.indptr), shape=(n, n)),
+        directed=False)[0]
     return A, ncomp == 1
 
 
@@ -86,20 +187,29 @@ def poincare_constant_l2(form, grid=None, seed=0):
     if not connected:
         return float("inf")
     # whiten: M^-1/2 A M^-1/2 has the eigenvalues of A u = lambda M u, with
-    # lambda_0 = 0 on sqrt(m); the dense matrix is scaled in place
+    # lambda_0 = 0 on sqrt(m)
+    n = grid.n_cells
     inv_sqm = 1.0 / np.sqrt(grid.measures)
-    if isinstance(A, np.ndarray):
-        A *= inv_sqm[:, None]
-        A *= inv_sqm
-    else:
-        A = sp.diags(inv_sqm) @ A @ sp.diags(inv_sqm)
-    # shift-invert about a point just below 0: the two eigenvalues nearest
-    # it are lambda_0 = 0 and lambda_1, and the shifted matrix is positive
-    # definite
-    sigma = -1e-6 * float(A.diagonal().max())
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51E5]))
-    lam = eigsh(A, k=2, sigma=sigma, which="LM", return_eigenvectors=False,
-                v0=rng.standard_normal(grid.n_cells))
+    v0 = rng.standard_normal(n)
+    if form.mode == "local":
+        # shift-invert about a point just below 0: the two eigenvalues
+        # nearest it are lambda_0 = 0 and lambda_1, and the shifted matrix
+        # is positive definite
+        A = sp.diags(inv_sqm) @ A @ sp.diags(inv_sqm)
+        sigma = -1e-6 * float(A.diagonal().max())
+        lam = eigsh(A, k=2, sigma=sigma, which="LM",
+                    return_eigenvectors=False, v0=v0)
+    else:
+        white = LinearOperator(
+            (n, n), dtype=np.float64,
+            matvec=lambda v: inv_sqm * (A @ (inv_sqm * v.reshape(-1))))
+        if n < 4:
+            # below ARPACK's size limit: the whitened matrix, column by column
+            lam = np.linalg.eigvalsh(white.matmat(np.eye(n)))[:2]
+        else:
+            lam = eigsh(white, k=2, which="SA", return_eigenvectors=False,
+                        v0=v0)
     lam = float(lam.max())
     if lam <= 0.0:
         return float("inf")
@@ -236,11 +346,12 @@ def scaling_experiment(domain, kernel, p, R_list, method="witness", h=0.5,
                        seed=0, subsamples=1):
     """Sweep the clip radius, measure the Poincare-constant proxy, fit.
 
-    ``kernel=None`` selects the local gradient form.  The witness method
-    evaluates the step profile's Rayleigh quotient (streamed energies, no
-    pair list); the eigen method computes the exact p=2 constant and is
-    limited to small radii.  The cell size stays fixed across the sweep so
-    one discrete operator family is compared at all radii.
+    ``kernel=None`` selects the local gradient form.  Nonlocal forms are
+    lazy vis forms, so no sweep builds a pair list: the witness method
+    evaluates the step profile's Rayleigh quotient (streamed energies), and
+    the eigen method computes the exact p=2 constant with the matrix-free
+    ``VisOperator``.  The cell size stays fixed across the sweep so one
+    discrete operator family is compared at all radii.
     """
     R_list = [float(R) for R in R_list]
     if len(R_list) < 3:
@@ -268,11 +379,8 @@ def scaling_experiment(domain, kernel, p, R_list, method="witness", h=0.5,
         grid = mesh.build_grid(domain, x0, R, h, subsamples=subsamples)
         if kernel is None:
             form = forms.assemble(grid, None, None, "local", p)
-        elif method == "witness":
-            form = forms.lazy_form(grid, kernel, "vis", p)
         else:
-            form = forms.assemble(grid, mesh.visibility_pairs(grid), kernel,
-                                  "vis", p)
+            form = forms.lazy_form(grid, kernel, "vis", p)
         if method == "witness":
             value = rayleigh_ratio(form, grid, witness_step_function(grid), p)
         else:

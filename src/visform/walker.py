@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mesh, spectral
+from . import mesh
 from .geometry import TAG_MINUS, TAG_PLUS
 
 #: a run whose censored fraction exceeds this fails loudly
@@ -158,44 +158,6 @@ def mean_crossing_time(chain, n_paths=1000, max_steps=1_000_000, seed=0,
     return CrossingStats(mean_steps=mean, ci95=ci, n_paths=n_paths,
                          n_completed=int(completed.size), n_censored=censored,
                          direct_cross_jumps=direct, steps=completed)
-
-
-def crossing_scaling(domain, kernel, R_list, n_paths=400, seed=0, h=0.5,
-                     max_steps=1_000_000):
-    """Crossing-step counts against the clip radius (informational fit).
-
-    No proven rate band applies here; the fitted exponent is reported
-    for consistency against the Poincare-constant scaling.
-    """
-    R_list = [float(R) for R in R_list]
-    if len(R_list) < 3:
-        raise ValueError("need at least 3 radii to fit an exponent")
-    if domain.dumbbell is None:
-        raise ValueError("crossing experiments run on dumbbell domains")
-    x0 = domain.dumbbell.x0
-    samples = []
-    cis = []
-    for R in R_list:
-        grid = mesh.build_grid(domain, x0, R, h)
-        pairs = mesh.visibility_pairs(grid)
-        chain = build_chain(grid, pairs, kernel)
-        stats = mean_crossing_time(chain, n_paths=n_paths,
-                                   max_steps=max_steps, seed=seed)
-        samples.append((R, stats.mean_steps))
-        cis.append(stats.ci95)
-    fitted, stderr = spectral.fit_power_law(samples)
-    out = {"samples": samples, "ci95": cis, "fitted": fitted,
-           "stderr": stderr, "kernel": kernel.label(),
-           "domain": domain.name}
-    # informational only: crossing steps carry no proven rate band, but
-    # they should track the Poincare-constant rate loosely
-    try:
-        expo, _ = spectral.predicted_exponent(domain, kernel, p=2)
-        out["poincare_exponent"] = expo
-        out["agrees_within_half"] = bool(abs(fitted - expo) <= 0.5)
-    except ValueError:
-        pass
-    return out
 
 
 def dump_paths_csv(path, stats):

@@ -396,13 +396,18 @@ u = np.cos(3.0 * box.centers[:, 0]) + box.centers[:, 1] / 3.0
 local = forms.assemble(box, None, None, "local")
 values += [forms.energy(local, u), mesh.cell_mean(box, u),
            spectral.rayleigh_ratio(local, box, u)]
+for variant in ("straight", "curved"):                   # matrix-free eigsh
+    bells = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), 16.0, 0.5)
+    values.append(spectral.poincare_constant_l2(forms.lazy_form(
+        bells, kn.parse_kernel("power:s=0.25,p=2"), "vis")))
 print(repr(values))
 """
 
 
 def test_energies_independent_of_blas_threads():
     # BLAS may split a long dot product between threads, which changes its
-    # rounding; each sum here has over 10,000 terms
+    # rounding; each sum here has over 10,000 terms, and ARPACK's Lanczos
+    # steps call BLAS too
     src = str(Path(forms.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):

@@ -6,6 +6,19 @@ from visform import forms, geometry as geo, kernels as kn, mesh, spectral
 from conftest import two_cell_grid
 
 
+def _dense_quadratic(form):
+    """Dense A = 2 (D - W) from an assembled form's pair list, the oracle
+    for the operators of ``spectral.quadratic_matrix``."""
+    n = form.grid.n_cells
+    i, j, c = form.pair_i, form.pair_j, 2.0 * form.weight
+    A = np.bincount(i * n + j, -c, n * n).reshape(n, n)
+    A += A.T
+    # one bincount in pair order sums the diagonal as np.add.at would
+    A.flat[::n + 1] += np.bincount(np.concatenate((i, j)),
+                                   np.concatenate((c, c)), n)
+    return A
+
+
 @pytest.fixture(scope="module")
 def two_cell_form():
     grid = two_cell_grid()
@@ -31,7 +44,7 @@ def test_eigensolver_against_eigh(annulus_grid):
     cp = spectral.poincare_constant_l2(form, annulus_grid)
     A, connected = spectral.quadratic_matrix(form)
     assert connected
-    w = scipy.linalg.eigh(A, np.diag(annulus_grid.measures),
+    w = scipy.linalg.eigh(A.toarray(), np.diag(annulus_grid.measures),
                           eigvals_only=True)
     assert w[0] == pytest.approx(0.0, abs=1e-8)
     assert cp == pytest.approx(1.0 / w[1], rel=1e-10)
@@ -90,6 +103,58 @@ def test_quadratic_matrix_refuses_lazy_form(annulus_grid):
     form = forms.lazy_form(annulus_grid, kn.KernelSpec("constant"), "cen")
     with pytest.raises(ValueError, match="forms.assemble"):
         spectral.quadratic_matrix(form)
+
+
+def test_quadratic_matrix_refuses_lazy_vis_form_off_dumbbells(annulus_grid):
+    form = forms.lazy_form(annulus_grid, kn.KernelSpec("constant"), "vis")
+    with pytest.raises(ValueError, match="make_dumbbell"):
+        spectral.quadratic_matrix(form)
+
+
+def test_vis_operator_refuses_vanishing_kernel(straight_dumbbell):
+    grid = mesh.build_grid(straight_dumbbell, (0.0, 0.0), 4.0, 0.5)
+    form = forms.lazy_form(grid, kn.KernelSpec("truncated", rho=1.0), "vis")
+    with pytest.raises(ValueError, match="vanishes"):
+        spectral.quadratic_matrix(form)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free vis operator against the dense pair-list matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+@pytest.mark.parametrize("R, h, subsamples", [
+    (8.0, 0.5, 1), (16.0, 0.5, 1), (9.0, 0.4, 1), (10.0, 0.3, 1),
+    (8.0, 0.5, 9)])        # covered-fraction measures enter as m x
+def test_vis_operator_matches_dense(variant, R, h, subsamples):
+    grid = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), R, h,
+                           subsamples=subsamples)
+    if h == 0.4:
+        # corridor cells centred on the mouths x1 = +-1
+        star = grid.centers[grid.tags == geo.TAG_STAR, 0]
+        assert np.any(np.abs(star) == 1.0)
+    kernel = kn.KernelSpec("power", s=0.25, p=2)
+    A, connected = spectral.quadratic_matrix(
+        forms.lazy_form(grid, kernel, "vis"))
+    assert isinstance(A, spectral.VisOperator) and connected
+    dense = _dense_quadratic(
+        forms.assemble(grid, mesh.visibility_pairs(grid), kernel, "vis"))
+    x = np.random.default_rng(7).standard_normal((grid.n_cells, 3))
+    want = dense @ x
+    assert np.abs(A @ x - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(A @ x[:, 0] - want[:, 0]).max() \
+        <= 1e-13 * np.abs(want[:, 0]).max()
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+def test_matrix_free_constant_against_eigh(variant):
+    grid = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), 8.0, 0.5)
+    kernel = kn.KernelSpec("power", s=0.25, p=2)
+    cp = spectral.poincare_constant_l2(forms.lazy_form(grid, kernel, "vis"))
+    dense = _dense_quadratic(
+        forms.assemble(grid, mesh.visibility_pairs(grid), kernel, "vis"))
+    w = scipy.linalg.eigh(dense, np.diag(grid.measures), eigvals_only=True)
+    assert cp == pytest.approx(1.0 / w[1], rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +308,31 @@ def test_cut_corridor_reports_infinite_constant(straight_dumbbell):
     form = forms.assemble(grid, cut, kn.KernelSpec("power", s=0.25, p=2),
                           "vis")
     assert spectral.poincare_constant_l2(form, grid) == np.inf
+
+
+def test_eigen_sweep_reaches_R32(straight_dumbbell):
+    """The exact constant at R = 32 (12,396 cells), past the 6000 cells
+    that the dense matrix allowed, dominates the witness at every R."""
+    kernel = kn.KernelSpec("power", s=0.25, p=2)
+    eig = spectral.scaling_experiment(straight_dumbbell, kernel, 2.0,
+                                      [8, 16, 32], method="eigen")
+    wit = spectral.scaling_experiment(straight_dumbbell, kernel, 2.0,
+                                      [8, 16, 32], method="witness")
+    assert eig.n_cells == wit.n_cells and eig.n_cells[-1] == 12_396
+    assert all(e >= w for (_, e), (_, w) in zip(eig.samples, wit.samples))
+    # recorded when the point was first reached
+    assert eig.samples[-1][1] == pytest.approx(24.61959653698274, rel=1e-9)
+
+
+def test_eigen_sweep_builds_no_pair_list(monkeypatch, straight_dumbbell):
+    def refuse(grid):
+        raise AssertionError("the eigen sweep built a pair list")
+
+    monkeypatch.setattr(mesh, "visibility_pairs", refuse)
+    kernel = kn.KernelSpec("power", s=0.25, p=2)
+    rep = spectral.scaling_experiment(straight_dumbbell, kernel, 2.0,
+                                      [4, 8, 16], method="eigen")
+    # the dense shift-invert path's values, from the full pair list
+    dense = (1.2857294845118987, 3.529327548317244, 9.355788745435664)
+    for (_, value), ref in zip(rep.samples, dense):
+        assert value == pytest.approx(ref, rel=3e-12)

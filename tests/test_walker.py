@@ -150,23 +150,6 @@ def test_seed_determinism(straight_dumbbell):
     assert a.mean_steps != c.mean_steps
 
 
-def test_crossing_scaling_needs_three_radii(straight_dumbbell):
-    with pytest.raises(ValueError):
-        walker.crossing_scaling(straight_dumbbell,
-                                kn.KernelSpec("power", s=0.25, p=2), [16.0])
-
-
-def test_crossing_scaling_small(straight_dumbbell):
-    out = walker.crossing_scaling(straight_dumbbell,
-                                  kn.KernelSpec("power", s=0.25, p=2),
-                                  [3.0, 4.0, 6.0], n_paths=120, seed=3)
-    assert len(out["samples"]) == 3
-    assert np.isfinite(out["fitted"])
-    # informational cross-check against the Poincare rate table
-    assert out["poincare_exponent"] == 1.5
-    assert isinstance(out["agrees_within_half"], bool)
-
-
 def test_convex_box_rows_strictly_positive(unit_square):
     grid = mesh.build_grid(unit_square, (0.5, 0.5), 1.0, 0.25)
     pairs = mesh.visibility_pairs(grid)

@@ -62,7 +62,6 @@ class ExperimentConfig:
     max_steps: int = 200_000
     clip_R: float = 8.0
     samples: int = 40_000
-    quick: bool = False
     path_audit: bool = False
 
     def validate(self):
@@ -91,6 +90,10 @@ class ExperimentConfig:
         if self.name == "walk" and domain.dumbbell is None:
             raise ValueError(f"walk needs a dumbbell domain, got "
                              f"{self.domain!r}")
+        if self.name == "walk" and len(self.R) != 1:
+            raise ValueError(f"walk takes one radius, got {self.R}")
+        if self.method not in ("witness", "eigen"):
+            raise ValueError(f"unknown method {self.method!r}")
         if self.h <= 0:
             raise ValueError("h must be positive")
         if not all(R > 0 for R in self.R):
@@ -117,7 +120,7 @@ _FIELD_PARSERS = {
     "p": float, "h": float, "seed": int, "resolution_factor": int,
     "n_random": int, "epsilon": float, "max_level": int, "pairs": int,
     "paths": int, "max_steps": int, "clip_R": float, "samples": int,
-    "quick": _parse_bool, "path_audit": _parse_bool,
+    "path_audit": _parse_bool,
     "R": lambda s: tuple(float(v) for v in s.split(",")),
     "n_list": lambda s: tuple(int(v) for v in s.split(",")),
 }
@@ -203,9 +206,9 @@ def _summary(rundir, pairs_list):
                  "\n".join(f"{k}={v}" for k, v in pairs_list) + "\n")
 
 
-def _domain_for(cfg, clip_if_unbounded=True):
+def _domain_for(cfg):
     dom = geometry.parse_domain(cfg.domain)
-    if clip_if_unbounded and dom.dumbbell is not None:
+    if dom.dumbbell is not None:
         dom = geometry.clip_ball(dom, dom.dumbbell.x0, cfg.clip_R)
     return dom
 
@@ -383,9 +386,8 @@ def run_whitney_audit(cfg, rundir):
 def run_walk(cfg, rundir):
     dom = geometry.parse_domain(cfg.domain)
     kernel = kernels.parse_kernel(cfg.kernel)
-    R = cfg.R[0] if isinstance(cfg.R, tuple) else float(cfg.R)
     t0 = time.perf_counter()
-    grid = mesh.build_grid(dom, dom.dumbbell.x0, R, cfg.h)
+    grid = mesh.build_grid(dom, dom.dumbbell.x0, cfg.R[0], cfg.h)
     pairset = mesh.visibility_pairs(grid)
     chain = walker.build_chain(grid, pairset, kernel)
     stats = walker.mean_crossing_time(chain, n_paths=cfg.paths,
@@ -460,56 +462,51 @@ def suite_configs(outdir, seed=0, quick=False):
     R_loc = (4.0, 8.0, 16.0) if quick else (8.0, 16.0, 32.0)
     n_list = (4, 8, 16) if quick else (4, 8, 16, 32)
     ml = 6 if quick else 8
-    cfgs = [
+    return [
         ("counterexample", ExperimentConfig(
-            "counterexample", n_list=n_list, outdir=outdir, seed=seed,
-            quick=quick)),
+            "counterexample", n_list=n_list, outdir=outdir, seed=seed)),
         ("scaling-straight-s025", ExperimentConfig(
             "scaling-nonlocal", domain="straight-dumbbell",
             kernel="power:s=0.25,p=2", p=2.0, R=R_wit, method="witness",
-            outdir=outdir, seed=seed, quick=quick)),
+            outdir=outdir, seed=seed)),
         ("scaling-curved-s025", ExperimentConfig(
             "scaling-nonlocal", domain="curved-dumbbell",
             kernel="power:s=0.25,p=2", p=2.0, R=R_wit, method="witness",
-            outdir=outdir, seed=seed, quick=quick)),
+            outdir=outdir, seed=seed)),
         ("scaling-straight-s075", ExperimentConfig(
             "scaling-nonlocal", domain="straight-dumbbell",
             kernel="power:s=0.75,p=2", p=2.0, R=R_wit, method="witness",
-            outdir=outdir, seed=seed, quick=quick)),
+            outdir=outdir, seed=seed)),
         ("scaling-eigen-small-R", ExperimentConfig(
             "scaling-nonlocal", domain="straight-dumbbell",
             kernel="power:s=0.25,p=2", p=2.0, R=(4.0, 8.0, 16.0),
-            method="eigen", outdir=outdir, seed=seed, quick=quick)),
+            method="eigen", outdir=outdir, seed=seed)),
         ("scaling-local-p1", ExperimentConfig(
             "scaling-local", domain="straight-dumbbell", p=1.0, R=R_loc,
-            method="witness", outdir=outdir, seed=seed, quick=quick)),
+            method="witness", outdir=outdir, seed=seed)),
         ("comparability-annulus", ExperimentConfig(
             "comparability", domain="annulus:0.3333333333333333,1",
             kernel="power:s=0.5,p=2", p=2.0, h=0.125,
-            n_random=50 if quick else 200, outdir=outdir, seed=seed,
-            quick=quick)),
+            n_random=50 if quick else 200, outdir=outdir, seed=seed)),
         ("whitney-annulus", ExperimentConfig(
             "whitney-audit", domain="annulus:0.3333333333333333,1",
             max_level=ml, epsilon=0.05, pairs=20 if quick else 100,
-            outdir=outdir, seed=seed, quick=quick)),
+            outdir=outdir, seed=seed)),
         ("check-straight", ExperimentConfig(
             "check-domain", domain="straight-dumbbell", R=(8.0, 16.0, 32.0),
-            samples=10_000 if quick else 40_000, outdir=outdir, seed=seed,
-            quick=quick)),
+            samples=10_000 if quick else 40_000, outdir=outdir, seed=seed)),
         ("check-curved", ExperimentConfig(
             "check-domain", domain="curved-dumbbell", R=(8.0, 16.0, 32.0),
-            samples=10_000 if quick else 40_000, outdir=outdir, seed=seed,
-            quick=quick)),
+            samples=10_000 if quick else 40_000, outdir=outdir, seed=seed)),
         ("walk-straight", ExperimentConfig(
             "walk", domain="straight-dumbbell", kernel="power:s=0.25,p=2",
             R=(8.0,) if quick else (16.0,), paths=200 if quick else 1000,
-            outdir=outdir, seed=seed, quick=quick)),
+            outdir=outdir, seed=seed)),
         ("walk-curved", ExperimentConfig(
             "walk", domain="curved-dumbbell", kernel="power:s=0.25,p=2",
             R=(8.0,) if quick else (16.0,), paths=200 if quick else 1000,
-            outdir=outdir, seed=seed, quick=quick)),
+            outdir=outdir, seed=seed)),
     ]
-    return cfgs
 
 
 def reproduce_all(outdir, seed=0, quick=False):
@@ -546,7 +543,6 @@ def build_parser():
     sp = sub.add_parser("counterexample")
     sp.add_argument("--n", default="4,8,16,32")
     sp.add_argument("--factor", type=int, default=8)
-    sp.add_argument("--quick", action="store_true")
     _add_common(sp)
 
     for name in ("scaling-nonlocal", "scaling-local"):
@@ -610,8 +606,8 @@ def _config_from_args(args):
         return ExperimentConfig(
             "counterexample",
             n_list=tuple(int(v) for v in args.n.split(",")),
-            resolution_factor=args.factor, quick=args.quick,
-            outdir=args.outdir, seed=args.seed)
+            resolution_factor=args.factor, outdir=args.outdir,
+            seed=args.seed)
     if cmd in ("scaling-nonlocal", "scaling-local"):
         return ExperimentConfig(
             cmd, domain=args.domain,

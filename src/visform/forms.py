@@ -64,14 +64,6 @@ class FormOperator:
     def n_pairs(self):
         return 0 if self.pair_i is None else self.pair_i.shape[0]
 
-    def dump_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("i,j,w\n")
-            # plain Python ints and floats, so no numpy types in the reprs
-            for row in zip(self.pair_i.tolist(), self.pair_j.tolist(),
-                           self.weight.tolist()):
-                fh.write(",".join(map(repr, row)) + "\n")
-
 
 def _lattice_neighbors(grid):
     key = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(grid.ix, grid.iy))}

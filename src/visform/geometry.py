@@ -167,9 +167,11 @@ class Box(Primitive):
         object.__setattr__(self, "hi", hi)
 
     def contains_many(self, pts):
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts > lo) & (pts < hi), axis=1)
+        # per-axis comparisons: an (n, 2) mask reduced along axis 1 is
+        # several times slower
+        (lo0, lo1), (hi0, hi1) = self.lo, self.hi
+        x, y = pts[:, 0], pts[:, 1]
+        return (x > lo0) & (x < hi0) & (y > lo1) & (y < hi1)
 
     def segment_slots(self, X, V):
         t_in = np.full(X.shape[0], -_INF)
@@ -423,11 +425,6 @@ class DomainSpec:
             inside &= self.clip.contains_many(pts)
         return inside
 
-    def contains(self, x):
-        if not np.all(np.isfinite(x)):
-            raise ValueError("point must be finite")
-        return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
-
     # -- segment containment ------------------------------------------------
 
     def segment_inside_many(self, X, Y):
@@ -570,19 +567,6 @@ class DomainSpec:
             return corridor
         return None
 
-    def segment_inside(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not self.contains(x):
-            raise ValueError(f"segment endpoint {tuple(x)} lies outside the domain")
-        if not self.contains(y):
-            raise ValueError(f"segment endpoint {tuple(y)} lies outside the domain")
-        if np.array_equal(x, y):
-            return True
-        if self.all_visible:
-            return True
-        return bool(self.segment_inside_many(x[None, :], y[None, :])[0])
-
     # -- boundary distance --------------------------------------------------
 
     def boundary_distance_many(self, pts):
@@ -596,12 +580,6 @@ class DomainSpec:
         if self.clip is not None:
             sd = np.minimum(sd, self.clip.signed_distance(pts))
         return sd
-
-    def boundary_distance(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise ValueError(f"point {tuple(x)} lies outside the domain")
-        return float(self.boundary_distance_many(x[None, :])[0])
 
     # -- misc ----------------------------------------------------------------
 
@@ -656,8 +634,6 @@ class DomainSpec:
 
 
 TAG_OTHER, TAG_MINUS, TAG_STAR, TAG_PLUS = 0, 1, 2, 3
-TAG_NAMES = {TAG_OTHER: "other", TAG_MINUS: "bell-", TAG_STAR: "corridor*",
-             TAG_PLUS: "bell+"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
-"""Radial jump-kernel profiles and their integrability/scaling audits.
+"""Radial jump-kernel profiles.
 
 A kernel is k(x, y) = profile(|x-y|) / |x-y|^d for a radial profile from
 one of four families:
 
-* ``power``      profile(r) = r^(-s*p), s in (0,1), s*p < d
+* ``power``      profile(r) = r^(-s*p), s in (0,1), p >= 1
 * ``power-log``  profile(r) = r^(-2s) * ln(1 + 1/r)^(+-1)
 * ``constant``   profile(r) = 1          (in d=2 this is k = 1/r^2)
 * ``truncated``  profile(r) = 1 on (0, rho), 0 beyond
 
-The checkers are numerical evidence for the Levy-integrability and
-scaling conditions that the comparability theory assumes; they report
-pass/fail against fixed documented thresholds, they do not prove.
+The hypothesis 1 <= p < d/s of the scaling theorem is enforced where it
+is used: by ``spectral.predicted_exponent`` and by the experiment
+configuration (``cli.ExperimentConfig.validate``).
 """
 
 from __future__ import annotations
@@ -20,12 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 FAMILIES = ("power", "power-log", "constant", "truncated")
-
-#: multiplicative slack allowed when testing two-sided scaling bounds
-SCALING_CONSTANT = 10.0
-#: relative head/tail increment below which the profile integral counts
-#: as converged
-INTEGRABILITY_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -43,10 +37,8 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.family == "power":
-            if not 0.0 < self.s <= 1.0:
-                # s = 1 is outside the admissible range but kept constructible
-                # as the boundary case the integrability checker must reject
-                raise ValueError("power profile needs s in (0, 1]")
+            if not 0.0 < self.s < 1.0:
+                raise ValueError("power profile needs s in (0, 1)")
             if self.p < 1:
                 raise ValueError("integrability exponent p must be >= 1")
         if self.family == "power-log":
@@ -90,13 +82,6 @@ class KernelSpec:
         return f"truncated:rho={self.rho:g}"
 
 
-def eval_kernel(spec, r):
-    """k(r) for scalar r > 0."""
-    if r <= 0:
-        raise ValueError("kernel argument must be positive")
-    return float(spec.k(np.asarray([r], dtype=float))[0])
-
-
 def parse_kernel(text):
     """Parse a CLI kernel name.
 
@@ -124,94 +109,3 @@ def parse_kernel(text):
     except KeyError as exc:
         raise ValueError(f"kernel {text!r} is missing parameter {exc}") from exc
     raise ValueError(f"unknown kernel {text!r}")
-
-
-@dataclass
-class IntegrabilityReport:
-    ok: bool
-    value: float
-    head_converged: bool
-    tail_converged: bool
-
-
-def check_levy_integrability(spec, p=None, r_min=1e-8, r_max=1e8,
-                             points_per_decade=64):
-    """Numerically probe integral of (r^(p-1) min 1/r) * profile(r) dr.
-
-    Integrates on a log grid over [r_min, r_max] and declares convergence
-    when the first and last decades contribute below INTEGRABILITY_RTOL
-    of the running total.  Divergence is a failed report, not an error.
-    """
-    if p is None:
-        p = spec.p if spec.family == "power" else 2.0
-    n_dec = int(np.log10(r_max / r_min))
-    edges = np.logspace(np.log10(r_min), np.log10(r_max),
-                        n_dec * points_per_decade + 1)
-    mid = np.sqrt(edges[:-1] * edges[1:])
-    widths = np.diff(edges)
-    integrand = np.minimum(mid ** (p - 1.0), 1.0 / mid) * spec.profile(mid)
-    chunks = integrand * widths
-    total = float(chunks.sum())
-    per_decade = chunks.reshape(n_dec, points_per_decade).sum(axis=1)
-    ref = max(total, 1e-300)
-    head_ok = per_decade[0] <= INTEGRABILITY_RTOL * ref
-    tail_ok = per_decade[-1] <= INTEGRABILITY_RTOL * ref
-    return IntegrabilityReport(ok=bool(head_ok and tail_ok), value=total,
-                               head_converged=bool(head_ok),
-                               tail_converged=bool(tail_ok))
-
-
-@dataclass
-class ScalingReportKernel:
-    ok_two_sided: bool          # lambda^-gamma <~ ratio <~ lambda^d
-    ok_upper_decay: bool        # ratio <~ lambda^-delta
-    worst_lower: float          # min over samples of ratio / lambda^-gamma
-    worst_upper: float          # max over samples of ratio / lambda^d
-    worst_decay: float          # max over samples of ratio / lambda^-delta
-    zero_ratio: bool            # profile vanished at a sample point
-
-    @property
-    def ok(self):
-        return self.ok_two_sided and self.ok_upper_decay and not self.zero_ratio
-
-
-def check_scaling(spec, delta=1.0, gamma=1.0,
-                  lambdas=(1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0),
-                  r_values=(1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 1e2, 1e3)):
-    """Probe the profile-ratio scaling bounds on a deterministic lattice.
-
-    Checks, with multiplicative slack SCALING_CONSTANT,
-    lambda^-gamma <= ratio <= lambda^d  and  ratio <= lambda^-delta,
-    where ratio = profile(lambda r)/profile(r).  A vanishing profile(r)
-    makes the ratio undefined and is reported as a violation.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    if np.any(lam < 1.0):
-        raise ValueError("scaling condition samples need lambda >= 1")
-    rr = np.asarray(r_values, dtype=float)
-    L, R = np.meshgrid(lam, rr, indexing="ij")
-    base = spec.profile(R.ravel()).reshape(L.shape)
-    scaled = spec.profile((L * R).ravel()).reshape(L.shape)
-    zero = base == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(zero, np.nan, scaled / np.where(zero, 1.0, base))
-    lower = ratio / L ** (-gamma)          # want >= 1/C
-    upper = ratio / L ** spec.d            # want <= C
-    decay = ratio / L ** (-delta)          # want <= C
-    defined = ~np.isnan(ratio)
-    if defined.any():
-        worst_lower = float(np.min(lower[defined]))
-        worst_upper = float(np.max(upper[defined]))
-        worst_decay = float(np.max(decay[defined]))
-    else:
-        worst_lower = worst_upper = worst_decay = np.nan
-    C = SCALING_CONSTANT
-    # ratio == 0 (profile vanished upstairs) is defined and simply fails the
-    # lower bound; only a vanishing denominator makes the ratio undefined
-    any_zero = bool(zero.any())
-    return ScalingReportKernel(
-        ok_two_sided=(worst_lower >= 1.0 / C) and (worst_upper <= C)
-        and not any_zero,
-        ok_upper_decay=(worst_decay <= C) and not any_zero,
-        worst_lower=worst_lower, worst_upper=worst_upper,
-        worst_decay=worst_decay, zero_ratio=any_zero)

@@ -8,8 +8,6 @@ so that boundary cells carry their covered fraction of h^2.
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,26 +32,6 @@ class Grid:
     @property
     def n_cells(self):
         return self.centers.shape[0]
-
-    @property
-    def total_measure(self):
-        return float(self.measures.sum())
-
-    def dump_csv(self, path_or_buf):
-        buf = io.StringIO()
-        buf.write("ix,iy,cx,cy,measure,tag\n")
-        # plain Python ints and floats, so no numpy types in the reprs
-        for row in zip(self.ix.tolist(), self.iy.tolist(),
-                       *self.centers.T.tolist(), self.measures.tolist(),
-                       self.tags.tolist()):
-            buf.write(",".join(map(repr, row)) + "\n")
-        text = buf.getvalue()
-        if isinstance(path_or_buf, (str, os.PathLike)):
-            with open(path_or_buf, "w") as fh:
-                fh.write(text)
-        else:
-            path_or_buf.write(text)
-        return text
 
 
 def build_grid(domain, x0, R, h, subsamples=1):

@@ -34,6 +34,9 @@ def test_parse_config_rejects_bad_keys():
                          "path_audit = ture\n")
     assert cli.parse_config("[experiment]\nname = whitney-audit\n"
                             "path_audit = on\n").path_audit is True
+    with pytest.raises(ValueError, match="unknown config key 'quick'"):
+        cli.parse_config("[experiment]\nname = counterexample\n"
+                         "quick = True\n")
 
 
 def test_validate_hypothesis_guards():
@@ -65,7 +68,7 @@ def test_unknown_domain_exits_one(tmp_path):
 
 
 def test_counterexample_quick_run(tmp_path):
-    code = cli.main(["counterexample", "--n", "4,8", "--quick",
+    code = cli.main(["counterexample", "--n", "4,8",
                      "--outdir", str(tmp_path)])
     assert code == 0
     out = tmp_path / "counterexample"
@@ -77,9 +80,9 @@ def test_counterexample_quick_run(tmp_path):
 
 
 @pytest.mark.parametrize("args", [["--n", "4,8,16,32"],
-                                  ["--n", "4,5,8", "--quick"]])
+                                  ["--n", "4,5,8"]])
 def test_counterexample_law_checks_pass(tmp_path, args):
-    # both modes check the 1/log n law; at n = 5 cell centres lie on the
+    # every n list checks the 1/log n law; at n = 5 cell centres lie on the
     # strip's edge x1 + x2 = 1/n, and must stay out of the strip
     code = cli.main(["counterexample", *args, "--outdir", str(tmp_path)])
     summary = (tmp_path / "counterexample" / "summary.txt").read_text()
@@ -90,7 +93,7 @@ def test_counterexample_law_checks_pass(tmp_path, args):
 
 
 def test_counterexample_rejects_unordered_n(tmp_path):
-    code = cli.main(["counterexample", "--n", "8,4", "--quick",
+    code = cli.main(["counterexample", "--n", "8,4",
                      "--outdir", str(tmp_path)])
     assert code == 1
 
@@ -98,7 +101,7 @@ def test_counterexample_rejects_unordered_n(tmp_path):
 def test_run_from_config_file(tmp_path):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text("[experiment]\nname = counterexample\n"
-                       "n_list = 4,8\nquick = true\n"
+                       "n_list = 4,8\n"
                        f"outdir = {tmp_path}\n")
     assert cli.main(["run", "--config", str(cfgfile)]) == 0
     assert cli.main(["run", "--config", str(cfgfile),
@@ -119,8 +122,7 @@ def test_experiment_byte_determinism(tmp_path):
     outs = []
     for sub in ("a", "b"):
         cfg = cli.ExperimentConfig("counterexample", n_list=(4, 8),
-                                   quick=True, outdir=str(tmp_path / sub),
-                                   seed=0)
+                                   outdir=str(tmp_path / sub), seed=0)
         assert cli.run(cfg) == 0
         outs.append((tmp_path / sub / "counterexample" / "samples.csv")
                     .read_bytes())
@@ -187,7 +189,7 @@ def test_whitney_audit_path_audit_flag(tmp_path):
 def test_run_bad_override_exits_one(tmp_path):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text("[experiment]\nname = counterexample\n"
-                       "n_list = 4\nquick = true\n")
+                       "n_list = 4\n")
     assert cli.main(["run", "--config", str(cfgfile),
                      "--set", "nonsense"]) == 1
     assert cli.main(["run", "--config", str(missing := tmp_path / "nope.cfg")]) == 1
@@ -196,13 +198,13 @@ def test_run_bad_override_exits_one(tmp_path):
 def test_run_unknown_override_key_exits_one(tmp_path, capsys):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text("[experiment]\nname = counterexample\n"
-                       "n_list = 4\nquick = true\n"
+                       "n_list = 4\n"
                        f"outdir = {tmp_path}\n")
     assert cli.main(["run", "--config", str(cfgfile),
                      "--set", "smaples=5"]) == 1
     assert "'smaples'" in capsys.readouterr().err
     assert cli.main(["run", "--config", str(cfgfile),
-                     "--set", "quick=ture"]) == 1
+                     "--set", "path_audit=ture"]) == 1
     assert "'ture'" in capsys.readouterr().err
     assert not (tmp_path / "counterexample").exists()
 
@@ -218,10 +220,20 @@ def test_run_unknown_override_key_exits_one(tmp_path, capsys):
     ["walk", "--max-steps", "0", "--R", "4"],
     ["check-domain", "--samples", "0"],
     ["check-domain", "--R", "0,8"],
+    ["run", "name = walk\nR = 4,64\n"],
+    ["run", "name = scaling-nonlocal\nmethod = eigne\n"],
 ])
 def test_out_of_range_values_exit_one(tmp_path, capsys, argv):
-    code = cli.main([*argv, "--outdir", str(tmp_path)])
-    assert code == 1
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        # values only a config file can carry: the walk's --R takes one
+        # radius, and --method offers only known choices
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"[experiment]\n{argv[1]}outdir = {out}\n")
+        argv = ["run", "--config", str(cfgfile)]
+    else:
+        argv = [*argv, "--outdir", str(out)]
+    assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
 

@@ -363,21 +363,6 @@ def test_counterexample_preconditions():
         forms.counterexample_ratio(3, resolution_factor=9)
 
 
-def test_operator_csv_dump(tmp_path, annulus_grid):
-    pairs = mesh.visibility_pairs(annulus_grid)
-    form = forms.assemble(annulus_grid, pairs,
-                          kn.KernelSpec("power", s=0.5, p=2), "vis")
-    path = tmp_path / "op.csv"
-    form.dump_csv(path)
-    header, *lines = path.read_text().strip().split("\n")
-    assert header == "i,j,w"
-    assert len(lines) == form.n_pairs
-    rows = [line.split(",") for line in lines]
-    assert np.array_equal([int(row[0]) for row in rows], form.pair_i)
-    assert np.array_equal([int(row[1]) for row in rows], form.pair_j)
-    assert np.array_equal([float(row[2]) for row in rows], form.weight)
-
-
 # ---------------------------------------------------------------------------
 # thread-count independence
 # ---------------------------------------------------------------------------

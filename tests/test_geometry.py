@@ -12,24 +12,19 @@ from conftest import sample_points_in
 # ---------------------------------------------------------------------------
 
 def test_contains_square_center(unit_square):
-    assert unit_square.contains((0.5, 0.5))
+    assert unit_square.contains_many([(0.5, 0.5)])[0]
 
 
 def test_contains_annulus_hole(annulus):
-    assert not annulus.contains((0.0, 0.0))
-    assert annulus.contains((0.5, 0.0))
+    assert np.array_equal(annulus.contains_many([(0.0, 0.0), (0.5, 0.0)]),
+                          [False, True])
 
 
 def test_contains_straight_dumbbell_corridor(straight_dumbbell):
-    # |x2| < 1 along the corridor
-    assert straight_dumbbell.contains((0.0, 0.5))
-    assert not straight_dumbbell.contains((0.0, 1.5))
-    assert straight_dumbbell.contains((-5.0, 0.0))
-
-
-def test_contains_rejects_nonfinite(unit_square):
-    with pytest.raises(ValueError):
-        unit_square.contains((np.nan, 0.5))
+    # |x2| < 1 along the corridor; the open slab leaves out its edges
+    pts = [(0.0, 0.5), (0.0, 1.5), (-5.0, 0.0), (0.0, 1.0), (0.5, -1.0)]
+    assert np.array_equal(straight_dumbbell.contains_many(pts),
+                          [True, False, True, False, False])
 
 
 # ---------------------------------------------------------------------------
@@ -38,33 +33,29 @@ def test_contains_rejects_nonfinite(unit_square):
 
 def test_segment_annulus_chord_misses_hole(annulus):
     # distance from the origin to the chord is 0.6/sqrt(2) ~ 0.424 > 1/3
-    assert annulus.segment_inside((0.6, 0.0), (0.0, 0.6))
+    assert annulus.segment_inside_many([(0.6, 0.0)], [(0.0, 0.6)])[0]
 
 
 def test_segment_annulus_diameter_blocked(annulus):
-    assert not annulus.segment_inside((0.6, 0.0), (-0.6, 0.0))
+    assert not annulus.segment_inside_many([(0.6, 0.0)], [(-0.6, 0.0)])[0]
 
 
 def test_segment_convex_always(unit_square):
     pts = sample_points_in(unit_square, 20, seed=1)
-    for a in pts[:10]:
-        for b in pts[10:]:
-            assert unit_square.segment_inside(a, b)
-
-
-def test_segment_requires_endpoints_inside(annulus):
-    with pytest.raises(ValueError):
-        annulus.segment_inside((0.0, 0.0), (0.5, 0.0))
+    a, b = np.repeat(pts[:10], 10, axis=0), np.tile(pts[10:], (10, 1))
+    assert unit_square.segment_inside_many(a, b).all()
 
 
 def test_segment_straight_dumbbell_axis(straight_dumbbell):
-    assert straight_dumbbell.segment_inside((-2.0, 0.0), (2.0, 0.0))
+    assert straight_dumbbell.segment_inside_many([(-2.0, 0.0)],
+                                                 [(2.0, 0.0)])[0]
 
 
 def test_segment_curved_dumbbell_axis_blocked(curved_dumbbell):
     # any affine graph deviates from the parabola by >= 1 on [-1, 1]
     # (Chebyshev equioscillation), so no bell-to-bell segment survives
-    assert not curved_dumbbell.segment_inside((-2.0, 0.0), (2.0, 0.0))
+    assert not curved_dumbbell.segment_inside_many([(-2.0, 0.0)],
+                                                   [(2.0, 0.0)])[0]
 
 
 def test_segment_visibility_symmetry(annulus, curved_dumbbell):
@@ -274,21 +265,19 @@ def test_portal_pairs_declines(straight_dumbbell, annulus):
 # ---------------------------------------------------------------------------
 
 def test_boundary_distance_square_center(unit_square):
-    assert unit_square.boundary_distance((0.5, 0.5)) == pytest.approx(0.5)
+    assert unit_square.boundary_distance_many([(0.5, 0.5)])[0] \
+        == pytest.approx(0.5)
 
 
 def test_boundary_distance_ball_radial():
     ball = geo.DomainSpec((geo.Ball((0.0, 0.0), 1.0),))
-    assert ball.boundary_distance((0.25, 0.0)) == pytest.approx(0.75)
+    assert ball.boundary_distance_many([(0.25, 0.0)])[0] \
+        == pytest.approx(0.75)
 
 
 def test_boundary_distance_straight_dumbbell_origin(straight_dumbbell):
-    assert straight_dumbbell.boundary_distance((0.0, 0.0)) == pytest.approx(1.0)
-
-
-def test_boundary_distance_outside_errors(unit_square):
-    with pytest.raises(ValueError):
-        unit_square.boundary_distance((2.0, 2.0))
+    assert straight_dumbbell.boundary_distance_many([(0.0, 0.0)])[0] \
+        == pytest.approx(1.0)
 
 
 def test_tube_distance_off_axis_minimum():
@@ -324,8 +313,7 @@ def test_delta_ball_inside_domain(maker, request):
     box = None if dom.dumbbell is None else ((-6, -6), (6, 6))
     pts = sample_points_in(dom, 25, seed=7, box=box)
     theta = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
-    for x in pts:
-        d = dom.boundary_distance(x)
+    for x, d in zip(pts, dom.boundary_distance_many(pts)):
         probe = x + (1 - 1e-9) * d * np.stack(
             [np.cos(theta), np.sin(theta)], axis=1)
         assert dom.contains_many(probe).all()
@@ -352,8 +340,8 @@ def test_make_dumbbell_bad_variant():
 def test_clip_ball_membership():
     half = geo.DomainSpec((geo.HalfSpace((-1.0, 0.0), -1.0),))  # x1 > 1
     clipped = geo.clip_ball(half, (0.0, 0.0), 4.0)
-    assert clipped.contains((2.0, 0.0))
-    assert not clipped.contains((5.0, 0.0))
+    assert np.array_equal(clipped.contains_many([(2.0, 0.0), (5.0, 0.0)]),
+                          [True, False])
 
 
 def test_clip_measure_against_quadrature(straight_dumbbell):
@@ -372,7 +360,8 @@ def test_parse_domain_names():
     assert geo.parse_domain("straight-dumbbell").name == "straight-dumbbell"
     assert geo.parse_domain("annulus:0.25,2").primitives[0].r_out == 2.0
     box = geo.parse_domain("box:2,3")
-    assert box.contains((1.9, 2.9)) and not box.contains((2.1, 1.0))
+    assert np.array_equal(box.contains_many([(1.9, 2.9), (2.1, 1.0)]),
+                          [True, False])
     with pytest.raises(ValueError):
         geo.parse_domain("pentagon")
     with pytest.raises(ValueError):
@@ -421,4 +410,4 @@ def test_condition_A_detects_missing_overlap():
 
 
 def test_segment_degenerate_same_point(annulus):
-    assert annulus.segment_inside((0.6, 0.0), (0.6, 0.0))
+    assert annulus.segment_inside_many([(0.6, 0.0)], [(0.6, 0.0)])[0]

@@ -6,21 +6,21 @@ from visform import kernels as kn
 
 def test_eval_power_unit_distance():
     spec = kn.KernelSpec("power", s=0.5, p=2)
-    assert kn.eval_kernel(spec, 1.0) == pytest.approx(1.0)
+    assert spec.k(1.0) == pytest.approx(1.0)
 
 
 def test_eval_constant_profile():
-    assert kn.eval_kernel(kn.KernelSpec("constant"), 2.0) == pytest.approx(0.25)
+    assert kn.KernelSpec("constant").k(2.0) == pytest.approx(0.25)
 
 
 def test_eval_truncated_outside_support():
-    assert kn.eval_kernel(kn.KernelSpec("truncated", rho=1.0), 2.0) == 0.0
+    assert kn.KernelSpec("truncated", rho=1.0).k(2.0) == 0.0
 
 
 def test_eval_rejects_nonpositive():
     spec = kn.KernelSpec("power", s=0.5, p=2)
     with pytest.raises(ValueError):
-        kn.eval_kernel(spec, 0.0)
+        spec.k(0.0)
     with pytest.raises(ValueError):
         spec.profile(np.array([-1.0]))
 
@@ -30,8 +30,8 @@ def test_power_scale_identity():
     d, sp = 2, 0.6
     for lam in (2.0, 4.0, 10.0):
         for r in (0.1, 1.0, 7.0):
-            assert kn.eval_kernel(spec, lam * r) == pytest.approx(
-                lam ** (-(d + sp)) * kn.eval_kernel(spec, r), rel=1e-12)
+            assert spec.k(lam * r) == pytest.approx(
+                lam ** (-(d + sp)) * spec.k(r), rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -47,61 +47,6 @@ def test_profiles_nonincreasing(spec):
     assert np.all(np.diff(vals) <= 1e-12)
     assert np.all(vals >= 0.0)
     assert np.all(np.isfinite(vals))
-
-
-def test_levy_integrability_power_passes():
-    assert kn.check_levy_integrability(kn.KernelSpec("power", s=0.5, p=2)).ok
-
-
-def test_levy_integrability_boundary_power_fails():
-    # profile r^-2 at p=2: the head integrand is 1/r, log-divergent
-    rep = kn.check_levy_integrability(kn.KernelSpec("power", s=1.0, p=2))
-    assert not rep.ok
-    assert not rep.head_converged
-
-
-def test_levy_integrability_truncated_passes():
-    rep = kn.check_levy_integrability(kn.KernelSpec("truncated", rho=1.0))
-    assert rep.ok
-    # head integral is int_0^1 r dr = 1/2
-    assert rep.value == pytest.approx(0.5, rel=1e-3)
-
-
-def test_levy_integrability_constant_tail_diverges():
-    rep = kn.check_levy_integrability(kn.KernelSpec("constant"))
-    assert not rep.ok
-    assert rep.head_converged and not rep.tail_converged
-
-
-def test_scaling_power_passes_both():
-    rep = kn.check_scaling(kn.KernelSpec("power", s=0.5, p=2),
-                           delta=1.0, gamma=1.0)
-    assert rep.ok_two_sided and rep.ok_upper_decay and rep.ok
-
-
-def test_scaling_constant_passes_two_sided_fails_decay():
-    rep = kn.check_scaling(kn.KernelSpec("constant"), delta=1.0, gamma=0.0)
-    assert rep.ok_two_sided
-    assert not rep.ok_upper_decay
-
-
-def test_scaling_truncated_fails_lower_bound():
-    # ratio hits 0 at r=0.5, lambda=4 where the profile leaves its support
-    rep = kn.check_scaling(kn.KernelSpec("truncated", rho=1.0),
-                           delta=1.0, gamma=1.0,
-                           lambdas=(1.0, 4.0), r_values=(0.5,))
-    assert not rep.ok_two_sided
-    assert rep.worst_lower == 0.0
-    assert not rep.zero_ratio          # defined ratio, failed bound
-    # sampling r beyond the support makes the ratio undefined
-    rep2 = kn.check_scaling(kn.KernelSpec("truncated", rho=1.0),
-                            lambdas=(2.0,), r_values=(2.0,))
-    assert rep2.zero_ratio and not rep2.ok
-
-
-def test_scaling_rejects_small_lambda():
-    with pytest.raises(ValueError):
-        kn.check_scaling(kn.KernelSpec("constant"), lambdas=(0.5,))
 
 
 def test_parse_kernel_round_trip():
@@ -120,6 +65,10 @@ def test_parse_kernel_rejects_malformed():
 def test_spec_validation():
     with pytest.raises(ValueError):
         kn.KernelSpec("power", s=1.5, p=2)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        kn.KernelSpec("power", s=1.0, p=2)
+    with pytest.raises(ValueError):
+        kn.parse_kernel("power:s=1,p=2")
     with pytest.raises(ValueError):
         kn.KernelSpec("power", s=0.5, p=0.5)
     with pytest.raises(ValueError):
@@ -133,5 +82,5 @@ def test_spec_validation():
 def test_power_log_values_at_unit_distance():
     up = kn.KernelSpec("power-log", s=0.5, sign=1)
     dn = kn.KernelSpec("power-log", s=0.5, sign=-1)
-    assert kn.eval_kernel(up, 1.0) == pytest.approx(np.log(2.0))
-    assert kn.eval_kernel(dn, 1.0) == pytest.approx(1.0 / np.log(2.0))
+    assert up.k(1.0) == pytest.approx(np.log(2.0))
+    assert dn.k(1.0) == pytest.approx(1.0 / np.log(2.0))

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ def test_exact_tiling_four_cells(unit_square):
 def test_ball_measure_subsampled():
     ball = geo.DomainSpec((geo.Ball((0.0, 0.0), 1.0),))
     grid = mesh.build_grid(ball, (0.0, 0.0), 1.0, 0.25, subsamples=16)
-    assert grid.total_measure == pytest.approx(np.pi, rel=0.05)
+    assert grid.measures.sum() == pytest.approx(np.pi, rel=0.05)
     assert np.all(grid.measures > 0)
     assert np.all(grid.measures <= 0.25 ** 2 + 1e-15)
 
@@ -57,7 +55,8 @@ def test_refinement_measure_stability(maker, x0, R, request):
     dom = request.getfixturevalue(maker)
     coarse = mesh.build_grid(dom, x0, R, 0.5, subsamples=4)
     fine = mesh.build_grid(dom, x0, R, 0.25, subsamples=4)
-    assert fine.total_measure == pytest.approx(coarse.total_measure, rel=0.03)
+    assert fine.measures.sum() == pytest.approx(coarse.measures.sum(),
+                                                rel=0.03)
 
 
 def test_visibility_pairs_convex_all_visible(unit_square):
@@ -71,11 +70,9 @@ def test_visibility_pairs_annulus_blocked(annulus_grid):
     pairs = mesh.visibility_pairs(annulus_grid)
     assert pairs.visible.any()
     assert not pairs.visible.all()
-    # flags match per-pair scalar queries (exhaustive on this small grid)
-    dom = annulus_grid.domain
+    # flags match a segment test of every pair (exhaustive on this grid)
     C = annulus_grid.centers
-    recheck = np.array([dom.segment_inside(C[i], C[j])
-                        for i, j in zip(pairs.i, pairs.j)])
+    recheck = annulus_grid.domain.segment_inside_many(C[pairs.i], C[pairs.j])
     assert np.array_equal(recheck, pairs.visible)
 
 
@@ -131,34 +128,6 @@ def test_cell_mean(unit_square):
     assert mesh.cell_mean(grid, [3.0, 3.0, 3.0]) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         mesh.cell_mean(grid, [1.0, 2.0])
-
-
-def _assert_grid_csv(grid, text):
-    """Every field parses as a plain int or float equal to the grid's."""
-    header, *lines = text.strip().split("\n")
-    assert header == "ix,iy,cx,cy,measure,tag"
-    assert len(lines) == grid.n_cells
-    rows = [line.split(",") for line in lines]
-    for k, col in ((0, grid.ix), (1, grid.iy), (5, grid.tags)):
-        assert np.array_equal([int(row[k]) for row in rows], col)
-    for k, col in ((2, grid.centers[:, 0]), (3, grid.centers[:, 1]),
-                   (4, grid.measures)):
-        assert np.array_equal([float(row[k]) for row in rows], col)
-
-
-def test_grid_csv_dump(annulus_grid):
-    buf = io.StringIO()
-    text = annulus_grid.dump_csv(buf)
-    _assert_grid_csv(annulus_grid, text)
-
-
-def test_grid_csv_dump_to_path(tmp_path, annulus_grid):
-    path = tmp_path / "grid.csv"
-    text = annulus_grid.dump_csv(path)
-    buf = io.StringIO()
-    annulus_grid.dump_csv(buf)
-    assert path.read_text() == text == buf.getvalue()
-    _assert_grid_csv(annulus_grid, path.read_text())
 
 
 def test_sliver_cell_measure_floored():

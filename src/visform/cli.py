@@ -8,6 +8,9 @@ Every experiment writes its own directory under ``--outdir``:
 * ``plot.gp``       a gnuplot script over samples.csv,
 * ``timings.log``   wall-clock per step (excluded from determinism checks).
 
+``COMMANDS`` holds each experiment's flags and defaults: the subcommands,
+``run --config`` and the ``reproduce-all`` suite all start from it.
+
 Exit code 0 means every quantitative check passed, 2 means at least one
 failed, 1 means the run errored.  Identical configurations reproduce the
 CSV/summary bytes exactly; all randomness flows from the seed through
@@ -29,8 +32,27 @@ import numpy as np
 
 from . import forms, geometry, kernels, mesh, spectral, walker, whitney
 
-EXPERIMENTS = ("counterexample", "scaling-nonlocal", "scaling-local",
-               "comparability", "whitney-audit", "walk", "check-domain")
+#: each experiment's subcommand flags with their defaults, which a config
+#: file's left-out keys take too; other fields keep ExperimentConfig's
+COMMANDS = {
+    "counterexample": dict(n_list=(4, 8, 16, 32), resolution_factor=8),
+    "scaling-nonlocal": dict(domain="straight-dumbbell",
+                             kernel="power:s=0.25,p=2", p=2.0,
+                             R=(8.0, 16.0, 32.0, 64.0), method="witness",
+                             h=0.5),
+    "scaling-local": dict(domain="straight-dumbbell", p=1.0,
+                          R=(8.0, 16.0, 32.0), method="witness", h=0.5),
+    "comparability": dict(domain="annulus:0.3333333333333333,1",
+                          kernel="power:s=0.5,p=2", h=0.125, n_random=200),
+    "whitney-audit": dict(domain="annulus:0.3333333333333333,1",
+                          epsilon=0.05, max_level=8, pairs=100, clip_R=8.0,
+                          path_audit=False),
+    "walk": dict(domain="curved-dumbbell", kernel="power:s=0.25,p=2",
+                 R=(16.0,), paths=1000, max_steps=200_000, h=0.5),
+    "check-domain": dict(domain="straight-dumbbell", R=(8.0, 16.0, 32.0),
+                         samples=40_000),
+}
+EXPERIMENTS = tuple(COMMANDS)
 
 #: fixed quantitative bands of the aggregate checks; the counterexample's
 #: n^2-scaled numerator must agree across n to this relative tolerance
@@ -70,26 +92,25 @@ class ExperimentConfig:
         domain = geometry.parse_domain(self.domain)
         if self.name in ("scaling-nonlocal", "comparability", "walk"):
             spec = kernels.parse_kernel(self.kernel)
-            if spec.family == "power" and self.name == "scaling-nonlocal":
-                d = spec.d
-                if not 1 <= self.p < d / spec.s:
-                    raise ValueError(
-                        f"hypothesis 1 <= p < d/s violated: p={self.p}, "
-                        f"s={spec.s}")
-                if abs(spec.p - self.p) > 1e-12:
-                    raise ValueError(
-                        f"kernel integrability exponent p={spec.p} must match "
-                        f"the energy exponent p={self.p}")
+        if (self.name in ("scaling-nonlocal", "scaling-local", "walk")
+                and domain.dumbbell is None):
+            raise ValueError(f"{self.name} needs a dumbbell domain, got "
+                             f"{self.domain!r}")
+        if self.name in ("scaling-nonlocal", "scaling-local"):
+            if self.method == "eigen" and self.p != 2:
+                raise ValueError("the eigen method needs p = 2")
+            kernel = spec if self.name == "scaling-nonlocal" else None
+            spectral.predicted_exponent(domain, kernel, self.p)
+            if kernel is not None and abs(kernel.p - self.p) > 1e-12:
+                raise ValueError(
+                    f"kernel integrability exponent p={kernel.p} must match "
+                    f"the energy exponent p={self.p}")
+            if len(self.R) < 3:
+                raise ValueError("need at least 3 radii")
         if self.name == "counterexample":
             if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ValueError(f"n_list must be strictly increasing, "
                                  f"got {self.n_list}")
-        if self.name in ("scaling-nonlocal", "scaling-local"):
-            if len(self.R) < 3:
-                raise ValueError("need at least 3 radii")
-        if self.name == "walk" and domain.dumbbell is None:
-            raise ValueError(f"walk needs a dumbbell domain, got "
-                             f"{self.domain!r}")
         if self.name == "walk" and len(self.R) != 1:
             raise ValueError(f"walk takes one radius, got {self.R}")
         if self.method not in ("witness", "eigen"):
@@ -117,6 +138,7 @@ def _parse_bool(s):
 
 
 _FIELD_PARSERS = {
+    "domain": str, "kernel": str, "outdir": str, "method": str,
     "p": float, "h": float, "seed": int, "resolution_factor": int,
     "n_random": int, "epsilon": float, "max_level": int, "pairs": int,
     "paths": int, "max_steps": int, "clip_R": float, "samples": int,
@@ -126,26 +148,43 @@ _FIELD_PARSERS = {
 }
 
 
-def parse_config(text):
+def _config(name, raw):
+    """Experiment ``name`` at its subcommand's defaults, overridden by the
+    ``{field: text}`` of ``raw``, each parsed by its ``_FIELD_PARSERS``."""
+    values = dict(COMMANDS.get(name, {}))
+    for key, text in raw.items():
+        if key not in _FIELD_PARSERS:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            values[key] = _FIELD_PARSERS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"bad {key}: {exc}") from None
+    return ExperimentConfig(name, **values).validate()
+
+
+def parse_config(text, overrides=()):
+    """Config from an ``[experiment]`` file, then ``KEY=VALUE`` overrides."""
     cp = configparser.ConfigParser()
     cp.optionxform = str           # keys are case-sensitive (R vs r)
     cp.read_string(text)
     if "experiment" not in cp:
         raise ValueError("config needs an [experiment] section")
-    sec = cp["experiment"]
-    kwargs = {}
-    for key, raw in sec.items():
-        if key == "name":
-            kwargs["name"] = raw
-        elif key in _FIELD_PARSERS:
-            kwargs[key] = _FIELD_PARSERS[key](raw)
-        elif key in ("domain", "kernel", "outdir", "method"):
-            kwargs[key] = raw
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    if "name" not in kwargs:
+    raw = dict(cp["experiment"])
+    for item in overrides:
+        key, _, val = item.partition("=")
+        if not val:
+            raise ValueError(f"override needs KEY=VALUE, got {item!r}")
+        raw[key] = val
+    if "name" not in raw:
         raise ValueError("config is missing the experiment name")
-    return ExperimentConfig(**kwargs).validate()
+    return _config(raw.pop("name"), raw)
+
+
+def _number_text(v):
+    """``{v:g}`` for a float it reads back as, else the exact ``repr``."""
+    if isinstance(v, int) or float(f"{v:g}") != v:
+        return repr(v)
+    return f"{v:g}"
 
 
 def config_to_text(cfg):
@@ -156,8 +195,7 @@ def config_to_text(cfg):
             continue
         val = getattr(cfg, key)
         if isinstance(val, tuple):
-            val = ",".join(f"{v:g}" if isinstance(v, float) else str(v)
-                           for v in val)
+            val = ",".join(map(_number_text, val))
         lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"
 
@@ -457,56 +495,36 @@ def run(cfg, subdir=None):
 # ---------------------------------------------------------------------------
 
 def suite_configs(outdir, seed=0, quick=False):
-    """The experiment set behind ``reproduce-all``."""
-    R_wit = (4.0, 8.0, 16.0) if quick else (8.0, 16.0, 32.0, 64.0)
-    R_loc = (4.0, 8.0, 16.0) if quick else (8.0, 16.0, 32.0)
-    n_list = (4, 8, 16) if quick else (4, 8, 16, 32)
-    ml = 6 if quick else 8
-    return [
-        ("counterexample", ExperimentConfig(
-            "counterexample", n_list=n_list, outdir=outdir, seed=seed)),
-        ("scaling-straight-s025", ExperimentConfig(
-            "scaling-nonlocal", domain="straight-dumbbell",
-            kernel="power:s=0.25,p=2", p=2.0, R=R_wit, method="witness",
-            outdir=outdir, seed=seed)),
-        ("scaling-curved-s025", ExperimentConfig(
-            "scaling-nonlocal", domain="curved-dumbbell",
-            kernel="power:s=0.25,p=2", p=2.0, R=R_wit, method="witness",
-            outdir=outdir, seed=seed)),
-        ("scaling-straight-s075", ExperimentConfig(
-            "scaling-nonlocal", domain="straight-dumbbell",
-            kernel="power:s=0.75,p=2", p=2.0, R=R_wit, method="witness",
-            outdir=outdir, seed=seed)),
-        ("scaling-eigen-small-R", ExperimentConfig(
-            "scaling-nonlocal", domain="straight-dumbbell",
-            kernel="power:s=0.25,p=2", p=2.0, R=(4.0, 8.0, 16.0),
-            method="eigen", outdir=outdir, seed=seed)),
-        ("scaling-local-p1", ExperimentConfig(
-            "scaling-local", domain="straight-dumbbell", p=1.0, R=R_loc,
-            method="witness", outdir=outdir, seed=seed)),
-        ("comparability-annulus", ExperimentConfig(
-            "comparability", domain="annulus:0.3333333333333333,1",
-            kernel="power:s=0.5,p=2", p=2.0, h=0.125,
-            n_random=50 if quick else 200, outdir=outdir, seed=seed)),
-        ("whitney-annulus", ExperimentConfig(
-            "whitney-audit", domain="annulus:0.3333333333333333,1",
-            max_level=ml, epsilon=0.05, pairs=20 if quick else 100,
-            outdir=outdir, seed=seed)),
-        ("check-straight", ExperimentConfig(
-            "check-domain", domain="straight-dumbbell", R=(8.0, 16.0, 32.0),
-            samples=10_000 if quick else 40_000, outdir=outdir, seed=seed)),
-        ("check-curved", ExperimentConfig(
-            "check-domain", domain="curved-dumbbell", R=(8.0, 16.0, 32.0),
-            samples=10_000 if quick else 40_000, outdir=outdir, seed=seed)),
-        ("walk-straight", ExperimentConfig(
-            "walk", domain="straight-dumbbell", kernel="power:s=0.25,p=2",
-            R=(8.0,) if quick else (16.0,), paths=200 if quick else 1000,
-            outdir=outdir, seed=seed)),
-        ("walk-curved", ExperimentConfig(
-            "walk", domain="curved-dumbbell", kernel="power:s=0.25,p=2",
-            R=(8.0,) if quick else (16.0,), paths=200 if quick else 1000,
-            outdir=outdir, seed=seed)),
+    """The experiment set behind ``reproduce-all``.
+
+    Each entry names its run directory and experiment, what it changes from
+    the subcommand's defaults, and what ``quick`` changes on top of that.
+    """
+    R_small = dict(R=(4.0, 8.0, 16.0))
+    walk_small = dict(R=(8.0,), paths=200)
+    suite = [
+        ("counterexample", "counterexample", {}, dict(n_list=(4, 8, 16))),
+        ("scaling-straight-s025", "scaling-nonlocal", {}, R_small),
+        ("scaling-curved-s025", "scaling-nonlocal",
+         dict(domain="curved-dumbbell"), R_small),
+        ("scaling-straight-s075", "scaling-nonlocal",
+         dict(kernel="power:s=0.75,p=2"), R_small),
+        ("scaling-eigen-small-R", "scaling-nonlocal",
+         dict(R_small, method="eigen"), {}),
+        ("scaling-local-p1", "scaling-local", {}, R_small),
+        ("comparability-annulus", "comparability", {}, dict(n_random=50)),
+        ("whitney-annulus", "whitney-audit", {}, dict(max_level=6, pairs=20)),
+        ("check-straight", "check-domain", {}, dict(samples=10_000)),
+        ("check-curved", "check-domain", dict(domain="curved-dumbbell"),
+         dict(samples=10_000)),
+        ("walk-straight", "walk", dict(domain="straight-dumbbell"),
+         walk_small),
+        ("walk-curved", "walk", {}, walk_small),
     ]
+    return [(subdir, ExperimentConfig(
+                name, **COMMANDS[name] | changes | (small if quick else {}),
+                outdir=outdir, seed=seed))
+            for subdir, name, changes, small in suite]
 
 
 def reproduce_all(outdir, seed=0, quick=False):
@@ -529,69 +547,31 @@ def reproduce_all(outdir, seed=0, quick=False):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--outdir", default="out")
-    sp.add_argument("--seed", type=int, default=0)
+#: flags that are not ``--`` plus the field name with ``-`` for ``_``
+_FLAG_NAMES = {"n_list": "--n", "resolution_factor": "--factor"}
 
 
 def build_parser():
+    """One subparser per ``COMMANDS`` entry; its flags hold raw text, and
+    ``main`` parses them like config values."""
     ap = argparse.ArgumentParser(
         prog="visform",
         description="visibility-constrained nonlocal form experiments")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("counterexample")
-    sp.add_argument("--n", default="4,8,16,32")
-    sp.add_argument("--factor", type=int, default=8)
-    _add_common(sp)
-
-    for name in ("scaling-nonlocal", "scaling-local"):
+    for name, defaults in COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--domain", default="straight-dumbbell")
-        if name == "scaling-nonlocal":
-            sp.add_argument("--kernel", default="power:s=0.25,p=2")
-        sp.add_argument("--p", type=float, default=2.0 if "non" in name else 1.0)
-        sp.add_argument("--R", default="8,16,32,64" if "non" in name
-                        else "8,16,32")
-        sp.add_argument("--method", default="witness",
-                        choices=("witness", "eigen"))
-        sp.add_argument("--h", type=float, default=0.5)
-        _add_common(sp)
-
-    sp = sub.add_parser("comparability")
-    sp.add_argument("--domain", default="annulus:0.3333333333333333,1")
-    sp.add_argument("--kernel", default="power:s=0.5,p=2")
-    sp.add_argument("--h", type=float, default=0.125)
-    sp.add_argument("--n-random", type=int, default=200)
-    _add_common(sp)
-
-    sp = sub.add_parser("whitney-audit")
-    sp.add_argument("--domain", default="annulus:0.3333333333333333,1")
-    sp.add_argument("--epsilon", type=float, default=0.05)
-    sp.add_argument("--max-level", type=int, default=8)
-    sp.add_argument("--pairs", type=int, default=100)
-    sp.add_argument("--clip-R", type=float, default=8.0)
-    sp.add_argument("--path-audit", action="store_true")
-    _add_common(sp)
-
-    sp = sub.add_parser("walk")
-    sp.add_argument("--domain", default="curved-dumbbell")
-    sp.add_argument("--kernel", default="power:s=0.25,p=2")
-    sp.add_argument("--R", type=float, default=16.0)
-    sp.add_argument("--paths", type=int, default=1000)
-    sp.add_argument("--max-steps", type=int, default=200_000)
-    sp.add_argument("--h", type=float, default=0.5)
-    _add_common(sp)
-
-    sp = sub.add_parser("check-domain")
-    sp.add_argument("--domain", default="straight-dumbbell")
-    sp.add_argument("--R", default="8,16,32")
-    sp.add_argument("--samples", type=int, default=40_000)
-    _add_common(sp)
+        for field in [*defaults, "outdir", "seed"]:
+            flag = _FLAG_NAMES.get(field, "--" + field.replace("_", "-"))
+            if isinstance(defaults.get(field), bool):
+                sp.add_argument(flag, dest=field, action="store_const",
+                                const="true", default=argparse.SUPPRESS)
+            else:
+                sp.add_argument(flag, dest=field, default=argparse.SUPPRESS)
 
     sp = sub.add_parser("reproduce-all")
     sp.add_argument("--quick", action="store_true")
-    _add_common(sp)
+    sp.add_argument("--outdir", default="out")
+    sp.add_argument("--seed", default="0")
 
     sp = sub.add_parser("run")
     sp.add_argument("--config", required=True)
@@ -600,61 +580,17 @@ def build_parser():
     return ap
 
 
-def _config_from_args(args):
-    cmd = args.command
-    if cmd == "counterexample":
-        return ExperimentConfig(
-            "counterexample",
-            n_list=tuple(int(v) for v in args.n.split(",")),
-            resolution_factor=args.factor, outdir=args.outdir,
-            seed=args.seed)
-    if cmd in ("scaling-nonlocal", "scaling-local"):
-        return ExperimentConfig(
-            cmd, domain=args.domain,
-            kernel=getattr(args, "kernel", "power:s=0.25,p=2"),
-            p=args.p, R=tuple(float(v) for v in args.R.split(",")),
-            method=args.method, h=args.h, outdir=args.outdir, seed=args.seed)
-    if cmd == "comparability":
-        return ExperimentConfig(
-            cmd, domain=args.domain, kernel=args.kernel, h=args.h,
-            n_random=args.n_random, outdir=args.outdir, seed=args.seed)
-    if cmd == "whitney-audit":
-        return ExperimentConfig(
-            cmd, domain=args.domain, epsilon=args.epsilon,
-            max_level=args.max_level, pairs=args.pairs, clip_R=args.clip_R,
-            path_audit=args.path_audit, outdir=args.outdir, seed=args.seed)
-    if cmd == "walk":
-        return ExperimentConfig(
-            cmd, domain=args.domain, kernel=args.kernel, R=(args.R,),
-            paths=args.paths, max_steps=args.max_steps, h=args.h,
-            outdir=args.outdir, seed=args.seed)
-    if cmd == "check-domain":
-        return ExperimentConfig(
-            cmd, domain=args.domain,
-            R=tuple(float(v) for v in args.R.split(",")),
-            samples=args.samples, outdir=args.outdir, seed=args.seed)
-    raise ValueError(cmd)
-
-
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        if args.command == "reproduce-all":
-            return reproduce_all(args.outdir, seed=args.seed, quick=args.quick)
-        if args.command == "run":
-            text = Path(args.config).read_text()
-            cfg = parse_config(text)
-            known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-            for item in args.set:
-                key, _, val = item.partition("=")
-                if not val:
-                    raise ValueError(f"override needs KEY=VALUE, got {item!r}")
-                if key not in known:
-                    raise ValueError(f"unknown config key {key!r} in --set")
-                parser = _FIELD_PARSERS.get(key, str)
-                setattr(cfg, key, parser(val))
-            return run(cfg.validate())
-        return run(_config_from_args(args))
+        if command == "reproduce-all":
+            return reproduce_all(args["outdir"], seed=int(args["seed"]),
+                                 quick=args["quick"])
+        if command == "run":
+            return run(parse_config(Path(args["config"]).read_text(),
+                                    args["set"]))
+        return run(_config(command, args))
     except (ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from visform import cli
@@ -20,6 +22,11 @@ method = witness
         "scaling-nonlocal", R=(8.0, 16.0, 32.0), seed=3)
     normalized = cli.config_to_text(cfg)
     assert cli.config_to_text(cli.parse_config(normalized)) == normalized
+    # a radius that {:g} would round is echoed exactly
+    cfg.R = (8.123456789, 16.0, 32.0)
+    normalized = cli.config_to_text(cfg)
+    assert "R = 8.123456789,16,32\n" in normalized
+    assert cli.parse_config(normalized).R == cfg.R
 
 
 def test_parse_config_rejects_bad_keys():
@@ -222,12 +229,19 @@ def test_run_unknown_override_key_exits_one(tmp_path, capsys):
     ["check-domain", "--R", "0,8"],
     ["run", "name = walk\nR = 4,64\n"],
     ["run", "name = scaling-nonlocal\nmethod = eigne\n"],
+    # refused by validate, before the run directory is made
+    ["scaling-local", "--method", "eigen"],
+    ["scaling-nonlocal", "--kernel", "truncated:rho=1"],
+    ["scaling-nonlocal", "--domain", "box:1,1"],
+    # malformed flag values fail like malformed config values
+    ["walk", "--paths", "x"],
+    ["scaling-nonlocal", "--method", "eigne"],
+    ["counterexample", "--n", "4,x"],
+    ["reproduce-all", "--seed", "x"],
 ])
 def test_out_of_range_values_exit_one(tmp_path, capsys, argv):
     out = tmp_path / "out"
     if argv[0] == "run":
-        # values only a config file can carry: the walk's --R takes one
-        # radius, and --method offers only known choices
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(f"[experiment]\n{argv[1]}outdir = {out}\n")
         argv = ["run", "--config", str(cfgfile)]
@@ -237,3 +251,37 @@ def test_out_of_range_values_exit_one(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("name", cli.EXPERIMENTS)
+def test_config_file_takes_subcommand_defaults(monkeypatch, name):
+    ran = []
+    monkeypatch.setattr(cli, "run", lambda cfg: ran.append(cfg) or 0)
+    assert cli.main([name]) == 0
+    from_file = cli.parse_config(f"[experiment]\nname = {name}\n")
+    assert cli.config_to_text(from_file) == cli.config_to_text(ran[0])
+
+
+def test_cli_surface():
+    common = {"--outdir", "--seed"}
+    scaling = {"--domain", "--p", "--R", "--method", "--h"}
+    expected = {
+        "counterexample": {"--n", "--factor"} | common,
+        "scaling-nonlocal": scaling | {"--kernel"} | common,
+        "scaling-local": scaling | common,
+        "comparability": {"--domain", "--kernel", "--h", "--n-random"}
+        | common,
+        "whitney-audit": {"--domain", "--epsilon", "--max-level", "--pairs",
+                          "--clip-R", "--path-audit"} | common,
+        "walk": {"--domain", "--kernel", "--R", "--paths", "--max-steps",
+                 "--h"} | common,
+        "check-domain": {"--domain", "--R", "--samples"} | common,
+        "reproduce-all": {"--quick"} | common,
+        "run": {"--config", "--set"},
+    }
+    sub, = [action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    got = {name: {flag for action in sp._actions
+                  for flag in action.option_strings} - {"-h", "--help"}
+           for name, sp in sub.choices.items()}
+    assert got == expected

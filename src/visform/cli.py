@@ -105,8 +105,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"kernel integrability exponent p={kernel.p} must match "
                     f"the energy exponent p={self.p}")
-            if len(self.R) < 3:
-                raise ValueError("need at least 3 radii")
+            spectral.check_sweep(domain, self.R, self.h)
         if self.name == "counterexample":
             if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ValueError(f"n_list must be strictly increasing, "

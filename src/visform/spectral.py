@@ -342,6 +342,20 @@ def predicted_exponent(domain, kernel, p, d=2):
     return float(d), False
 
 
+def check_sweep(domain, R_list, h):
+    """Refuse a radius sweep that ``scaling_experiment`` cannot run."""
+    if len(R_list) < 3:
+        raise ValueError("need at least 3 radii to fit an exponent")
+    if any(a > b for a, b in zip(R_list, R_list[1:])):
+        raise ValueError("R_list must be ascending")
+    if domain.dumbbell is None:
+        raise ValueError("scaling experiments run on dumbbell domains")
+    r_corr = corridor_radius(domain)
+    if h > r_corr / 2.0:
+        raise ValueError(f"h={h} too coarse for corridor radius {r_corr}: "
+                         "need h <= radius/2 (four cells across)")
+
+
 def scaling_experiment(domain, kernel, p, R_list, method="witness", h=0.5,
                        seed=0, subsamples=1):
     """Sweep the clip radius, measure the Poincare-constant proxy, fit.
@@ -354,16 +368,7 @@ def scaling_experiment(domain, kernel, p, R_list, method="witness", h=0.5,
     discrete operator family is compared at all radii.
     """
     R_list = [float(R) for R in R_list]
-    if len(R_list) < 3:
-        raise ValueError("need at least 3 radii to fit an exponent")
-    if sorted(R_list) != R_list:
-        raise ValueError("R_list must be ascending")
-    if domain.dumbbell is None:
-        raise ValueError("scaling experiments run on dumbbell domains")
-    r_corr = corridor_radius(domain)
-    if h > r_corr / 2.0:
-        raise ValueError(f"h={h} too coarse for corridor radius {r_corr}: "
-                         "need h <= radius/2 (four cells across)")
+    check_sweep(domain, R_list, h)
     if method not in ("witness", "eigen"):
         raise ValueError(f"unknown method {method!r}")
     if method == "eigen" and p != 2:

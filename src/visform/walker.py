@@ -1,11 +1,14 @@
 """Discrete-time jump chain on the grid induced by the visibility kernel.
 
-Transition probabilities go as kernel weight times target-cell measure
-over the visible pairs, so the embedded chain is reversible with respect
-to  measure * rate.  Crossing statistics between the two bells of a
-dumbbell are Monte Carlo over seeded, batch-advanced paths; step counts,
-not holding times, are the observable (per-state total rates are kept as
-metadata).
+The chain's rows are the CSR rows of the assembled vis form
+(``forms.assemble``): state i jumps to a visible j with probability
+w_ij / sum_j w_ij, w_ij = k(r) m_i m_j, so m_i cancels and the embedded
+chain is reversible with respect to measure * rate.  No (N, N) array is
+kept: a row stores its probabilities, their running sums and its target
+states, and a step bisects the running sums.  Crossing statistics between
+the two bells of a dumbbell are Monte Carlo over seeded, batch-advanced
+paths; step counts, not holding times, are the observable (per-state
+total rates are kept as metadata).
 """
 
 from __future__ import annotations
@@ -13,74 +16,69 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from . import mesh
+from . import forms, mesh
 from .geometry import TAG_MINUS, TAG_PLUS
 
 #: a run whose censored fraction exceeds this fails loudly
 MAX_CENSORED_FRACTION = 0.05
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainModel:
-    P: np.ndarray                # (N, N) row-stochastic (zero rows isolated)
-    rates: np.ndarray            # (N,) total unnormalized jump rate
+    """CSR rows: state s jumps through entries indptr[s]:indptr[s+1]."""
+    P: np.ndarray                # (nnz,) jump probabilities, columns sorted
+    cdf: np.ndarray              # (nnz,) running sums of P, 1.0 at row ends
+    cols: np.ndarray             # (nnz,) target state of each entry
+    indptr: np.ndarray           # (N + 1,)
+    rates: np.ndarray            # (N,) total jump rate sum_j k(r) m_j
     grid: mesh.Grid | None
-    isolated: np.ndarray         # (N,) bool
-    _cdf: np.ndarray = None
-
-    @property
-    def n_states(self):
-        return self.P.shape[0]
-
-    def cdf(self):
-        if self._cdf is None:
-            self._cdf = np.cumsum(self.P, axis=1)
-            # a draw above a row's rounded total must land on the row's last
-            # reachable state, not on state N-1: the row reads 1.0 from its
-            # last positive entry on, and stays monotone for the bisection
-            for row, p in zip(self._cdf, self.P):
-                reach = np.flatnonzero(p)
-                row[reach[-1] if reach.size else -1:] = 1.0
-        return self._cdf
+    isolated: np.ndarray         # (N,) bool, the empty rows
 
 
 def build_chain(grid, pairs, kernel):
     """Row-normalized visible-jump chain; isolated states are flagged."""
+    form = forms.assemble(grid, pairs, kernel, "vis")
     n = grid.n_cells
-    W = np.zeros((n, n))
-    keep = pairs.visible
-    i = pairs.i[keep]
-    j = pairs.j[keep]
-    k = kernel.k(pairs.r[keep])
-    W[i, j] = k * grid.measures[j]
-    W[j, i] = k * grid.measures[i]
-    rates = W.sum(axis=1)
-    isolated = rates == 0.0
+    # the (data, (i, j)) constructor sums duplicates, which sorts each
+    # row's columns
+    W = sp.csr_array((np.concatenate([form.weight, form.weight]),
+                      (np.concatenate([form.pair_i, form.pair_j]),
+                       np.concatenate([form.pair_j, form.pair_i]))),
+                     shape=(n, n))
+    return _chain(W, grid.measures, grid)
+
+
+def _chain(W, measures, grid):
+    """The chain of the symmetric CSR weights W (sorted columns)."""
+    totals = W.sum(axis=1)
+    isolated = totals == 0.0
     if isolated.all():
         raise ValueError("every state is isolated; the chain cannot move")
-    P = np.zeros_like(W)
-    live = ~isolated
-    P[live] = W[live] / rates[live, None]
-    return ChainModel(P=P, rates=rates, grid=grid, isolated=isolated)
+    P = W.data / np.repeat(totals, np.diff(W.indptr))
+    cdf = np.empty_like(P)
+    for lo, hi in zip(W.indptr[:-1], W.indptr[1:]):
+        np.cumsum(P[lo:hi], out=cdf[lo:hi])
+    # a draw above a row's rounded total lands on the row's last entry
+    cdf[W.indptr[1:][~isolated] - 1] = 1.0
+    return ChainModel(P=P, cdf=cdf, cols=W.indices, indptr=W.indptr,
+                      rates=totals / measures, grid=grid, isolated=isolated)
 
 
 def _advance(chain, states, rng):
     """One synchronous step for a batch of states (vectorized bisection)."""
-    cdf = chain.cdf()
-    n = chain.n_states
     u = rng.random(states.shape[0])
-    lo = np.zeros(states.shape[0], dtype=np.int64)
-    hi = np.full(states.shape[0], n, dtype=np.int64)
-    # invariant: cdf[s, lo-1] < u <= cdf[s, hi-1]
-    steps = int(np.ceil(np.log2(max(2, n)))) + 1
-    for _ in range(steps):
+    lo = chain.indptr[states]
+    hi = chain.indptr[states + 1]
+    # invariant: cdf < u before lo, cdf[hi - 1] >= u; a row of L entries
+    # closes to lo == hi in L.bit_length() halvings
+    for _ in range(int((hi - lo).max()).bit_length()):
         mid = (lo + hi) // 2
-        v = cdf[states, np.minimum(mid, n - 1)]
-        go_right = v < u
+        go_right = chain.cdf[mid] < u
         lo = np.where(go_right, mid + 1, lo)
         hi = np.where(go_right, hi, mid)
-    return np.minimum(lo, n - 1)
+    return chain.cols[lo]
 
 
 @dataclass
@@ -94,55 +92,43 @@ class CrossingStats:
     steps: np.ndarray = field(repr=False, default=None)
 
 
-def mean_crossing_time(chain, n_paths=1000, max_steps=1_000_000, seed=0,
-                       source_tag=TAG_MINUS, target_tag=TAG_PLUS,
-                       deep_fraction=0.5):
-    """Expected first-hit step count from one bell to the other.
+def mean_crossing_time(chain, n_paths=1000, max_steps=1_000_000, seed=0):
+    """Expected first-hit step count from the minus bell to the plus bell.
 
-    Paths start from the measure-weighted distribution on source-tagged
-    cells deep in the bell (x1 below -deep_fraction * R) and stop on any
-    target-tagged cell.  Censored paths (max_steps) are excluded from the
-    mean and reported; more than MAX_CENSORED_FRACTION of them fails.
+    Paths start from the measure-weighted distribution on live minus-bell
+    cells deep in the bell (x1 below -R/2) and stop on any plus-bell cell.
+    Censored paths (max_steps) are excluded from the mean and reported;
+    more than MAX_CENSORED_FRACTION of them fails.
     """
     grid = chain.grid
     if grid is None or grid.domain.dumbbell is None:
         raise ValueError("crossing times need a dumbbell-tagged grid")
-    tags = grid.tags
-    source = np.nonzero((tags == source_tag)
-                        & (grid.centers[:, 0] < -deep_fraction * grid.R)
-                        & ~chain.isolated)[0]
-    target_mask = tags == target_tag
+    minus = grid.tags == TAG_MINUS
+    plus = grid.tags == TAG_PLUS
+    source = np.flatnonzero(minus & (grid.centers[:, 0] < -0.5 * grid.R)
+                            & ~chain.isolated)
     if source.size == 0:
         raise ValueError("no live source cells deep in the bell")
-    if not target_mask.any():
+    if not plus.any():
         raise ValueError("no target cells")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3A1C]))
     weights = grid.measures[source]
-    states = rng.choice(source, size=n_paths, p=weights / weights.sum())
+    cur = rng.choice(source, size=n_paths, p=weights / weights.sum())
+    active = np.arange(n_paths)
     steps = np.zeros(n_paths, dtype=np.int64)
-    done = target_mask[states]          # start-in-target costs zero steps
-    active = np.nonzero(~done)[0]
-    cur = states[active]
-    taken = np.zeros(active.size, dtype=np.int64)
     direct = 0
-    src_mask = tags == source_tag
+    taken = 0                           # the paths move in lockstep
     while active.size:
         nxt = _advance(chain, cur, rng)
-        direct += int(np.sum(src_mask[cur] & target_mask[nxt]))
+        direct += int(np.sum(minus[cur] & plus[nxt]))
         taken += 1
-        hit = target_mask[nxt]
-        timeout = taken >= max_steps
-        finish = hit | timeout
-        if finish.any():
-            idx = active[finish]
-            steps[idx] = np.where(hit[finish], taken[finish], -1)
-            keepm = ~finish
-            active = active[keepm]
-            cur = nxt[keepm]
-            taken = taken[keepm]
-        else:
-            cur = nxt
+        hit = plus[nxt]
+        steps[active[hit]] = taken
+        if taken >= max_steps:
+            steps[active[~hit]] = -1
+            break
+        active, cur = active[~hit], nxt[~hit]
     censored = int(np.sum(steps < 0))
     completed = steps[steps >= 0]
     if completed.size == 0:

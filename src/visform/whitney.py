@@ -43,6 +43,8 @@ SIZE_WINDOW = (1.0 / 16.0, 1.0)
 SEARCH_BUDGET = 100_000
 #: elements per (sources, cubes) block of the chain sum (cache-sized)
 CHUNK = 1 << 16
+#: coverage_residual's lattice steps per side of the finest cube
+RESIDUAL_OVERSAMPLE = 2
 
 
 def _box_distance(lo_a, hi_a, lo_b, hi_b):
@@ -227,14 +229,15 @@ def whitney_decompose(domain, max_level=8):
         max_level=max_level, bbox_lo=tuple(bb_lo), bbox_hi=tuple(bb_hi))
 
 
-def coverage_residual(decomp, oversample=2):
+def coverage_residual(decomp):
     """(residual measure, domain measure) from a deterministic lattice.
 
-    Rasterizes the accepted cubes on a midpoint lattice finer than the
-    finest cube and measures the part of the domain left uncovered.
+    Rasterizes the accepted cubes on a midpoint lattice RESIDUAL_OVERSAMPLE
+    times finer than the finest cube and measures the part of the domain
+    left uncovered.
     """
     finest = decomp.base * 2.0 ** (-decomp.max_level)
-    step = finest / oversample
+    step = finest / RESIDUAL_OVERSAMPLE
     lo = np.asarray(decomp.bbox_lo)
     hi = np.asarray(decomp.bbox_hi)
     counts = np.ceil((hi - lo) / step).astype(int)

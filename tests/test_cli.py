@@ -233,6 +233,8 @@ def test_run_unknown_override_key_exits_one(tmp_path, capsys):
     ["scaling-local", "--method", "eigen"],
     ["scaling-nonlocal", "--kernel", "truncated:rho=1"],
     ["scaling-nonlocal", "--domain", "box:1,1"],
+    ["scaling-nonlocal", "--R", "32,16,8"],
+    ["scaling-nonlocal", "--h", "2"],
     # malformed flag values fail like malformed config values
     ["walk", "--paths", "x"],
     ["scaling-nonlocal", "--method", "eigne"],

@@ -92,8 +92,10 @@ class ExperimentConfig:
         domain = geometry.parse_domain(self.domain)
         if self.name in ("scaling-nonlocal", "comparability", "walk"):
             spec = kernels.parse_kernel(self.kernel)
-        if (self.name in ("scaling-nonlocal", "scaling-local", "walk")
-                and domain.dumbbell is None):
+        if self.name == "comparability":
+            domain.bounding_box()            # the grid spans the domain's box
+        if (self.name in ("scaling-nonlocal", "scaling-local", "walk",
+                          "check-domain") and domain.dumbbell is None):
             raise ValueError(f"{self.name} needs a dumbbell domain, got "
                              f"{self.domain!r}")
         if self.name in ("scaling-nonlocal", "scaling-local"):

@@ -126,27 +126,37 @@ def visibility_pairs(grid):
             "which streams them, and for the p = 2 constant on a dumbbell "
             "pass a lazy vis form to spectral.poincare_constant_l2, which "
             "needs no pair list")
-    ii, jj = np.triu_indices(n, k=1)
-    ii = ii.astype(np.int32)
-    jj = jj.astype(np.int32)
-    d = grid.centers[jj] - grid.centers[ii]
-    r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    if grid.domain.all_visible:
-        vis = np.ones(ii.shape[0], dtype=bool)
-    else:
-        # a pair with both ends in one convex primitive is visible with no
-        # segment test
-        inside = [prim.contains_many(grid.centers)
-                  for prim in grid.domain.primitives if prim.convex]
-        vis = np.zeros(ii.shape[0], dtype=bool)
-        for lo in range(0, ii.shape[0], PAIR_BLOCK):
-            i, j = ii[lo:lo + PAIR_BLOCK], jj[lo:lo + PAIR_BLOCK]
-            block = vis[lo:lo + PAIR_BLOCK]
+    # first[a]: the pairs before row a in np.triu_indices(n, 1) order
+    a = np.arange(n + 1)
+    first = (a * (2 * n - 1 - a) // 2).astype(np.int32)
+    n_pairs = int(first[-1])
+    ii, jj, r = (np.empty(n_pairs, t) for t in (np.int32, np.int32, float))
+    all_visible = grid.domain.all_visible
+    vis = np.full(n_pairs, all_visible)
+    # a pair with both ends in one convex primitive is visible with no
+    # segment test
+    inside = [] if all_visible else [
+        prim.contains_many(grid.centers)
+        for prim in grid.domain.primitives if prim.convex]
+    for lo in range(0, n_pairs, PAIR_BLOCK):
+        hi = min(lo + PAIR_BLOCK, n_pairs)
+        rows = np.arange(np.searchsorted(first, lo, "right") - 1,
+                         np.searchsorted(first, hi), dtype=np.int32)
+        take = np.diff(np.clip(first[rows[0]:rows[-1] + 2], lo, hi))
+        i = np.repeat(rows, take)
+        j = (np.arange(lo, hi, dtype=np.int32)
+             - np.repeat(first[rows] - rows - 1, take))
+        ii[lo:hi], jj[lo:hi] = i, j
+        if not all_visible:
+            block = vis[lo:hi]
             for member in inside:
                 block |= member[i] & member[j]
             test = np.flatnonzero(~block)
             block[test] = grid.domain.segment_inside_many(
                 grid.centers[i[test]], grid.centers[j[test]])
+        d = grid.centers[j] - grid.centers[i]
+        r[lo:hi] = np.sqrt(np.einsum("ij,ij->i", d, d))
+        del d                     # not held through the next segment tests
     return PairSet(i=ii, j=jj, visible=vis, r=r)
 
 

@@ -16,6 +16,12 @@ anchors.  Each cube's decision depends on that cube alone, so the cube
 set is the one a per-cube recursion gives.  A decomposition holds its
 cubes only as rows of arrays, sorted by (level, anchor).
 
+Admissible chains are searched on the cubes' touching graph, a CSR
+pattern found by dyadic-lattice lookups per level pair, by one
+``scipy.sparse.csgraph.dijkstra`` call per endpoint.  Cube costs are
+whole finest-side units, so ties are exact, and the path is walked back
+by the smallest-index parent: the chain a (cost, index) heap gives.
+
 The chain-sum estimate ``verify_whitney_sum`` takes its sources in
 blocks of rows against (d, n) columns of the cube bounds, with the
 per-source arithmetic and summation order, so its sums keep their bits.
@@ -28,10 +34,11 @@ of the box.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from . import geometry
 
@@ -39,8 +46,10 @@ from . import geometry
 #: the floor matches the diam-normalized sandwich (diam <= dist <= 4 diam),
 #: under which the largest cube side is ~dist/sqrt(2) of the side-based one
 SIZE_WINDOW = (1.0 / 16.0, 1.0)
-#: node-expansion budget per chain search
+#: cube-pair visibility tests per visible-path search
 SEARCH_BUDGET = 100_000
+#: most cubes on a visible path
+PATH_CUBES = 8
 #: elements per (sources, cubes) block of the chain sum (cache-sized)
 CHUNK = 1 << 16
 #: coverage_residual's lattice steps per side of the finest cube
@@ -120,7 +129,7 @@ class WhitneyDecomposition:
     bbox_lo: tuple
     bbox_hi: tuple
     centers: np.ndarray = field(init=False)
-    _adjacency: list = field(default=None, init=False)
+    _adjacency: sp.csr_array = field(default=None, init=False)
 
     def __post_init__(self):
         self.centers = (self.lows + self.highs) / 2.0
@@ -148,30 +157,38 @@ class WhitneyDecomposition:
                      + self.sides[si])
 
     def adjacency(self):
-        """Neighbor lists under closed-cube touching (corner contact counts)."""
+        """Closed-cube touching (corner contact counts) as a symmetric CSR
+        pattern.
+
+        The cubes lie on one dyadic lattice, so a level-b cube B can touch
+        only the level-a cubes (a <= b) anchored at floor((B + s) / 2^(b-a))
+        for steps s in {-1, 0, 1}^d, and exactly those touch it (closed
+        cubes): they are looked up by (level, anchor) key.
+        """
         if self._adjacency is not None:
             return self._adjacency
         n = self.n_cubes
-        order = np.argsort(self.centers[:, 0], kind="stable")
-        cx = self.centers[order, 0]
-        tol = 1e-9 * self.base
-        max_side = float(self.sides.max())
-        adj = [[] for _ in range(n)]
-        for i in order:
-            reach = (self.sides[i] + max_side) / 2.0 + tol
-            lo = np.searchsorted(cx, self.centers[i, 0] - reach)
-            hi = np.searchsorted(cx, self.centers[i, 0] + reach)
-            cand = order[lo:hi]
-            cand = cand[cand > i]
-            if cand.size == 0:
-                continue
-            half = (self.sides[i] + self.sides[cand]) / 2.0 + tol
-            gap = np.abs(self.centers[cand] - self.centers[i]) - half[:, None]
-            touch = np.all(gap <= 0.0, axis=1)
-            for j in cand[touch]:
-                adj[i].append(int(j))
-                adj[int(j)].append(int(i))
-        self._adjacency = [sorted(x) for x in adj]
+        steps = np.asarray(list(np.ndindex(*(3,) * self.dim))) - 1
+        # mixed-radix keys, increasing in the cubes' (level, anchor) order;
+        # a digit of -1 or max + 1, one step off the lattice, matches none
+        radix = self.anchors.max(axis=0) + 2
+        weight = np.cumprod(np.append(1, radix[::-1]))[::-1]
+        keys = np.column_stack([self.levels, self.anchors]) @ weight
+        pairs = []
+        for b in np.unique(self.levels):
+            fine = np.flatnonzero(self.levels == b)
+            near = self.anchors[fine, None, :] + steps
+            for a in range(b + 1):
+                cand = a * weight[0] + (near // 2 ** (b - a)) @ weight[1:]
+                at = np.minimum(np.searchsorted(keys, cand), n - 1)
+                hit = keys[at] == cand
+                i = at[hit]
+                j = np.broadcast_to(fine[:, None], hit.shape)[hit]
+                pairs.append(i[i < j] * n + j[i < j])
+        i, j = np.divmod(np.unique(np.concatenate(pairs)), n)
+        self._adjacency = sp.csr_array(      # sorted columns
+            (np.ones(2 * i.size), (np.concatenate([i, j]),
+                                   np.concatenate([j, i]))), shape=(n, n))
         return self._adjacency
 
     def dump_csv(self, path):
@@ -361,50 +378,42 @@ def validate_chain(decomp, chain):
                 and grows_s[pos >= chain.j0].all())
 
 
-def _dijkstra_feasible(decomp, start, feasible, limit, budget):
-    """Min side-length-sum tree over the nodes where ``feasible`` holds."""
-    adj = decomp.adjacency()
-    sides = decomp.sides.tolist()
-    feasible = feasible.tolist()
-    best = {start: sides[start]}
-    parent = {start: -1}
-    heap = [(best[start], start)]
-    expansions = 0
-    while heap and expansions < budget:
-        cost, node = heapq.heappop(heap)
-        if cost > best.get(node, np.inf):
-            continue
-        expansions += 1
-        for nxt in adj[node]:
-            ncost = cost + sides[nxt]
-            if (feasible[nxt] and ncost <= limit + 1e-12
-                    and ncost < best.get(nxt, np.inf)):
-                best[nxt] = ncost
-                parent[nxt] = node
-                heapq.heappush(heap, (ncost, nxt))
-    return best, parent
+def _growth_tree(adj, units, start, grows, limit):
+    """Distances from ``start`` in finest-side units over the cubes where
+    ``grows`` holds (entering cube v costs units[v]); inf past ``limit``."""
+    keep = grows[adj.indices]
+    indptr = np.concatenate([[0], np.cumsum(keep)])[adj.indptr]
+    cols = adj.indices[keep]
+    graph = sp.csr_array((units[cols], cols, indptr), shape=adj.shape)
+    return dijkstra(graph, indices=start, limit=limit)
 
 
-def _walk_back(parent, node):
-    path = []
-    while node != -1:
+def _walk_back(adj, units, dist, node):
+    """Tree path from the root to ``node``; each parent is the smallest-index
+    neighbour u with dist[u] + units[v] == dist[v], as a heap settles it."""
+    path = [node]
+    while dist[node] > 0.0:
+        nb = adj.indices[adj.indptr[node]:adj.indptr[node + 1]]
+        node = int(nb[np.argmax(dist[nb] + units[node] == dist[node])])
         path.append(node)
-        node = parent[node]
     path.reverse()
     return path
 
 
-def find_admissible_chain(decomp, qi, si, eps, budget=SEARCH_BUDGET):
+def find_admissible_chain(decomp, qi, si, eps):
     """Search for an eps-admissible chain from cube qi to si.
 
     Admissible chains grow away from both endpoints and meet at a
-    central cube, so the search mirrors that shape: one Dijkstra tree
-    from Q over cubes satisfying the Q-side growth condition, one from S
-    over the S-side condition, joined at the cube minimizing the total
-    side-length sum within the D(Q,S)/eps budget.  The central-cube
-    condition then holds at the junction by construction; the returned
-    chain is still re-validated from scratch.  None means the search
-    gave up within its budget, never that no chain exists.
+    central cube, so the search mirrors that shape: one shortest-path
+    tree from Q over cubes satisfying the Q-side growth condition, one
+    from S over the S-side condition, joined at the cube minimizing the
+    total side-length sum (the smallest index among ties).  Costs are
+    whole finest-side units, so ties are exact; ``length`` sums the sides
+    as a heap would, each tree's path from its root, minus the junction's
+    side.  The central-cube condition then holds at the junction by
+    construction; the returned chain is still re-validated from scratch.
+    None means no such two-tree chain within D(Q,S)/eps, not that no
+    admissible chain exists.
     """
     sides = decomp.sides
     if qi == si:
@@ -419,31 +428,26 @@ def find_admissible_chain(decomp, qi, si, eps, budget=SEARCH_BUDGET):
                               + sides) - tol
     grows_s = sides >= eps * (sides + decomp.set_distances(si)
                               + sides[si]) - tol
-    from_q, parent_q = _dijkstra_feasible(decomp, qi, grows_q, limit,
-                                          budget // 2)
-    from_s, parent_s = _dijkstra_feasible(decomp, si, grows_s, limit,
-                                          budget // 2)
+    adj = decomp.adjacency()
+    units = 2.0 ** (decomp.max_level - decomp.levels)
+    bound = (limit + tol) / (decomp.base * 2.0 ** -decomp.max_level)
+    from_q = _growth_tree(adj, units, qi, grows_q, bound - units[qi])
+    from_s = _growth_tree(adj, units, si, grows_s, bound - units[si])
 
-    best_total = np.inf
-    junction = -1
-    for node, cq in from_q.items():
-        cs = from_s.get(node)
-        if cs is None:
-            continue
-        total = cq + cs - float(sides[node])
-        if total < best_total - tol or (abs(total - best_total) <= tol
-                                        and node < junction):
-            best_total = total
-            junction = node
-    if junction < 0 or best_total > limit + tol:
+    junction = int(np.argmin(from_q + from_s - units))
+    if not np.isfinite(from_q[junction] + from_s[junction]):
         return None
-    head = _walk_back(parent_q, junction)
-    tail = _walk_back(parent_s, junction)
+    head = _walk_back(adj, units, from_q, junction)
+    tail = _walk_back(adj, units, from_s, junction)
+    length = (float(np.cumsum(sides[head])[-1])
+              + float(np.cumsum(sides[tail])[-1]) - float(sides[junction]))
+    if length > limit + tol:
+        return None
     path = head + tail[-2::-1]
     j0 = _central_index(decomp, path, eps)
     if j0 is None:
         return None
-    chain = Chain(indices=path, epsilon=eps, j0=j0, length=best_total)
+    chain = Chain(indices=path, epsilon=eps, j0=j0, length=length)
     return chain if validate_chain(decomp, chain) else None
 
 
@@ -534,13 +538,6 @@ class PathConditionReport:
     pair_rows: list = field(default_factory=list)
     # rows: (r, path_len or -1, dist_x_over_r, dist_y_over_r, max_gap_over_r)
 
-    def summary_lines(self):
-        lines = [f"path_audit_pass={self.ok}",
-                 f"pairs={self.n_pairs}", f"found={self.found}",
-                 f"budget_exhausted={self.budget_exhausted}",
-                 f"max_path_len={self.max_path_len}"]
-        return lines
-
 
 def _cube_sample_points(decomp, cubes, shrink=1e-3):
     """(len(cubes), 2^d + 1, d) corner and center samples of the open cubes
@@ -557,8 +554,6 @@ def _cube_sample_points(decomp, cubes, shrink=1e-3):
 
 def _cube_visible_from_point(domain, x, cubes, decomp):
     """Which cubes are wholly visible from x (corner + center certificate)."""
-    if not cubes:
-        return np.zeros(0, dtype=bool)
     pts = _cube_sample_points(decomp, cubes).reshape(-1, decomp.dim)
     X = np.broadcast_to(np.asarray(x), pts.shape)
     vis = domain.segment_inside_many(X, pts)
@@ -572,22 +567,17 @@ def _cubes_mutually_visible(domain, decomp, qa, qb):
     return bool(domain.segment_inside_many(X, Y).all())
 
 
-def audit_visible_paths(domain, n_pairs=40, n_max=8, budget=SEARCH_BUDGET,
-                      seed=0, max_level=7, decomp=None):
+def audit_visible_paths(domain, decomp, n_pairs=40, seed=0):
     """Sampled audit of the bounded-path visibility condition.
 
-    For random pairs x, y in D with y not visible from x, searches for at
-    most n_max cubes of side within SIZE_WINDOW * |x-y|, the first wholly
-    visible from x, the last from y, consecutive ones mutually visible.
-    Convex domains yield no such pairs and pass vacuously.
+    For random pairs x, y in D with y not visible from x, searches the
+    cubes of ``decomp`` for at most PATH_CUBES cubes of side within
+    SIZE_WINDOW * |x-y|, the first wholly visible from x, the last from y,
+    consecutive ones mutually visible, within SEARCH_BUDGET cube-pair
+    tests.  Convex domains yield no such pairs and pass vacuously.
     """
-    if decomp is None:
-        decomp = whitney_decompose(domain, max_level=max_level)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0B]))
     bb_lo, bb_hi = domain.bounding_box()
-    bb_lo = np.asarray(bb_lo)
-    bb_hi = np.asarray(bb_hi)
-
     pairs = []
     attempts = 0
     while len(pairs) < n_pairs and attempts < 400 * n_pairs:
@@ -607,10 +597,9 @@ def audit_visible_paths(domain, n_pairs=40, n_max=8, budget=SEARCH_BUDGET,
         mid = (x + y) / 2.0
         size_ok = (sides >= SIZE_WINDOW[0] * r) & (sides <= SIZE_WINDOW[1] * r)
         near = np.einsum("ij,ij->i", centers - mid, centers - mid) \
-            <= (8.0 * n_max * r) ** 2
+            <= (8.0 * PATH_CUBES * r) ** 2
         cand = np.nonzero(size_ok & near)[0]
         if cand.size == 0:
-            report.ok = False
             report.pair_rows.append((r, -1, np.nan, np.nan, np.nan))
             continue
         from_x = _cube_visible_from_point(domain, x, list(cand), decomp)
@@ -618,9 +607,8 @@ def audit_visible_paths(domain, n_pairs=40, n_max=8, budget=SEARCH_BUDGET,
         starts = cand[from_x]
         goals = set(int(c) for c in cand[from_y])
         path = _bfs_visible_path(domain, decomp, list(starts), goals,
-                                 set(int(c) for c in cand), n_max, budget)
+                                 set(int(c) for c in cand))
         if path is None:
-            report.ok = False
             report.budget_exhausted += 1
             report.pair_rows.append((r, -1, np.nan, np.nan, np.nan))
             continue
@@ -640,10 +628,8 @@ def _point_cube_distance(decomp, x, qi):
     return float(_box_distance(decomp.lows[qi], decomp.highs[qi], x, x))
 
 
-def _bfs_visible_path(domain, decomp, starts, goals, allowed, n_max, budget):
+def _bfs_visible_path(domain, decomp, starts, goals, allowed):
     """Shortest path in the candidate-cube visibility graph, edges on demand."""
-    if not starts:
-        return None
     frontier = sorted(dict.fromkeys(starts))
     allowed_order = sorted(allowed)
     parents = {s: -1 for s in frontier}
@@ -652,27 +638,24 @@ def _bfs_visible_path(domain, decomp, starts, goals, allowed, n_max, budget):
             return [s]
     tested = 0
     depth = 1
-    while frontier and depth < n_max and tested < budget:
+    while frontier and depth < PATH_CUBES and tested < SEARCH_BUDGET:
         nxt = []
         for node in frontier:
             for other in allowed_order:
                 if other in parents:
                     continue
                 tested += 1
-                if tested >= budget:
+                if tested >= SEARCH_BUDGET:
                     break
                 if _cubes_mutually_visible(domain, decomp, node, other):
                     parents[other] = node
                     nxt.append(other)
                     if other in goals:
-                        path = [other]
-                        cur = node
-                        while cur != -1:
-                            path.append(cur)
-                            cur = parents[cur]
-                        path.reverse()
-                        return path
-            if tested >= budget:
+                        path = [other, node]
+                        while parents[path[-1]] != -1:
+                            path.append(parents[path[-1]])
+                        return path[::-1]
+            if tested >= SEARCH_BUDGET:
                 break
         frontier = nxt
         depth += 1

@@ -235,6 +235,8 @@ def test_run_unknown_override_key_exits_one(tmp_path, capsys):
     ["scaling-nonlocal", "--domain", "box:1,1"],
     ["scaling-nonlocal", "--R", "32,16,8"],
     ["scaling-nonlocal", "--h", "2"],
+    ["check-domain", "--domain", "annulus:0.3,1"],
+    ["comparability", "--domain", "straight-dumbbell"],
     # malformed flag values fail like malformed config values
     ["walk", "--paths", "x"],
     ["scaling-nonlocal", "--method", "eigne"],

@@ -111,6 +111,22 @@ def test_visibility_pairs_curved_bells_disconnected(curved_dumbbell):
     assert not pairs.visible[cross].any()
 
 
+@pytest.mark.parametrize("block", [7, 1000, 16835, 1 << 21])
+def test_visibility_pairs_blocks_give_triu_order(monkeypatch, annulus_grid,
+                                                 block):
+    """Each block builds its own pairs; together they are np.triu_indices
+    with the whole-array distances, whatever the block size."""
+    whole = mesh.visibility_pairs(annulus_grid)
+    monkeypatch.setattr(mesh, "PAIR_BLOCK", block)
+    pairs = mesh.visibility_pairs(annulus_grid)
+    ii, jj = np.triu_indices(annulus_grid.n_cells, k=1)
+    assert pairs.i.dtype == pairs.j.dtype == np.int32
+    assert np.array_equal(pairs.i, ii) and np.array_equal(pairs.j, jj)
+    d = annulus_grid.centers[jj] - annulus_grid.centers[ii]
+    assert np.array_equal(pairs.r, np.sqrt(np.einsum("ij,ij->i", d, d)))
+    assert np.array_equal(pairs.visible, whole.visible)
+
+
 def test_pair_distances_match_centers(annulus_grid):
     pairs = mesh.visibility_pairs(annulus_grid)
     d = annulus_grid.centers[pairs.i] - annulus_grid.centers[pairs.j]

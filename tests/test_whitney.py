@@ -133,18 +133,44 @@ def _ref_sandwich(decomp):
     return bad
 
 
-def _ref_dijkstra(decomp, start, feasible, limit, budget):
-    adj = decomp.adjacency()
-    sides = decomp.sides.tolist()
+def _ref_adjacency(decomp):
+    """Sorted neighbour lists under closed-cube touching, one cube at a time
+    against every cube within reach of the largest side."""
+    n = decomp.n_cubes
+    centers, sides = decomp.centers, decomp.sides
+    order = np.argsort(centers[:, 0], kind="stable")
+    cx = centers[order, 0]
+    tol = 1e-9 * decomp.base
+    max_side = float(sides.max())
+    adj = [[] for _ in range(n)]
+    for i in order:
+        reach = (sides[i] + max_side) / 2.0 + tol
+        lo = np.searchsorted(cx, centers[i, 0] - reach)
+        hi = np.searchsorted(cx, centers[i, 0] + reach)
+        cand = order[lo:hi]
+        cand = cand[cand > i]
+        half = (sides[i] + sides[cand]) / 2.0 + tol
+        gap = np.abs(centers[cand] - centers[i]) - half[:, None]
+        for j in cand[np.all(gap <= 0.0, axis=1)]:
+            adj[i].append(int(j))
+            adj[int(j)].append(int(i))
+    return [sorted(x) for x in adj]
+
+
+def _csr_rows(adj):
+    return [adj.indices[a:b].tolist()
+            for a, b in zip(adj.indptr[:-1], adj.indptr[1:])]
+
+
+def _ref_dijkstra(adj, sides, start, feasible, limit):
+    """Min side-length-sum tree by a (cost, index) heap over dicts."""
     best = {start: sides[start]}
     parent = {start: -1}
     heap = [(best[start], start)]
-    expansions = 0
-    while heap and expansions < budget:
+    while heap:
         cost, node = heapq.heappop(heap)
         if cost > best.get(node, np.inf):
             continue
-        expansions += 1
         for nxt in adj[node]:
             ncost = cost + sides[nxt]
             if (ncost <= limit + 1e-12 and ncost < best.get(nxt, np.inf)
@@ -153,6 +179,15 @@ def _ref_dijkstra(decomp, start, feasible, limit, budget):
                 parent[nxt] = node
                 heapq.heappush(heap, (ncost, nxt))
     return best, parent
+
+
+def _ref_walk_back(parent, node):
+    path = []
+    while node != -1:
+        path.append(node)
+        node = parent[node]
+    path.reverse()
+    return path
 
 
 def _ref_central_index(decomp, path, eps):
@@ -191,19 +226,18 @@ def _ref_validate_chain(decomp, chain):
     return True
 
 
-def _ref_chain(decomp, qi, si, eps, budget=wh.SEARCH_BUDGET):
-    """The chain search with per-cube growth predicates (qi != si)."""
+def _ref_chain(decomp, adj, qi, si, eps):
+    """The chain search with per-cube growth predicates (qi != si) over the
+    neighbour lists ``adj``."""
     sides = decomp.sides.tolist()
     limit = decomp.long_distance(qi, si) / eps
     tol = 1e-12
     from_q, parent_q = _ref_dijkstra(
-        decomp, qi,
-        lambda p: sides[p] >= eps * decomp.long_distance(qi, p) - tol,
-        limit, budget // 2)
+        adj, sides, qi,
+        lambda p: sides[p] >= eps * decomp.long_distance(qi, p) - tol, limit)
     from_s, parent_s = _ref_dijkstra(
-        decomp, si,
-        lambda p: sides[p] >= eps * decomp.long_distance(p, si) - tol,
-        limit, budget // 2)
+        adj, sides, si,
+        lambda p: sides[p] >= eps * decomp.long_distance(p, si) - tol, limit)
     best_total, junction = np.inf, -1
     for node, cq in from_q.items():
         cs = from_s.get(node)
@@ -215,8 +249,8 @@ def _ref_chain(decomp, qi, si, eps, budget=wh.SEARCH_BUDGET):
             best_total, junction = total, node
     if junction < 0 or best_total > limit + tol:
         return None
-    head = wh._walk_back(parent_q, junction)
-    tail = wh._walk_back(parent_s, junction)
+    head = _ref_walk_back(parent_q, junction)
+    tail = _ref_walk_back(parent_s, junction)
     path = head + tail[-2::-1]
     j0 = _ref_central_index(decomp, path, eps)
     if j0 is None:
@@ -308,33 +342,62 @@ def _mutations(chain):
     return out
 
 
-def test_chains_match_per_cube_reference(annulus_decomp):
-    rng = np.random.default_rng(np.random.SeedSequence([20, 0xC4A]))
-    found = 0
-    verdicts = set()
-    for _ in range(20):
-        qi, si = (int(v) for v in
-                  rng.integers(0, annulus_decomp.n_cubes, size=2))
-        for eps in (0.05, 0.3):
-            got = wh.find_admissible_chain(annulus_decomp, qi, si, eps)
-            ref = _ref_chain(annulus_decomp, qi, si, eps)
-            assert (got is None) == (ref is None)
-            if got is None:
-                continue
-            found += 1
-            assert (got.indices, got.j0, got.length) == \
-                (ref.indices, ref.j0, ref.length)
-            for chain in [got] + _mutations(got):
-                assert wh._central_index(annulus_decomp, chain.indices,
-                                         chain.epsilon) == \
-                    _ref_central_index(annulus_decomp, chain.indices,
-                                       chain.epsilon)
-                verdict = wh.validate_chain(annulus_decomp, chain)
-                assert verdict is _ref_validate_chain(annulus_decomp, chain)
-                verdicts.add(verdict)
-    assert found >= 20
-    # the mutations reach both verdicts, so the comparison can tell them apart
-    assert verdicts == {True, False}
+@pytest.mark.parametrize("name,domain,level", _oracle_domains()
+                         + [("annulus-8", geo.make_annulus(), 8)],
+                         ids=[d[0] for d in _oracle_domains()] + ["annulus-8"])
+def test_adjacency_matches_per_cube_reference(name, domain, level):
+    decomp = wh.whitney_decompose(domain, max_level=level)
+    adj = decomp.adjacency()
+    assert adj.format == "csr" and adj.has_sorted_indices
+    assert (adj != adj.T).nnz == 0
+    assert _csr_rows(adj) == _ref_adjacency(decomp)
+    assert decomp.adjacency() is adj
+
+
+def _thin_lens():
+    # near-tangent balls: base 0.995, so side sums round in the last bit
+    return geo.DomainSpec((geo.Ball((-0.99, 0.0), 1.0),
+                           geo.Ball((0.99, 0.0), 1.0)))
+
+
+def _chain_cases():
+    clip = [(name, geo.clip_ball(geo.make_dumbbell(name), (0.0, 0.0), 8.0))
+            for name in ("straight", "curved")]
+    return ([("annulus", geo.make_annulus(), 20, (0.05, 0.3), 20)]
+            + [(name, dom, 20, (0.05, 0.2), 10) for name, dom in clip]
+            + [("thin-lens", _thin_lens(), 30, (0.2,), 10)])
+
+
+def test_chains_match_per_cube_reference():
+    for name, domain, n_pairs, epsilons, min_found in _chain_cases():
+        decomp = wh.whitney_decompose(domain, max_level=7)
+        adj = _ref_adjacency(decomp)
+        rng = np.random.default_rng(np.random.SeedSequence([20, 0xC4A]))
+        found = 0
+        verdicts = set()
+        for _ in range(n_pairs):
+            qi, si = (int(v) for v in rng.integers(0, decomp.n_cubes, size=2))
+            for eps in epsilons:
+                got = wh.find_admissible_chain(decomp, qi, si, eps)
+                ref = _ref_chain(decomp, adj, qi, si, eps)
+                assert (got is None) == (ref is None), (name, qi, si, eps)
+                if got is None:
+                    continue
+                found += 1
+                assert (got.indices, got.j0, got.length.hex()) == \
+                    (ref.indices, ref.j0, ref.length.hex()), (name, qi, si)
+                for chain in [got] + _mutations(got):
+                    assert wh._central_index(decomp, chain.indices,
+                                             chain.epsilon) == \
+                        _ref_central_index(decomp, chain.indices,
+                                           chain.epsilon)
+                    verdict = wh.validate_chain(decomp, chain)
+                    assert verdict is _ref_validate_chain(decomp, chain)
+                    verdicts.add(verdict)
+        assert found >= min_found, name
+        # the mutations reach both verdicts, so the comparison can tell
+        # them apart
+        assert verdicts == {True, False}, name
 
 
 def test_dump_csv_writes_plain_floats(tmp_path, annulus_decomp):
@@ -374,7 +437,7 @@ def test_long_distance_values(annulus_decomp):
     sides = annulus_decomp.sides
     assert annulus_decomp.long_distance(0, 0) == pytest.approx(2 * sides[0])
     # touching equal cubes: distance 0, so long distance is the two sides
-    adj = annulus_decomp.adjacency()
+    adj = _csr_rows(annulus_decomp.adjacency())
     i = next(k for k in range(annulus_decomp.n_cubes) if adj[k])
     j = next(j for j in adj[i] if sides[j] == sides[i])
     assert annulus_decomp.long_distance(i, j) == pytest.approx(2 * sides[i])
@@ -402,7 +465,7 @@ def test_validate_chain_length_clause_like_reference():
 
 
 def test_two_cube_chain_small_epsilon(annulus_decomp):
-    adj = annulus_decomp.adjacency()
+    adj = _csr_rows(annulus_decomp.adjacency())
     i = next(k for k in range(annulus_decomp.n_cubes) if adj[k])
     sides = annulus_decomp.sides
     j = next(j for j in adj[i] if sides[j] == sides[i])
@@ -426,10 +489,8 @@ def test_annulus_chains_found_and_valid(annulus_decomp):
 
 
 def test_thin_glue_chain_fails():
-    # near-tangent balls: the lens is too thin for comparably-sized cubes
-    thin = geo.DomainSpec((geo.Ball((-0.99, 0.0), 1.0),
-                           geo.Ball((0.99, 0.0), 1.0)))
-    decomp = wh.whitney_decompose(thin, max_level=7)
+    # the lens is too thin for comparably-sized cubes
+    decomp = wh.whitney_decompose(_thin_lens(), max_level=7)
     cl = int(np.argmin(decomp.centers[:, 0]))
     cr = int(np.argmax(decomp.centers[:, 0]))
     assert wh.find_admissible_chain(decomp, cl, cr, 0.2) is None
@@ -518,20 +579,21 @@ def test_unbounded_domain_needs_clip(straight_dumbbell):
 # ---------------------------------------------------------------------------
 
 def test_path_audit_annulus(annulus, annulus_decomp):
-    rep = wh.audit_visible_paths(annulus, n_pairs=20, seed=1,
-                               decomp=annulus_decomp)
+    rep = wh.audit_visible_paths(annulus, annulus_decomp, n_pairs=20, seed=1)
     assert rep.n_pairs == 20
     assert rep.ok
     assert rep.max_path_len <= 8
 
 
 def test_path_audit_convex_vacuous(unit_square):
-    rep = wh.audit_visible_paths(unit_square, n_pairs=10, seed=1)
+    decomp = wh.whitney_decompose(unit_square, max_level=7)
+    rep = wh.audit_visible_paths(unit_square, decomp, n_pairs=10, seed=1)
     assert rep.n_pairs == 0      # no non-visible pairs exist
     assert rep.ok
 
 
 def test_path_audit_straight_dumbbell(straight_dumbbell):
     dom = geo.clip_ball(straight_dumbbell, (0.0, 0.0), 8.0)
-    rep = wh.audit_visible_paths(dom, n_pairs=15, seed=3, max_level=6)
+    decomp = wh.whitney_decompose(dom, max_level=6)
+    rep = wh.audit_visible_paths(dom, decomp, n_pairs=15, seed=3)
     assert rep.ok, f"found {rep.found}/{rep.n_pairs}"

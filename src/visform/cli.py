@@ -112,6 +112,7 @@ class ExperimentConfig:
             if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ValueError(f"n_list must be strictly increasing, "
                                  f"got {self.n_list}")
+            forms.check_counterexample(self.n_list, self.resolution_factor)
         if self.name == "walk" and len(self.R) != 1:
             raise ValueError(f"walk takes one radius, got {self.R}")
         if self.method not in ("witness", "eigen"):
@@ -120,6 +121,8 @@ class ExperimentConfig:
             raise ValueError("h must be positive")
         if not all(R > 0 for R in self.R):
             raise ValueError(f"radii must be positive, got {self.R}")
+        if not self.clip_R > 0:
+            raise ValueError(f"clip_R must be positive, got {self.clip_R}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_level < 0:

@@ -283,6 +283,21 @@ def counterexample_log_coefficient(resolution_factor=8):
     return np.pi * (f * (f - 1) / 2) / f ** 2
 
 
+def check_counterexample(n_list, resolution_factor):
+    """Refuse strip sizes that ``counterexample_ratio`` cannot resolve."""
+    f = resolution_factor
+    if f < 8:
+        raise ValueError(f"resolution factor {f} too coarse: need "
+                         "h <= 1/(8n)")
+    for n in n_list:
+        if n < 2:
+            raise ValueError(f"need n >= 2, got n={n}")
+        if f * n % 2:
+            raise ValueError(f"cells of side 1/(f n) tile the unit square "
+                             f"from its centre only when f n is even, got "
+                             f"f={f}, n={n}")
+
+
 def counterexample_ratio(n, resolution_factor=8):
     """Ball-restricted vs censored energy of the diagonal-strip indicator.
 
@@ -313,16 +328,10 @@ def counterexample_ratio(n, resolution_factor=8):
     keeps ratio(4)/ratio(32) near 1.56 rather than the 2.5 of a pure
     C/ln n.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if resolution_factor < 8:
-        raise ValueError("resolution too coarse: need h <= 1/(8n)")
-    if resolution_factor * n % 2:
-        raise ValueError("cells of side 1/(f n) tile the unit square from "
-                         "its centre only when f n is even")
+    check_counterexample((n,), resolution_factor)
     h = 1.0 / (resolution_factor * n)
     domain = geometry.make_box(1.0, 1.0)
-    grid = mesh.build_grid(domain, x0=(0.5, 0.5), R=2.0, h=h, subsamples=1)
+    grid = mesh.build_grid(domain, x0=(0.5, 0.5), R=2.0, h=h)
     kernel = KernelSpec("constant")
     centre_sum = grid.centers[:, 0] + grid.centers[:, 1]
     u = (centre_sum < 1.0 / n - h / 2).astype(float)

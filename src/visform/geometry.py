@@ -640,17 +640,15 @@ TAG_OTHER, TAG_MINUS, TAG_STAR, TAG_PLUS = 0, 1, 2, 3
 # constructors
 # ---------------------------------------------------------------------------
 
-def make_dumbbell(variant="straight", tube_radius=1.0):
-    """Two half-planes joined by a corridor of the given radius.
+def make_dumbbell(variant="straight"):
+    """Two half-planes joined by a corridor of radius 1.
 
-    ``straight`` uses the slab {|x2| < r}; every left-right crossing can be
+    ``straight`` uses the slab {|x2| < 1}; every left-right crossing can be
     seen through it, and the slab doubles as the convex sub-corridor used
-    by the convex sub-corridor overlap checks.  ``curved`` uses the parabolic tube,
-    which blocks all direct left-right visibility.
+    by the convex sub-corridor overlap checks.  ``curved`` uses the
+    parabolic tube, which blocks all direct left-right visibility.
     """
-    if tube_radius <= 0:
-        raise ValueError("tube_radius must be positive")
-    r = float(tube_radius)
+    r = 1.0
     minus = HalfSpace(normal=(1.0, 0.0), offset=-1.0)     # x1 < -1
     plus = HalfSpace(normal=(-1.0, 0.0), offset=-1.0)     # x1 > 1
     if variant == "straight":
@@ -725,7 +723,6 @@ class DumbbellStructureReport:
     violated: list
     bell_ratios: dict = field(default_factory=dict)   # R -> (minus, plus)
     tilde_ratios: dict = field(default_factory=dict)  # R -> (minus, plus)
-    corridor_overlap_hits: tuple = (0, 0)
     gamma_star_bounded: bool = True
     gamma_tilde_present: bool = False
 
@@ -796,7 +793,6 @@ def audit_dumbbell_structure(domain, R_list=(8, 16, 32), n_samples=40000, seed=0
     corr = domain._in_any(meta.corridor_ids, pts)
     hits = (int((corr & domain._in_any(meta.minus_ids, pts)).sum()),
             int((corr & domain._in_any(meta.plus_ids, pts)).sum()))
-    report.corridor_overlap_hits = hits
     if hits[0] == 0:
         violated.append("corridor_bell_minus_overlap_empty")
     if hits[1] == 0:

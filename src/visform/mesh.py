@@ -2,8 +2,7 @@
 
 Cells are axis-aligned lattice squares of side h anchored at the ball
 center x0; a cell belongs to the grid when its center lies in D cap
-B(x0, R).  Cell measures come from a deterministic stratified sub-lattice
-so that boundary cells carry their covered fraction of h^2.
+B(x0, R), and every cell carries the full measure h^2.
 """
 
 from __future__ import annotations
@@ -34,17 +33,10 @@ class Grid:
         return self.centers.shape[0]
 
 
-def build_grid(domain, x0, R, h, subsamples=1):
-    """Collocate the clipped domain on a lattice of squares of side h.
-
-    ``subsamples`` is the number of stratified points per cell used for
-    the covered-fraction measure (rounded down to a square k*k >= 1);
-    with 1, every cell gets the full h^2.
-    """
+def build_grid(domain, x0, R, h):
+    """Collocate the clipped domain on a lattice of squares of side h."""
     if h <= 0:
         raise ValueError("cell size h must be positive")
-    if subsamples < 1:
-        raise ValueError("subsamples must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     clipped = geometry.clip_ball(domain, x0, R)
 
@@ -60,19 +52,7 @@ def build_grid(domain, x0, R, h, subsamples=1):
     if centers.shape[0] == 0:
         raise ValueError("empty grid: no cell centers inside the clipped domain")
 
-    if subsamples > 1:
-        k = max(1, int(np.sqrt(subsamples)))
-        offs = (np.arange(k) + 0.5) / k - 0.5
-        ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        frac = np.zeros(centers.shape[0])
-        for dx, dy in zip(ox.ravel(), oy.ravel()):
-            frac += clipped.contains_many(centers + np.array([dx * h, dy * h]))
-        frac /= k * k
-        # the center is inside, so never let a covered cell degenerate to 0
-        frac = np.maximum(frac, 1.0 / (k * k))
-        measures = frac * h * h
-    else:
-        measures = np.full(centers.shape[0], h * h)
+    measures = np.full(centers.shape[0], h * h)
 
     if domain.dumbbell is not None:
         tags = domain.region_tags(centers)

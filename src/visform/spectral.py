@@ -4,12 +4,12 @@ For p = 2 the best constant is the reciprocal of the smallest nonzero
 eigenvalue of the generalized problem  A u = lambda M u,  with A the
 energy quadratic form and M the diagonal cell-measure matrix; it is
 computed by Lanczos (``scipy.sparse.linalg.eigsh``) on the whitened
-operator M^-1/2 A M^-1/2.  A lazy vis form on a dumbbell grid gets a
-matrix-free A (FFT convolution inside the bells, sparse entries for the
-other visible pairs), an assembled form the CSR matrix of its pair list,
-and a local form its sparse stencil, solved by shift-invert.  For general
-p the step-profile witness gives a certified lower bound via its Rayleigh
-quotient, from a streamed lazy energy.
+operator M^-1/2 A M^-1/2.  Two forms have an eigen path: a lazy vis
+form on a dumbbell grid gets a matrix-free A (FFT convolution inside the
+bells, sparse entries for the other visible pairs), and a local form its
+sparse stencil, solved by shift-invert.  For general p the step-profile
+witness gives a certified lower bound via its Rayleigh quotient, from a
+streamed lazy energy.
 """
 
 from __future__ import annotations
@@ -28,6 +28,12 @@ from .geometry import TAG_MINUS, TAG_OTHER, TAG_PLUS, TAG_STAR
 # ---------------------------------------------------------------------------
 # quadratic form operators
 # ---------------------------------------------------------------------------
+
+#: the forms that have a p = 2 constant, named in every refusal
+_EIGEN_FORMS = ("the p = 2 constant is computed for a lazy vis form on a "
+                "make_dumbbell grid, with a kernel positive on the bell "
+                "lattice, or for a local form")
+
 
 class VisOperator(LinearOperator):
     """Matrix-free A = 2 (D - W) of a lazy vis form on a dumbbell grid.
@@ -70,8 +76,7 @@ class VisOperator(LinearOperator):
         quad[0, 0] = 0.0
         if np.any(quad.ravel()[1:] <= 0.0):
             raise ValueError(f"kernel {kernel.label()} vanishes on the bell "
-                             "lattice; the matrix-free operator needs k > 0 "
-                             "there: use forms.assemble and a PairSet")
+                             f"lattice; {_EIGEN_FORMS}")
         kx, ky = np.arange(2 * nx), np.arange(2 * ny)
         table = quad[np.minimum(kx, 2 * nx - kx)[:, None],
                      np.minimum(ky, 2 * ny - ky)]
@@ -137,28 +142,23 @@ def _convex_bells(domain):
 def quadratic_matrix(form):
     """Symmetric A with u.A.u = energy(form, u, p=2), plus connectivity.
 
-    A local form gives the CSR matrix of its stencil and an assembled
-    nonlocal form the CSR matrix of its pair list.  A lazy vis form on a
-    ``make_dumbbell`` grid gives the matrix-free ``VisOperator``.
+    A lazy vis form on a ``make_dumbbell`` grid gives the matrix-free
+    ``VisOperator`` and a local form the CSR matrix of its stencil; any
+    other form is refused.
     """
     grid = form.grid
-    n = grid.n_cells
-    if form.mode == "local":
-        has = [np.flatnonzero(nbr >= 0)
-               for nbr in (form.nbr_right, form.nbr_up)]
-        i = np.concatenate(has)
-        j = np.concatenate([form.nbr_right[has[0]], form.nbr_up[has[1]]])
-        c = grid.measures[i] / grid.h ** 2
-    elif form.pair_i is None:
-        if form.mode != "vis" or not _convex_bells(grid.domain):
-            raise ValueError(
-                "a lazy form has a matrix-free operator only in vis mode on "
-                "a make_dumbbell grid; build any other form with "
-                "forms.assemble and a PairSet")
+    if (form.mode == "vis" and form.pair_i is None
+            and _convex_bells(grid.domain)):
         A = VisOperator(grid, form.kernel)
         return A, A.connected
-    else:
-        i, j, c = form.pair_i, form.pair_j, 2.0 * form.weight
+    if form.mode != "local":
+        kind = "a lazy" if form.pair_i is None else "an assembled"
+        raise ValueError(f"{_EIGEN_FORMS}; got {kind} {form.mode} form")
+    n = grid.n_cells
+    has = [np.flatnonzero(nbr >= 0) for nbr in (form.nbr_right, form.nbr_up)]
+    i = np.concatenate(has)
+    j = np.concatenate([form.nbr_right[has[0]], form.nbr_up[has[1]]])
+    c = grid.measures[i] / grid.h ** 2
     # +c on both ends' diagonal, -c off it, duplicates summed
     A = sp.coo_matrix((np.concatenate((c, c, -c, -c)),
                        (np.concatenate((i, j, i, j)),
@@ -173,13 +173,12 @@ def poincare_constant_l2(form, grid=None, seed=0):
     """Best L2 Poincare constant 1/lambda_1 of the generalized problem.
 
     lambda_1 is the smallest eigenvalue of  E(u, v) = lambda <u, v>_m  on
-    the measure-weighted mean-zero subspace.  A disconnected pair graph
-    has lambda_1 = 0 and the constant is reported as inf.  ``seed`` fixes
-    the Lanczos start vector, so repeated calls return the same bits.
+    the measure-weighted mean-zero subspace, for a lazy vis form on a
+    ``make_dumbbell`` grid or a local form (``quadratic_matrix`` refuses
+    any other).  A disconnected pair graph has lambda_1 = 0 and the
+    constant is reported as inf.  ``seed`` fixes the Lanczos start vector,
+    so repeated calls return the same bits.
     """
-    if form.mode not in ("vis", "cen", "local"):
-        raise ValueError("Poincare constant is computed for vis, cen or "
-                         "local forms")
     grid = form.grid if grid is None else grid
     if np.any(grid.measures <= 0):
         raise ValueError("grid measures must be positive")
@@ -204,12 +203,7 @@ def poincare_constant_l2(form, grid=None, seed=0):
         white = LinearOperator(
             (n, n), dtype=np.float64,
             matvec=lambda v: inv_sqm * (A @ (inv_sqm * v.reshape(-1))))
-        if n < 4:
-            # below ARPACK's size limit: the whitened matrix, column by column
-            lam = np.linalg.eigvalsh(white.matmat(np.eye(n)))[:2]
-        else:
-            lam = eigsh(white, k=2, which="SA", return_eigenvectors=False,
-                        v0=v0)
+        lam = eigsh(white, k=2, which="SA", return_eigenvectors=False, v0=v0)
     lam = float(lam.max())
     if lam <= 0.0:
         return float("inf")
@@ -357,7 +351,7 @@ def check_sweep(domain, R_list, h):
 
 
 def scaling_experiment(domain, kernel, p, R_list, method="witness", h=0.5,
-                       seed=0, subsamples=1):
+                       seed=0):
     """Sweep the clip radius, measure the Poincare-constant proxy, fit.
 
     ``kernel=None`` selects the local gradient form.  Nonlocal forms are
@@ -381,7 +375,7 @@ def scaling_experiment(domain, kernel, p, R_list, method="witness", h=0.5,
     seconds = []
     for R in R_list:
         t0 = time.perf_counter()
-        grid = mesh.build_grid(domain, x0, R, h, subsamples=subsamples)
+        grid = mesh.build_grid(domain, x0, R, h)
         if kernel is None:
             form = forms.assemble(grid, None, None, "local", p)
         else:

@@ -7,8 +7,7 @@ chain is reversible with respect to measure * rate.  No (N, N) array is
 kept: a row stores its probabilities, their running sums and its target
 states, and a step bisects the running sums.  Crossing statistics between
 the two bells of a dumbbell are Monte Carlo over seeded, batch-advanced
-paths; step counts, not holding times, are the observable (per-state
-total rates are kept as metadata).
+paths; step counts, not holding times, are the observable.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ class ChainModel:
     cdf: np.ndarray              # (nnz,) running sums of P, 1.0 at row ends
     cols: np.ndarray             # (nnz,) target state of each entry
     indptr: np.ndarray           # (N + 1,)
-    rates: np.ndarray            # (N,) total jump rate sum_j k(r) m_j
     grid: mesh.Grid | None
     isolated: np.ndarray         # (N,) bool, the empty rows
 
@@ -47,10 +45,10 @@ def build_chain(grid, pairs, kernel):
                       (np.concatenate([form.pair_i, form.pair_j]),
                        np.concatenate([form.pair_j, form.pair_i]))),
                      shape=(n, n))
-    return _chain(W, grid.measures, grid)
+    return _chain(W, grid)
 
 
-def _chain(W, measures, grid):
+def _chain(W, grid):
     """The chain of the symmetric CSR weights W (sorted columns)."""
     totals = W.sum(axis=1)
     isolated = totals == 0.0
@@ -63,7 +61,7 @@ def _chain(W, measures, grid):
     # a draw above a row's rounded total lands on the row's last entry
     cdf[W.indptr[1:][~isolated] - 1] = 1.0
     return ChainModel(P=P, cdf=cdf, cols=W.indices, indptr=W.indptr,
-                      rates=totals / measures, grid=grid, isolated=isolated)
+                      grid=grid, isolated=isolated)
 
 
 def _advance(chain, states, rng):
@@ -85,7 +83,6 @@ def _advance(chain, states, rng):
 class CrossingStats:
     mean_steps: float
     ci95: float
-    n_paths: int
     n_completed: int
     n_censored: int
     direct_cross_jumps: int      # observed bell-to-bell transitions
@@ -141,7 +138,7 @@ def mean_crossing_time(chain, n_paths=1000, max_steps=1_000_000, seed=0):
     mean = float(completed.mean())
     ci = 1.96 * float(completed.std(ddof=1)) / float(np.sqrt(completed.size)) \
         if completed.size > 1 else 0.0
-    return CrossingStats(mean_steps=mean, ci95=ci, n_paths=n_paths,
+    return CrossingStats(mean_steps=mean, ci95=ci,
                          n_completed=int(completed.size), n_censored=censored,
                          direct_cross_jumps=direct, steps=completed)
 

@@ -52,6 +52,8 @@ SEARCH_BUDGET = 100_000
 PATH_CUBES = 8
 #: elements per (sources, cubes) block of the chain sum (cache-sized)
 CHUNK = 1 << 16
+#: most sources Q of the chain-sum sup; more cubes give a stratified subset
+MAX_SOURCES = 4000
 #: coverage_residual's lattice steps per side of the finest cube
 RESIDUAL_OVERSAMPLE = 2
 
@@ -334,10 +336,6 @@ class Chain:
     j0: int                        # central position (0-based)
     length: float                  # sum of cube sides
 
-    def reversed(self):
-        return Chain(indices=list(reversed(self.indices)), epsilon=self.epsilon,
-                     j0=len(self.indices) - 1 - self.j0, length=self.length)
-
 
 def _path_long_distances(decomp, path):
     """Sides along a path from q to s, and D(q, c), D(c, s) for each of its
@@ -496,27 +494,22 @@ def _whitney_sum_values(decomp, a, b, qs):
                      for q, s in zip(qs.tolist(), sums.tolist())])
 
 
-def verify_whitney_sum(decomp, a, b, max_sources=4000):
+def verify_whitney_sum(decomp, a, b):
     """sup over Q of side(Q)^(b-a) * sum over S of side(S)^a / D(Q,S)^b.
 
     Requires b > a > d - 1.  When the decomposition has more than
-    ``max_sources`` cubes the sup is taken over a deterministic stratified
-    subset of Q (the inner sum always runs over every S).  Returns the sup
-    and the first source that attains it.
+    MAX_SOURCES cubes the sup is taken over a deterministic stratified
+    subset of MAX_SOURCES sources Q (the inner sum always runs over every
+    S).  Returns the sup and the first source that attains it.
     """
     d = decomp.dim
     if not b > a > d - 1:
         raise ValueError(f"need b > a > d-1, got a={a}, b={b}, d={d}")
-    if (isinstance(max_sources, bool)
-            or not isinstance(max_sources, (int, np.integer))
-            or max_sources < 1):
-        raise ValueError(f"max_sources must be an int >= 1, "
-                         f"got {max_sources!r}")
     n = decomp.n_cubes
     if n == 0:
         raise ValueError("empty decomposition")
-    if n > max_sources:
-        qs = np.unique(np.linspace(0, n - 1, max_sources).astype(int))
+    if n > MAX_SOURCES:
+        qs = np.unique(np.linspace(0, n - 1, MAX_SOURCES).astype(int))
     else:
         qs = np.arange(n)
     vals = _whitney_sum_values(decomp, a, b, qs)
@@ -533,10 +526,7 @@ class PathConditionReport:
     ok: bool
     n_pairs: int
     found: int
-    budget_exhausted: int
     max_path_len: int
-    pair_rows: list = field(default_factory=list)
-    # rows: (r, path_len or -1, dist_x_over_r, dist_y_over_r, max_gap_over_r)
 
 
 def _cube_sample_points(decomp, cubes, shrink=1e-3):
@@ -589,7 +579,7 @@ def audit_visible_paths(domain, decomp, n_pairs=40, seed=0):
             pairs.append((pts[0], pts[1]))
 
     report = PathConditionReport(ok=True, n_pairs=len(pairs), found=0,
-                                 budget_exhausted=0, max_path_len=0)
+                                 max_path_len=0)
     centers = decomp.centers
     sides = decomp.sides
     for x, y in pairs:
@@ -600,7 +590,6 @@ def audit_visible_paths(domain, decomp, n_pairs=40, seed=0):
             <= (8.0 * PATH_CUBES * r) ** 2
         cand = np.nonzero(size_ok & near)[0]
         if cand.size == 0:
-            report.pair_rows.append((r, -1, np.nan, np.nan, np.nan))
             continue
         from_x = _cube_visible_from_point(domain, x, list(cand), decomp)
         from_y = _cube_visible_from_point(domain, y, list(cand), decomp)
@@ -609,23 +598,12 @@ def audit_visible_paths(domain, decomp, n_pairs=40, seed=0):
         path = _bfs_visible_path(domain, decomp, list(starts), goals,
                                  set(int(c) for c in cand))
         if path is None:
-            report.budget_exhausted += 1
-            report.pair_rows.append((r, -1, np.nan, np.nan, np.nan))
             continue
         report.found += 1
         report.max_path_len = max(report.max_path_len, len(path))
-        dist_x = _point_cube_distance(decomp, x, path[0]) / r
-        dist_y = _point_cube_distance(decomp, y, path[-1]) / r
-        gaps = [decomp.set_distance(a, b) / r
-                for a, b in zip(path[:-1], path[1:])] or [0.0]
-        report.pair_rows.append((r, len(path), dist_x, dist_y, max(gaps)))
     if report.found < report.n_pairs:
         report.ok = False
     return report
-
-
-def _point_cube_distance(decomp, x, qi):
-    return float(_box_distance(decomp.lows[qi], decomp.highs[qi], x, x))
 
 
 def _bfs_visible_path(domain, decomp, starts, goals, allowed):

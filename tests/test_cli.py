@@ -237,6 +237,11 @@ def test_run_unknown_override_key_exits_one(tmp_path, capsys):
     ["scaling-nonlocal", "--h", "2"],
     ["check-domain", "--domain", "annulus:0.3,1"],
     ["comparability", "--domain", "straight-dumbbell"],
+    ["whitney-audit", "--domain", "straight-dumbbell", "--clip-R", "0"],
+    ["whitney-audit", "--domain", "straight-dumbbell", "--clip-R", "-1"],
+    ["counterexample", "--factor", "4"],
+    ["counterexample", "--n", "1,4,8"],
+    ["counterexample", "--factor", "9", "--n", "3,5,7"],
     # malformed flag values fail like malformed config values
     ["walk", "--paths", "x"],
     ["scaling-nonlocal", "--method", "eigne"],

@@ -152,8 +152,7 @@ def small_grids(draw):
         x0 = domain.dumbbell.x0
         R = draw(st.floats(2.5, 4.5))
         h = draw(st.sampled_from([0.5, 0.4, 1.0 / 3.0]))
-    subsamples = draw(st.sampled_from([1, 4]))
-    return mesh.build_grid(domain, x0, R, h, subsamples=subsamples)
+    return mesh.build_grid(domain, x0, R, h)
 
 
 @settings(max_examples=15, deadline=None)
@@ -298,7 +297,7 @@ def test_ball_mode_survivors_are_visible(name):
     segment: each such segment lies in a ball inside D, so the slot test
     calls every one visible."""
     domain, x0, R, h = _BALL_GRIDS[name]
-    grid = mesh.build_grid(domain, x0, R, h, subsamples=4)
+    grid = mesh.build_grid(domain, x0, R, h)
     delta = forms.boundary_distances(grid)
     ii, jj = np.triu_indices(grid.n_cells, k=1)
     d = grid.centers[jj] - grid.centers[ii]

@@ -333,8 +333,6 @@ def test_make_dumbbell_metadata(straight_dumbbell, curved_dumbbell):
 def test_make_dumbbell_bad_variant():
     with pytest.raises(ValueError):
         geo.make_dumbbell("twisted")
-    with pytest.raises(ValueError):
-        geo.make_dumbbell("straight", tube_radius=0.0)
 
 
 def test_clip_ball_membership():

@@ -13,7 +13,7 @@ def test_exact_tiling_four_cells(unit_square):
 
 def test_ball_measure_subsampled():
     ball = geo.DomainSpec((geo.Ball((0.0, 0.0), 1.0),))
-    grid = mesh.build_grid(ball, (0.0, 0.0), 1.0, 0.25, subsamples=16)
+    grid = mesh.build_grid(ball, (0.0, 0.0), 1.0, 0.25)
     assert grid.measures.sum() == pytest.approx(np.pi, rel=0.05)
     assert np.all(grid.measures > 0)
     assert np.all(grid.measures <= 0.25 ** 2 + 1e-15)
@@ -34,8 +34,6 @@ def test_empty_grid_errors(unit_square):
         mesh.build_grid(unit_square, (10.0, 10.0), 0.5, 0.25)
     with pytest.raises(ValueError):
         mesh.build_grid(unit_square, (0.5, 0.5), 1.0, -0.1)
-    with pytest.raises(ValueError):
-        mesh.build_grid(unit_square, (0.5, 0.5), 1.0, 0.5, subsamples=0)
 
 
 def test_visibility_pairs_refusal_names_lazy_energy(unit_square):
@@ -53,8 +51,8 @@ def test_visibility_pairs_refusal_names_lazy_energy(unit_square):
 ])
 def test_refinement_measure_stability(maker, x0, R, request):
     dom = request.getfixturevalue(maker)
-    coarse = mesh.build_grid(dom, x0, R, 0.5, subsamples=4)
-    fine = mesh.build_grid(dom, x0, R, 0.25, subsamples=4)
+    coarse = mesh.build_grid(dom, x0, R, 0.5)
+    fine = mesh.build_grid(dom, x0, R, 0.25)
     assert fine.measures.sum() == pytest.approx(coarse.measures.sum(),
                                                 rel=0.03)
 
@@ -144,11 +142,3 @@ def test_cell_mean(unit_square):
     assert mesh.cell_mean(grid, [3.0, 3.0, 3.0]) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         mesh.cell_mean(grid, [1.0, 2.0])
-
-
-def test_sliver_cell_measure_floored():
-    # center inside a slab so thin every stratified subsample point misses
-    slab = geo.DomainSpec((geo.Box((-10.0, 0.24), (10.0, 0.26)),))
-    grid = mesh.build_grid(slab, (0.0, 0.0), 1.0, 0.5, subsamples=16)
-    assert grid.n_cells > 0
-    assert np.all(grid.measures == 0.25 / 16.0)

@@ -63,7 +63,7 @@ def _two_state_chain(q=0.5):
                      ix=np.arange(2), iy=np.zeros(2, dtype=int),
                      domain=dom, x0=(0.0, 0.0), R=16.0)
     W = sp.csr_array(np.array([[1.0 - q, q], [q, 1.0 - q]]))
-    return walker._chain(W, grid.measures, grid)
+    return walker._chain(W, grid)
 
 
 class _FixedDraws:
@@ -84,7 +84,7 @@ def test_draw_above_rounded_row_total_stays_reachable():
                                [8.6, 0.0, 0.0, 1.0],
                                [7.5, 0.0, 0.0, 0.0],
                                [0.0, 1.0, 0.0, 0.0]]))
-    chain = walker._chain(W, np.ones(4), None)
+    chain = walker._chain(W, None)
     u = np.nextafter(1.0, 0.0)
     assert chain.cols[:2].tolist() == [1, 2]
     assert np.cumsum(chain.P[:2])[-1] < u
@@ -160,11 +160,16 @@ def test_build_chain_two_visible_cells():
 
 def test_build_chain_detailed_balance(annulus_grid):
     pairs = mesh.visibility_pairs(annulus_grid)
-    chain = walker.build_chain(annulus_grid, pairs,
-                               kn.KernelSpec("power", s=0.5, p=2))
+    kernel = kn.KernelSpec("power", s=0.5, p=2)
+    chain = walker.build_chain(annulus_grid, pairs, kernel)
     P = _dense_P(chain)
     assert np.allclose(P.sum(axis=1)[~chain.isolated], 1.0, atol=1e-12)
-    flow = annulus_grid.measures[:, None] * chain.rates[:, None] * P
+    # total jump rates sum_j k(r) m_j, from the assembled weights k(r) m_i m_j
+    form = forms.assemble(annulus_grid, pairs, kernel, "vis")
+    m = annulus_grid.measures
+    rates = (np.bincount(form.pair_i, form.weight, m.size)
+             + np.bincount(form.pair_j, form.weight, m.size)) / m
+    flow = m[:, None] * rates[:, None] * P
     assert np.max(np.abs(flow - flow.T)) < 1e-12
 
 

@@ -5,7 +5,9 @@ The chain's rows are the CSR rows of the assembled vis form
 w_ij / sum_j w_ij, w_ij = k(r) m_i m_j, so m_i cancels and the embedded
 chain is reversible with respect to measure * rate.  No (N, N) array is
 kept: a row stores its probabilities, their running sums and its target
-states, and a step bisects the running sums.  Crossing statistics between
+states, plus one guide bucket per entry (Chen & Asau 1974; Devroye 1986,
+III.2.4), and a step bisects the running sums only inside the bracket of
+the draw's bucket.  Crossing statistics between
 the two bells of a dumbbell are Monte Carlo over seeded, batch-advanced
 paths; step counts, not holding times, are the observable.
 """
@@ -26,11 +28,18 @@ MAX_CENSORED_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class ChainModel:
-    """CSR rows: state s jumps through entries indptr[s]:indptr[s+1]."""
+    """CSR rows: state s jumps through entries indptr[s]:indptr[s+1].
+
+    A row of L entries has L guide buckets; entry k falls in bucket
+    min(floor(cdf_k L), L - 1), and a draw u in bucket floor(u L).  The
+    first entry with cdf >= u then lies between the first entry of u's
+    bucket and the first entry past it, both inclusive.
+    """
     P: np.ndarray                # (nnz,) jump probabilities, columns sorted
     cdf: np.ndarray              # (nnz,) running sums of P, 1.0 at row ends
     cols: np.ndarray             # (nnz,) target state of each entry
     indptr: np.ndarray           # (N + 1,)
+    guide: np.ndarray            # (nnz,) first entry past each bucket
     grid: mesh.Grid | None
     isolated: np.ndarray         # (N,) bool, the empty rows
 
@@ -45,32 +54,56 @@ def build_chain(grid, pairs, kernel):
                       (np.concatenate([form.pair_i, form.pair_j]),
                        np.concatenate([form.pair_j, form.pair_i]))),
                      shape=(n, n))
+    del form                            # the guide build reuses its memory
     return _chain(W, grid)
 
 
 def _chain(W, grid):
-    """The chain of the symmetric CSR weights W (sorted columns)."""
+    """The chain of the symmetric CSR weights W (sorted columns); W's rows
+    are normalized in place and its data becomes the chain's P."""
     totals = W.sum(axis=1)
     isolated = totals == 0.0
     if isolated.all():
         raise ValueError("every state is isolated; the chain cannot move")
-    P = W.data / np.repeat(totals, np.diff(W.indptr))
+    lengths = np.diff(W.indptr)
+    P = W.data
+    P /= np.repeat(totals, lengths)
     cdf = np.empty_like(P)
     for lo, hi in zip(W.indptr[:-1], W.indptr[1:]):
         np.cumsum(P[lo:hi], out=cdf[lo:hi])
     # a draw above a row's rounded total lands on the row's last entry
     cdf[W.indptr[1:][~isolated] - 1] = 1.0
+    # entry k of row s goes to slot indptr[s] + min(floor(cdf_k L), L - 1);
+    # counting the entries per slot and summing gives, per slot, the first
+    # entry of a later bucket (the row's end for its last bucket).  Two
+    # (nnz,) integer arrays at a time: the float products are cast as made
+    row_len = np.repeat(lengths, lengths)
+    slot = np.empty(P.size, dtype=np.int64)
+    np.multiply(cdf, row_len, out=slot, casting="unsafe")
+    row_len -= 1
+    np.minimum(slot, row_len, out=slot)
+    del row_len
+    slot += np.repeat(W.indptr[:-1], lengths)
+    guide = np.bincount(slot, minlength=P.size)
+    del slot
+    np.cumsum(guide, out=guide)
     return ChainModel(P=P, cdf=cdf, cols=W.indices, indptr=W.indptr,
-                      grid=grid, isolated=isolated)
+                      guide=guide, grid=grid, isolated=isolated)
 
 
 def _advance(chain, states, rng):
-    """One synchronous step for a batch of states (vectorized bisection)."""
+    """One synchronous step for a batch of states: a guide-bucket lookup,
+    then a vectorized bisection inside the bucket's bracket."""
     u = rng.random(states.shape[0])
-    lo = chain.indptr[states]
-    hi = chain.indptr[states + 1]
-    # invariant: cdf < u before lo, cdf[hi - 1] >= u; a row of L entries
-    # closes to lo == hi in L.bit_length() halvings
+    start = chain.indptr[states]
+    # u and cdf take the same monotone map to buckets, so the first entry
+    # with cdf >= u lies in [first entry of u's bucket, first entry past
+    # it]; floor(u L) <= L - 1 for u < 1
+    slot = start + (u * (chain.indptr[states + 1] - start)).astype(np.int64)
+    lo = np.where(slot > start, chain.guide[slot - 1], start)
+    hi = chain.guide[slot]
+    # invariant: cdf < u before lo, cdf >= u at hi (or hi ends the row);
+    # a bracket of L entries closes to lo == hi in L.bit_length() halvings
     for _ in range(int((hi - lo).max()).bit_length()):
         mid = (lo + hi) // 2
         go_right = chain.cdf[mid] < u
@@ -97,6 +130,10 @@ def mean_crossing_time(chain, n_paths=1000, max_steps=1_000_000, seed=0):
     Censored paths (max_steps) are excluded from the mean and reported;
     more than MAX_CENSORED_FRACTION of them fails.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     grid = chain.grid
     if grid is None or grid.domain.dumbbell is None:
         raise ValueError("crossing times need a dumbbell-tagged grid")
@@ -118,14 +155,16 @@ def mean_crossing_time(chain, n_paths=1000, max_steps=1_000_000, seed=0):
     taken = 0                           # the paths move in lockstep
     while active.size:
         nxt = _advance(chain, cur, rng)
-        direct += int(np.sum(minus[cur] & plus[nxt]))
         taken += 1
         hit = plus[nxt]
-        steps[active[hit]] = taken
+        if hit.any():
+            direct += int(np.count_nonzero(minus[cur[hit]]))
+            steps[active[hit]] = taken
+            active, nxt = active[~hit], nxt[~hit]
+        cur = nxt
         if taken >= max_steps:
-            steps[active[~hit]] = -1
+            steps[active] = -1
             break
-        active, cur = active[~hit], nxt[~hit]
     censored = int(np.sum(steps < 0))
     completed = steps[steps >= 0]
     if completed.size == 0:

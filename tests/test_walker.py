@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -76,6 +78,53 @@ class _FixedDraws:
         return np.full(n, self.u)
 
 
+class _GivenDraws:
+    """Stands in for a Generator whose uniform draws are ``u``, in order."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+def _dense_cdf(chain):
+    """(N, N) running sums read from the chain's own CSR rows: each column
+    holds the cdf of the row's last stored entry at or before it, 0.0
+    before the first one (a running max, as each row's cdf is monotone)."""
+    n = chain.indptr.size - 1
+    cdf = np.zeros((n, n))
+    cdf[np.repeat(np.arange(n), np.diff(chain.indptr)), chain.cols] = chain.cdf
+    return np.maximum.accumulate(cdf, axis=1)
+
+
+def _assert_edge_draws_match_dense(chain):
+    """Every live row, drawn at each guide-bucket edge g / L, both float
+    neighbours of each edge and each stored cdf value with its upper
+    neighbour, moves where the dense whole-row bisection over the same
+    cdf moves; u = 0.0 takes the row's first stored entry, where the dense
+    rows give column 0 whether or not it is stored."""
+    states, draws = [], []
+    for s in np.flatnonzero(~chain.isolated):
+        lo, hi = chain.indptr[s], chain.indptr[s + 1]
+        edges = np.arange(hi - lo + 1) / (hi - lo)
+        row = np.concatenate([edges, np.nextafter(edges, 0.0),
+                              np.nextafter(edges, 1.0), chain.cdf[lo:hi],
+                              np.nextafter(chain.cdf[lo:hi], 1.0)])
+        row = np.unique(row[row < 1.0])
+        states.append(np.full(row.size, s))
+        draws.append(row)
+    states = np.concatenate(states)
+    u = np.concatenate(draws)
+    assert u[0] == 0.0 and np.nextafter(1.0, 0.0) in u
+    got = walker._advance(chain, states, _GivenDraws(u))
+    want = _dense_advance(_dense_cdf(chain), states, _GivenDraws(u))
+    zero = u == 0.0
+    want[zero] = chain.cols[chain.indptr[states[zero]]]
+    assert np.array_equal(got, want)
+
+
 def test_draw_above_rounded_row_total_stays_reachable():
     # row 0's probabilities 8.6/16.1 and 7.5/16.1 add up to 1 - 2**-52: a
     # draw above that total must go to the row's last entry (state 2),
@@ -125,6 +174,42 @@ def test_advance_matches_dense_reference(r8_chain):
     got = walker._advance(chain, states, np.random.default_rng(4))
     want = _dense_advance(cdf, states, np.random.default_rng(4))
     assert np.array_equal(got, want)
+
+
+def test_bucket_edge_draws_match_dense_reference(r8_chain):
+    _assert_edge_draws_match_dense(r8_chain[0])
+
+
+def test_bucket_edge_draws_on_flat_cdf_runs():
+    # explicit zero weights give zero probabilities and flat cdf runs,
+    # leading, inner and trailing; rows hold 7 stored entries each
+    weights = np.random.default_rng(6).integers(0, 3, size=(8, 8))
+    weights = np.triu(weights, 1) + np.triu(weights, 1).T
+    weights[:, 7] = weights[7, :] = 0
+    weights[6, 7] = weights[7, 6] = 1
+    i, j = np.nonzero(~np.eye(8, dtype=bool))
+    W = sp.csr_array((weights[i, j].astype(float), (i, j)), shape=(8, 8))
+    chain = walker._chain(W, None)
+    assert chain.P.size == 56 and not chain.isolated.any()
+    rows = np.split(chain.cdf, chain.indptr[1:-1])
+    assert rows[7][0] == 0.0 and rows[2][1] == rows[2][0] < rows[2][-1]
+    assert np.count_nonzero(chain.P == 0.0) == 18
+    _assert_edge_draws_match_dense(chain)
+
+
+#: mean steps and the first 16 hex digits of sha256(steps) of the quick
+#: suite's walks (R = 8, 200 paths, seed 0, max_steps 200,000, s = 0.25)
+QUICK_WALKS = {"straight-dumbbell": (165.455, "8306aab3294377b0"),
+               "curved-dumbbell": (1342.345, "27db1e8c3694ecc6")}
+
+
+def test_quick_suite_walks_keep_their_steps(r8_chain):
+    chain = r8_chain[0]
+    stats = walker.mean_crossing_time(chain, n_paths=200, max_steps=200_000,
+                                      seed=0)
+    digest = hashlib.sha256(stats.steps.tobytes()).hexdigest()[:16]
+    assert (stats.mean_steps, digest) == QUICK_WALKS[chain.grid.domain.name]
+    assert stats.n_completed == 200
 
 
 def test_chain_holds_no_dense_array(curved_dumbbell):
@@ -216,9 +301,12 @@ def _exact_mean_crossing(chain):
     return float(np.sum(w * t[start]) / np.sum(w))
 
 
-@pytest.mark.parametrize("name", ["straight", "curved"])
-def test_crossing_mean_matches_exact_hitting_time(name):
-    grid = mesh.build_grid(geo.make_dumbbell(name), (0.0, 0.0), 8.0, 0.5)
+@pytest.mark.parametrize("name, R", [("straight", 8.0), ("curved", 8.0),
+                                     ("straight", 16.0), ("curved", 16.0)],
+                         ids=["straight", "curved", "straight-R16",
+                              "curved-R16"])
+def test_crossing_mean_matches_exact_hitting_time(name, R):
+    grid = mesh.build_grid(geo.make_dumbbell(name), (0.0, 0.0), R, 0.5)
     chain = walker.build_chain(grid, mesh.visibility_pairs(grid),
                                kn.KernelSpec("power", s=0.25, p=2))
     if name == "curved":
@@ -230,6 +318,15 @@ def test_crossing_mean_matches_exact_hitting_time(name):
     assert stats.n_censored == 0
     z = (stats.mean_steps - exact) / (stats.ci95 / 1.96)
     assert abs(z) < 4.0, f"mean {stats.mean_steps}, exact {exact}, z {z}"
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_paths=0), dict(max_steps=0),
+                                    dict(n_paths=-3)],
+                         ids=["n_paths=0", "max_steps=0", "n_paths=-3"])
+def test_crossing_refuses_bad_path_counts(kwargs):
+    (arg,) = kwargs
+    with pytest.raises(ValueError, match=arg):
+        walker.mean_crossing_time(_two_state_chain(), **kwargs)
 
 
 def test_seed_determinism(straight_dumbbell):

@@ -9,7 +9,8 @@ form on a dumbbell grid gets a matrix-free A (FFT convolution inside the
 bells, sparse entries for the other visible pairs), and a local form its
 sparse stencil, solved by shift-invert.  For general p the step-profile
 witness gives a certified lower bound via its Rayleigh quotient, from a
-streamed lazy energy.
+streamed lazy energy.  The witness path uses numpy alone: scipy is
+imported inside the functions of the eigen path, on their first call.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import forms, geometry, mesh
 from .geometry import TAG_MINUS, TAG_OTHER, TAG_PLUS, TAG_STAR
@@ -35,7 +33,7 @@ _EIGEN_FORMS = ("the p = 2 constant is computed for a lazy vis form on a "
                 "lattice, or for a local form")
 
 
-class VisOperator(LinearOperator):
+class VisOperator:
     """Matrix-free A = 2 (D - W) of a lazy vis form on a dumbbell grid.
 
     W_ij = k(r_ij) m_i m_j over the visible pairs and D holds W's row
@@ -47,12 +45,18 @@ class VisOperator(LinearOperator):
     the table's spectrum taken once.  The other visible pairs are sparse
     entries: bell-to-bell pairs and pairs that touch a corridor cell, from
     ``forms._visible_pairs`` (the portal rule, else segment tests).
-    ``connected`` tells whether the pair graph is connected.
+    ``connected`` tells whether the pair graph is connected.  It is a
+    plain operator with a ``shape`` and ``A @ x`` for x of shape (n,) or
+    (n, k); ``poincare_constant_l2`` wraps it in a scipy
+    ``LinearOperator`` for ``eigsh``.
     """
 
     def __init__(self, grid, kernel):
-        super().__init__(dtype=np.float64, shape=(grid.n_cells,) * 2)
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         n, m = grid.n_cells, grid.measures
+        self.shape = (n, n)
         in_bell = np.isin(grid.tags, (TAG_MINUS, TAG_PLUS))
         bells = [np.flatnonzero(grid.tags == tag)
                  for tag in (TAG_MINUS, TAG_PLUS)]
@@ -105,7 +109,7 @@ class VisOperator(LinearOperator):
         w *= m[i] * m[j]
         pos = w > 0.0             # truncated profiles zero out far pairs
         i, j, w = i[pos], j[pos], w[pos]
-        self._sparse = sp.csr_matrix(
+        self._sparse = csr_matrix(
             (np.concatenate((w, w)), (np.concatenate((i, j)),
                                       np.concatenate((j, i)))), shape=(n, n))
         self._diag = np.asarray(self._sparse.sum(axis=1)).ravel()
@@ -114,7 +118,7 @@ class VisOperator(LinearOperator):
         # a bell is a clique of positive weights: link it to its first cell
         li = np.concatenate([i] + bells)
         lj = np.concatenate([j] + [np.full(c.size, c[0]) for c in bells])
-        graph = sp.csr_matrix((np.ones(li.size), (li, lj)), shape=(n, n))
+        graph = csr_matrix((np.ones(li.size), (li, lj)), shape=(n, n))
         self.connected = connected_components(graph, directed=False)[0] == 1
 
     def _convolve(self, v):
@@ -124,8 +128,11 @@ class VisOperator(LinearOperator):
                             s=self._buf.shape[1:])
         return out.reshape(-1)[self._pos]
 
-    def _matvec(self, x):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
+    def __matmul__(self, x):
+        """A x for x of shape (n,), or (n, k) one column at a time."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 2:
+            return np.column_stack([self @ col for col in x.T])
         wx = self._sparse @ x
         wx[self._cells] += self._mb * self._convolve(self._mb * x[self._cells])
         return 2.0 * (self._diag * x - wx)
@@ -154,6 +161,9 @@ def quadratic_matrix(form):
     if form.mode != "local":
         kind = "a lazy" if form.pair_i is None else "an assembled"
         raise ValueError(f"{_EIGEN_FORMS}; got {kind} {form.mode} form")
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     n = grid.n_cells
     has = [np.flatnonzero(nbr >= 0) for nbr in (form.nbr_right, form.nbr_up)]
     i = np.concatenate(has)
@@ -179,6 +189,9 @@ def poincare_constant_l2(form, grid=None, seed=0):
     constant is reported as inf.  ``seed`` fixes the Lanczos start vector,
     so repeated calls return the same bits.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     grid = form.grid if grid is None else grid
     if np.any(grid.measures <= 0):
         raise ValueError("grid measures must be positive")

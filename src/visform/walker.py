@@ -9,7 +9,8 @@ states, plus one guide bucket per entry (Chen & Asau 1974; Devroye 1986,
 III.2.4), and a step bisects the running sums only inside the bracket of
 the draw's bucket.  Crossing statistics between
 the two bells of a dumbbell are Monte Carlo over seeded, batch-advanced
-paths; step counts, not holding times, are the observable.
+paths; step counts, not holding times, are the observable.  scipy is
+imported by ``build_chain``, on its first call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import forms, mesh
 from .geometry import TAG_MINUS, TAG_PLUS
@@ -46,14 +46,16 @@ class ChainModel:
 
 def build_chain(grid, pairs, kernel):
     """Row-normalized visible-jump chain; isolated states are flagged."""
+    from scipy.sparse import csr_array
+
     form = forms.assemble(grid, pairs, kernel, "vis")
     n = grid.n_cells
     # the (data, (i, j)) constructor sums duplicates, which sorts each
     # row's columns
-    W = sp.csr_array((np.concatenate([form.weight, form.weight]),
-                      (np.concatenate([form.pair_i, form.pair_j]),
-                       np.concatenate([form.pair_j, form.pair_i]))),
-                     shape=(n, n))
+    W = csr_array((np.concatenate([form.weight, form.weight]),
+                   (np.concatenate([form.pair_i, form.pair_j]),
+                    np.concatenate([form.pair_j, form.pair_i]))),
+                  shape=(n, n))
     del form                            # the guide build reuses its memory
     return _chain(W, grid)
 
@@ -67,7 +69,8 @@ def _chain(W, grid):
         raise ValueError("every state is isolated; the chain cannot move")
     lengths = np.diff(W.indptr)
     P = W.data
-    P /= np.repeat(totals, lengths)
+    # an isolated row's stored zeros stay P = 0 (divided by 1, not 0)
+    P /= np.repeat(np.where(isolated, 1.0, totals), lengths)
     cdf = np.empty_like(P)
     for lo, hi in zip(W.indptr[:-1], W.indptr[1:]):
         np.cumsum(P[lo:hi], out=cdf[lo:hi])

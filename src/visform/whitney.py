@@ -21,6 +21,8 @@ pattern found by dyadic-lattice lookups per level pair, by one
 ``scipy.sparse.csgraph.dijkstra`` call per endpoint.  Cube costs are
 whole finest-side units, so ties are exact, and the path is walked back
 by the smallest-index parent: the chain a (cost, index) heap gives.
+scipy is imported by the chain search, on its first call; the
+decomposition and the audits use numpy alone.
 
 The chain-sum estimate ``verify_whitney_sum`` takes its sources in
 blocks of rows against (d, n) columns of the cube bounds, with the
@@ -37,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from . import geometry
 
@@ -131,7 +131,7 @@ class WhitneyDecomposition:
     bbox_lo: tuple
     bbox_hi: tuple
     centers: np.ndarray = field(init=False)
-    _adjacency: sp.csr_array = field(default=None, init=False)
+    _adjacency: object = field(default=None, init=False)  # by adjacency()
 
     def __post_init__(self):
         self.centers = (self.lows + self.highs) / 2.0
@@ -169,6 +169,8 @@ class WhitneyDecomposition:
         """
         if self._adjacency is not None:
             return self._adjacency
+        from scipy.sparse import csr_array
+
         n = self.n_cubes
         steps = np.asarray(list(np.ndindex(*(3,) * self.dim))) - 1
         # mixed-radix keys, increasing in the cubes' (level, anchor) order;
@@ -188,7 +190,7 @@ class WhitneyDecomposition:
                 j = np.broadcast_to(fine[:, None], hit.shape)[hit]
                 pairs.append(i[i < j] * n + j[i < j])
         i, j = np.divmod(np.unique(np.concatenate(pairs)), n)
-        self._adjacency = sp.csr_array(      # sorted columns
+        self._adjacency = csr_array(         # sorted columns
             (np.ones(2 * i.size), (np.concatenate([i, j]),
                                    np.concatenate([j, i]))), shape=(n, n))
         return self._adjacency
@@ -379,10 +381,13 @@ def validate_chain(decomp, chain):
 def _growth_tree(adj, units, start, grows, limit):
     """Distances from ``start`` in finest-side units over the cubes where
     ``grows`` holds (entering cube v costs units[v]); inf past ``limit``."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
     keep = grows[adj.indices]
     indptr = np.concatenate([[0], np.cumsum(keep)])[adj.indptr]
     cols = adj.indices[keep]
-    graph = sp.csr_array((units[cols], cols, indptr), shape=adj.shape)
+    graph = csr_array((units[cols], cols, indptr), shape=adj.shape)
     return dijkstra(graph, indices=start, limit=limit)
 
 

@@ -287,6 +287,21 @@ def test_eigen_sweep_reaches_R32(straight_dumbbell):
     assert eig.samples[-1][1] == pytest.approx(24.61959653698274, rel=1e-9)
 
 
+#: the quick suite's scaling-eigen-small-R samples at R = 4, 8, 16
+#: (straight dumbbell, power:s=0.25,p=2, h = 0.5, seed 0), the same bits at
+#: 1 and 2 BLAS threads
+QUICK_EIGEN = (1.2857294845119311, 3.5293275483175255, 9.355788745437676)
+
+
+def test_quick_suite_eigen_points_keep_their_bits():
+    # the call cli.run_scaling_nonlocal makes for the quick suite
+    rep = spectral.scaling_experiment(
+        geo.parse_domain("straight-dumbbell"),
+        kn.parse_kernel("power:s=0.25,p=2"), 2.0, [4.0, 8.0, 16.0],
+        method="eigen", h=0.5, seed=0)
+    assert tuple(value for _, value in rep.samples) == QUICK_EIGEN
+
+
 def test_eigen_sweep_builds_no_pair_list(monkeypatch, straight_dumbbell):
     def refuse(grid):
         raise AssertionError("the eigen sweep built a pair list")

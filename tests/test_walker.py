@@ -197,6 +197,19 @@ def test_bucket_edge_draws_on_flat_cdf_runs():
     _assert_edge_draws_match_dense(chain)
 
 
+def test_zero_total_rows_with_stored_zeros_stay_isolated():
+    # rows 0 and 1 carry weight 1; rows 2 and 3 store only explicit zeros
+    i = np.array([0, 1, 2, 3])
+    j = np.array([1, 0, 3, 2])
+    W = sp.csr_array((np.array([1.0, 1.0, 0.0, 0.0]), (i, j)), shape=(4, 4))
+    with np.errstate(all="raise"):
+        chain = walker._chain(W, None)
+    assert chain.isolated.tolist() == [False, False, True, True]
+    assert chain.P.tolist() == [1.0, 1.0, 0.0, 0.0]
+    for values in (chain.P, chain.cdf, chain.guide):
+        assert np.isfinite(values).all()
+
+
 #: mean steps and the first 16 hex digits of sha256(steps) of the quick
 #: suite's walks (R = 8, 200 paths, seed 0, max_steps 200,000, s = 0.25)
 QUICK_WALKS = {"straight-dumbbell": (165.455, "8306aab3294377b0"),

@@ -6,11 +6,12 @@ w_ij / sum_j w_ij, w_ij = k(r) m_i m_j, so m_i cancels and the embedded
 chain is reversible with respect to measure * rate.  No (N, N) array is
 kept: a row stores its probabilities, their running sums and its target
 states, plus one guide bucket per entry (Chen & Asau 1974; Devroye 1986,
-III.2.4), and a step bisects the running sums only inside the bracket of
-the draw's bucket.  Crossing statistics between
-the two bells of a dumbbell are Monte Carlo over seeded, batch-advanced
-paths; step counts, not holding times, are the observable.  scipy is
-imported by ``build_chain``, on its first call.
+III.2.4), and a step compares the draw with the running sums only inside
+the bracket of its bucket, every path's bracket in one array pass.
+Crossing statistics between the two bells of a dumbbell are Monte Carlo
+over seeded, batch-advanced paths; step counts, not holding times, are
+the observable.  scipy is imported by ``build_chain``, on its first
+call.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _chain(W, grid):
 
 def _advance(chain, states, rng):
     """One synchronous step for a batch of states: a guide-bucket lookup,
-    then a vectorized bisection inside the bucket's bracket."""
+    then one comparison pass over every bucket's bracket."""
     u = rng.random(states.shape[0])
     start = chain.indptr[states]
     # u and cdf take the same monotone map to buckets, so the first entry
@@ -104,15 +105,16 @@ def _advance(chain, states, rng):
     # it]; floor(u L) <= L - 1 for u < 1
     slot = start + (u * (chain.indptr[states + 1] - start)).astype(np.int64)
     lo = np.where(slot > start, chain.guide[slot - 1], start)
-    hi = chain.guide[slot]
-    # invariant: cdf < u before lo, cdf >= u at hi (or hi ends the row);
-    # a bracket of L entries closes to lo == hi in L.bit_length() halvings
-    for _ in range(int((hi - lo).max()).bit_length()):
-        mid = (lo + hi) // 2
-        go_right = chain.cdf[mid] < u
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(go_right, hi, mid)
-    return chain.cols[lo]
+    width = chain.guide[slot] - lo
+    # the entries of a row with cdf < u are a prefix of it (cdf is a running
+    # sum, and the row's last entry, 1.0, is not below u), so the first
+    # entry with cdf >= u is lo plus the bracket's entries below u, counted
+    # over all brackets [lo, lo + width) laid end to end
+    owner = np.repeat(np.arange(lo.size), width)
+    entry = np.arange(owner.size) + np.repeat(lo - np.cumsum(width) + width,
+                                              width)
+    below = chain.cdf[entry] < u[owner]
+    return chain.cols[lo + np.bincount(owner[below], minlength=lo.size)]
 
 
 @dataclass

@@ -24,9 +24,16 @@ by the smallest-index parent: the chain a (cost, index) heap gives.
 scipy is imported by the chain search, on its first call; the
 decomposition and the audits use numpy alone.
 
-The chain-sum estimate ``verify_whitney_sum`` takes its sources in
-blocks of rows against (d, n) columns of the cube bounds, with the
-per-source arithmetic and summation order, so its sums keep their bits.
+The chain-sum estimate ``verify_whitney_sum`` is a filtered sup
+(Shewchuk's filtered predicates, Discrete Comput. Geom. 18, 1997): a
+float32 screen in finest-lattice units, with a proven relative error
+bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+4.2, for the positive row sums), values every source, and only the
+sources that screen within that bound of the largest get the exact
+float64 sum, in blocks of rows against (d, n) columns of the cube bounds
+with the per-source arithmetic and summation order.  The sup and its
+source keep their bits; where the bound cannot be certified every source
+gets the float64 sum.
 
 Level-L cubes have side  base * 2^-L  with base a quarter of the
 bounding-box side, so level 0 starts below the domain scale and the
@@ -173,11 +180,7 @@ class WhitneyDecomposition:
 
         n = self.n_cubes
         steps = np.asarray(list(np.ndindex(*(3,) * self.dim))) - 1
-        # mixed-radix keys, increasing in the cubes' (level, anchor) order;
-        # a digit of -1 or max + 1, one step off the lattice, matches none
-        radix = self.anchors.max(axis=0) + 2
-        weight = np.cumprod(np.append(1, radix[::-1]))[::-1]
-        keys = np.column_stack([self.levels, self.anchors]) @ weight
+        keys, weight = _lattice_keys(self)
         pairs = []
         for b in np.unique(self.levels):
             fine = np.flatnonzero(self.levels == b)
@@ -310,19 +313,31 @@ def check_sandwich(decomp):
     return np.flatnonzero(~ok).tolist()
 
 
+def _lattice_keys(decomp):
+    """Mixed-radix (level, anchor) keys, increasing in the cubes' (level,
+    anchor) order, and the digit weights; a digit of -1 or max + 1, one
+    step off the lattice, matches no cube."""
+    radix = decomp.anchors.max(axis=0) + 2
+    weight = np.cumprod(np.append(1, radix[::-1]))[::-1]
+    return np.column_stack([decomp.levels, decomp.anchors]) @ weight, weight
+
+
 def disjoint_interiors(decomp):
-    """True when no two cubes overlap on an open set (dyadic check)."""
-    keys = list(map(tuple, np.column_stack([decomp.levels, decomp.anchors])
-                    .tolist()))
-    seen = set(keys)
-    if len(seen) < len(keys):
+    """True when no two cubes overlap on an open set (dyadic check): no
+    (level, anchor) repeats and no cube's strict ancestor is present,
+    looked up by key per pair of levels."""
+    if decomp.n_cubes == 0:
+        return True
+    keys, weight = _lattice_keys(decomp)
+    keys = np.sort(keys)
+    if np.any(keys[1:] == keys[:-1]):
         return False
-    # a cube's strict ancestors must not be present
-    for level, *anchor in keys:
-        while level > 0:
-            level -= 1
-            anchor = [a // 2 for a in anchor]
-            if (level, *anchor) in seen:
+    for b in np.unique(decomp.levels):
+        fine = decomp.anchors[decomp.levels == b]
+        for a in range(b):
+            cand = a * weight[0] + (fine // 2 ** (b - a)) @ weight[1:]
+            at = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
+            if np.any(keys[at] == cand):
                 return False
     return True
 
@@ -461,13 +476,15 @@ def find_admissible_chain(decomp, qi, si, eps):
 def _whitney_sum_values(decomp, a, b, qs):
     """side(Q)^(b-a) * sum over S of side(S)^a / D(Q,S)^b for each Q in qs.
 
-    Sources go B = CHUNK // n at a time through one (B, n) buffer, built
-    from (d, n) columns of the cube bounds.  Each element sees the
-    per-source arithmetic in its order: squared gaps summed axis by axis,
-    sqrt, side(Q) + dist + side(S), the array power, the division, and a
-    pairwise ``np.sum`` along the contiguous row.  The factor
-    side(Q)^(b-a) stays a scalar power per source: numpy's array power
-    differs from it in the last bit for a few percent of inputs.
+    The exact path of ``verify_whitney_sum``, for the sources its screen
+    keeps (or all of them).  Sources go B = CHUNK // n at a time through
+    one (B, n) buffer, built from (d, n) columns of the cube bounds.  Each
+    element sees the per-source arithmetic in its order: squared gaps
+    summed axis by axis, sqrt, side(Q) + dist + side(S), the array power,
+    the division, and a pairwise ``np.sum`` along the contiguous row, so a
+    source's value does not depend on the others in its block.  The
+    factor side(Q)^(b-a) stays a scalar power per source: numpy's array
+    power differs from it in the last bit for a few percent of inputs.
     """
     sides = decomp.sides
     lows = np.ascontiguousarray(decomp.lows.T)          # (d, n)
@@ -499,6 +516,104 @@ def _whitney_sum_values(decomp, a, b, qs):
                      for q, s in zip(qs.tolist(), sums.tolist())])
 
 
+# The screen's error against the exact lattice value V, first order in
+# u = 2^-24 (each float32 operation rounds by at most u).  Anchors are
+# nonnegative, so coordinates are integers in [0, reach], and below 2^24
+# the gaps are exact.  The squared gaps summed over d axes err by d u, the
+# sqrt by (d/2 + 1) u, and the two side additions leave den = dist + w_Q
+# + w_S within (d/2 + 3) u.  For integral b, den^b errs by b times that
+# plus b - 1 products, and side^a (rounded once) over it by two more: at
+# most (b (d/2 + 4) + 1) u a term.
+# numpy's pairwise row sum passes a term through at most 25 additions in a
+# block of 128 (8 accumulators of 16, their 3-level join, 7 leftovers) and
+# one more per halving, 39 in all for n <= 2^20; the terms are positive,
+# so the row sum errs by at most 39 u more.  The float64 path takes the
+# same steps at u = 2^-53, from coordinates bb_lo + anchor * side rounded
+# by at most 3 scale 2^-53 finest sides (scale = reach + |bbox| in finest
+# sides), so its den, at least 2 finest sides, errs by 3 sqrt(d) scale
+# 2^-53 more, and its den^b by b times that.  A term neither overflows nor
+# goes subnormal while every den^b lies in [1, 2^120].  The screen runs
+# only where 10 times the sum of these bounds stays within _SCREEN_ERR
+# (2-D, b = 3: 55 u plus about 2^-36, an 18-fold margin).  A non-integral
+# b is not screened: numpy's float32 power errs by up to 15 u, and every
+# experiment takes b = 3.
+#: relative distance allowed between the float32 chain-sum screen and the
+#: float64 sums of _whitney_sum_values
+_SCREEN_ERR = 2.0 ** -14
+
+
+def _screen_values(decomp, a, b, qs):
+    """float32 screen of _whitney_sum_values(decomp, a, b, qs): each value
+    within _SCREEN_ERR of the float64 one, relatively, or None where b is
+    not integral, the bound above cannot be certified or the cube bounds
+    are not the lattice's.
+
+    The value is scale-free, so it is taken in finest-lattice units:
+    coordinates are the integers anchor * 2^(L - level) and sides
+    w = 2^(L - level), L the finest level.  Each element takes the steps
+    of the float64 path in float32 (gap, squared gaps, sqrt, + w_Q + w_S,
+    power by products, divide, row sum); the row sums times w_Q^(b-a) are
+    float64.
+    """
+    if not float(b).is_integer():
+        return None
+    levels = decomp.levels
+    dim, n = decomp.dim, decomp.n_cubes
+    top = int(levels.max())
+    w = 2.0 ** (top - levels)
+    lo = decomp.anchors * w[:, None]                    # exact integers
+    hi = lo + w[:, None]
+    # the float64 bounds must be the lattice's, as whitney_decompose makes
+    # them: the screen reads (level, anchor), the float64 path the bounds
+    finest = decomp.sides.min()
+    if not (np.array_equal(decomp.sides, w * finest)
+            and np.array_equal(decomp.lows,
+                               np.asarray(decomp.bbox_lo) + lo * finest)
+            and np.array_equal(decomp.highs,
+                               decomp.lows + decomp.sides[:, None])):
+        return None
+    reach = float(hi.max())
+    scale = reach + np.abs(decomp.bbox_lo + decomp.bbox_hi).max() / finest
+    bound = ((b * (dim / 2 + 4) + 40) * (2.0 ** -24 + 2.0 ** -53)
+             + b * 3 * np.sqrt(dim) * scale * 2.0 ** -53)
+    if not (reach < 2 ** 24 and n <= 2 ** 20
+            and b * np.log2(2 * w.max() + np.sqrt(dim) * reach) <= 120
+            and 10 * bound <= _SCREEN_ERR):
+        return None
+    lows = np.ascontiguousarray(lo.T, dtype=np.float32)   # (d, n)
+    highs = np.ascontiguousarray(hi.T, dtype=np.float32)
+    q_lows, q_highs = lows[:, qs], highs[:, qs]
+    sides = w.astype(np.float32)
+    q_sides = sides[qs]
+    powered = (w ** a).astype(np.float32)
+    rows = max(1, CHUNK // n)
+    buf, gap, other, zero = (np.zeros((rows, n), np.float32)
+                             for _ in range(4))
+    sums = np.empty(len(qs), np.float32)
+    for start in range(0, len(qs), rows):
+        q = slice(start, start + rows)
+        m = min(rows, len(qs) - start)
+        acc, g, g2 = buf[:m], gap[:m], other[:m]
+        for k in range(dim):
+            np.subtract(q_lows[k, q, None], highs[k], out=g)
+            np.subtract(lows[k], q_highs[k, q, None], out=g2)
+            np.maximum(g, g2, out=g)
+            np.maximum(g, zero[:m], out=g)
+            if k == 0:
+                np.square(g, out=acc)
+            else:
+                acc += np.square(g, out=g)
+        np.sqrt(acc, out=acc)
+        acc += q_sides[q, None]
+        acc += sides
+        np.copyto(g, acc)
+        for _ in range(int(b) - 1):
+            g *= acc
+        np.divide(powered, g, out=acc)
+        sums[q] = np.sum(acc, axis=1)
+    return sums.astype(float) * w[qs] ** (b - a)
+
+
 def verify_whitney_sum(decomp, a, b):
     """sup over Q of side(Q)^(b-a) * sum over S of side(S)^a / D(Q,S)^b.
 
@@ -506,6 +621,16 @@ def verify_whitney_sum(decomp, a, b):
     MAX_SOURCES cubes the sup is taken over a deterministic stratified
     subset of MAX_SOURCES sources Q (the inner sum always runs over every
     S).  Returns the sup and the first source that attains it.
+
+    A float32 screen (``_screen_values``) values every source within
+    _SCREEN_ERR of its float64 sum, so a source attaining the sup screens
+    at least max * (1 - E) / (1 + E); only those sources, usually a
+    handful, get float64 sums, and the sup and its first source are the
+    ones of the float64 sums of all sources.  Where b is not integral or
+    the screen's bound is not certified (den^b out of float32 range, a
+    large b, a lattice too fine for float32 integers, or cube bounds that
+    are not those of the cubes' (level, anchor)) every source gets its
+    float64 sum.
     """
     d = decomp.dim
     if not b > a > d - 1:
@@ -517,6 +642,10 @@ def verify_whitney_sum(decomp, a, b):
         qs = np.unique(np.linspace(0, n - 1, MAX_SOURCES).astype(int))
     else:
         qs = np.arange(n)
+    screened = _screen_values(decomp, a, b, qs)
+    if screened is not None:
+        keep = screened.max() * ((1.0 - _SCREEN_ERR) / (1.0 + _SCREEN_ERR))
+        qs = qs[screened >= keep]
     vals = _whitney_sum_values(decomp, a, b, qs)
     best = int(np.argmax(vals))          # the first maximum
     return float(vals[best]), int(qs[best])

@@ -433,6 +433,36 @@ def test_square_sandwich_and_cover(unit_square):
     assert residual < 0.08 * measure
 
 
+def _with_ancestor(decomp, k, up):
+    """The rows of decomp plus the ancestor ``up`` levels above cube k."""
+    level = int(decomp.levels[k]) - up
+    anchor = tuple(int(v) // 2 ** up for v in decomp.anchors[k])
+    side = decomp.base * 2.0 ** -level
+    lo = np.asarray(decomp.bbox_lo) + np.asarray(anchor) * side
+    return _rows(decomp) + [(level, anchor, side, tuple(lo), tuple(lo + side))]
+
+
+def test_disjoint_interiors_false_branches(unit_square):
+    decomp = wh.whitney_decompose(unit_square, max_level=5)
+    assert wh.disjoint_interiors(decomp)
+    rows = _rows(decomp)
+    k = int(np.flatnonzero(decomp.levels >= 3)[0])
+    cases = {"duplicate": rows[:k + 1] + [rows[k]] + rows[k + 1:],
+             "parent": _with_ancestor(decomp, k, 1),
+             "grandparent": _with_ancestor(decomp, k, 2),
+             "ancestor of the last": _with_ancestor(decomp, -1, 3)}
+    for name, case in cases.items():
+        bad = _decomposition(unit_square, case, decomp.base, 5,
+                             decomp.bbox_lo, decomp.bbox_hi)
+        assert not wh.disjoint_interiors(bad), name
+    # a coarse cube that contains none of the others keeps the verdict
+    lone = (0, (7, 7), decomp.base, (7 * decomp.base,) * 2,
+            (8 * decomp.base,) * 2)
+    assert wh.disjoint_interiors(_decomposition(
+        unit_square, rows + [lone], decomp.base, 5, decomp.bbox_lo,
+        decomp.bbox_hi))
+
+
 def test_long_distance_values(annulus_decomp):
     sides = annulus_decomp.sides
     assert annulus_decomp.long_distance(0, 0) == pytest.approx(2 * sides[0])
@@ -547,6 +577,94 @@ def test_whitney_sum_matches_per_source_reference(monkeypatch, name, domain,
         assert type(sup) is float and type(arg) is int
         ref_sup, ref_arg = _ref_first_max(qs, ref)
         assert (sup.hex(), arg) == (ref_sup.hex(), ref_arg)
+
+
+def _sum_exponents(decomp):
+    return [(2.0, 3.0), (1.5, 2.0), (1.25, 2.9)] + (
+        [(1.0, 2.0)] if decomp.dim == 1 else [])
+
+
+def _sources(decomp, max_sources):
+    n = decomp.n_cubes
+    if max_sources == "n" or n <= max_sources:
+        return np.arange(n)
+    return np.unique(np.linspace(0, n - 1, max_sources).astype(int))
+
+
+@pytest.mark.parametrize("name,domain,level,sources", _sum_cases(),
+                         ids=[c[0] for c in _sum_cases()])
+def test_whitney_screen_within_its_bound(name, domain, level, sources):
+    # the screen's proven bound is 55 float32 roundoffs in 2-D at b = 3,
+    # below _SCREEN_ERR / 16 = 64; measured errors are at most 5.  A
+    # non-integral b is not screened
+    decomp = wh.whitney_decompose(domain, max_level=level)
+    qs = _sources(decomp, sources)
+    for a, b in _sum_exponents(decomp):
+        screen = wh._screen_values(decomp, a, b, qs)
+        if b == 2.9:
+            assert screen is None
+            continue
+        exact = wh._whitney_sum_values(decomp, a, b, qs)
+        assert screen.dtype == np.float64 and screen.shape == exact.shape
+        assert np.all(np.abs(screen - exact) <= wh._SCREEN_ERR / 16 * exact)
+
+
+def _counting_exact_rows(monkeypatch):
+    """Wrap _whitney_sum_values; the list gets len(qs) per call."""
+    counts = []
+    exact = wh._whitney_sum_values
+
+    def counted(decomp, a, b, qs):
+        counts.append(len(qs))
+        return exact(decomp, a, b, qs)
+
+    monkeypatch.setattr(wh, "_whitney_sum_values", counted)
+    return counts
+
+
+def test_whitney_screen_leaves_few_exact_rows(monkeypatch, annulus_decomp):
+    qs = _sources(annulus_decomp, wh.MAX_SOURCES)
+    exact = wh._whitney_sum_values(annulus_decomp, 2.0, 3.0, qs)
+    counts = _counting_exact_rows(monkeypatch)
+    sup, arg = wh.verify_whitney_sum(annulus_decomp, 2.0, 3.0)
+    assert len(qs) == 4000 and len(counts) == 1
+    assert 1 <= counts[0] < 0.01 * len(qs)
+    best = int(np.argmax(exact))
+    assert (sup.hex(), arg) == (float(exact[best]).hex(), int(qs[best]))
+
+
+def test_whitney_sum_uncertified_range_takes_every_exact_row(monkeypatch):
+    # den^40 leaves float32's range, and b = 40 exceeds the bound's margin
+    decomp = wh.whitney_decompose(geo.make_annulus(), max_level=5)
+    monkeypatch.setattr(wh, "MAX_SOURCES", 257)
+    qs, ref = _ref_whitney_sum(decomp, 2.0, 40.0, 257)
+    assert wh._screen_values(decomp, 2.0, 40.0, qs) is None
+    counts = _counting_exact_rows(monkeypatch)
+    sup, arg = wh.verify_whitney_sum(decomp, 2.0, 40.0)
+    assert counts == [len(qs)] == [257]
+    ref_sup, ref_arg = _ref_first_max(qs, ref)
+    assert (sup.hex(), arg) == (ref_sup.hex(), ref_arg)
+
+
+def test_whitney_sum_off_lattice_rows_take_every_exact_row(monkeypatch,
+                                                           annulus):
+    # the injected cubes' bounds are not their (level, anchor) cubes', so
+    # the lattice screen would value other geometry than the float64 sums
+    decomp = wh.whitney_decompose(annulus, max_level=6)
+    too_big = (1, (0, 0), 0.5, (0.25, -0.25), (0.75, 0.25))
+    rows = _rows(decomp)
+    injected = _decomposition(annulus, rows[:10] + [too_big] + rows[10:],
+                              decomp.base, 6, decomp.bbox_lo, decomp.bbox_hi)
+    assert wh._screen_values(decomp, 2.0, 3.0,
+                             _sources(decomp, wh.MAX_SOURCES)) is not None
+    qs = _sources(injected, wh.MAX_SOURCES)
+    assert wh._screen_values(injected, 2.0, 3.0, qs) is None
+    counts = _counting_exact_rows(monkeypatch)
+    sup, arg = wh.verify_whitney_sum(injected, 2.0, 3.0)
+    assert counts == [len(qs)]
+    qs, ref = _ref_whitney_sum(injected, 2.0, 3.0, wh.MAX_SOURCES)
+    ref_sup, ref_arg = _ref_first_max(qs, ref)
+    assert (sup.hex(), arg) == (ref_sup.hex(), ref_arg)
 
 
 def test_whitney_sum_1d_bounded():

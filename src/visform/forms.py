@@ -17,15 +17,19 @@ one entry point: an assembled form sums over its pair list, a lazy form
 blocks, without ever materializing O(N^2) pairs; this suits indicator and
 step profiles on grids too large to assemble.
 
-In vis mode, a group pair that joins the two bells of a dumbbell takes
-its visible pairs from the portal rule
-(``geometry.DomainSpec.portal_pairs``): the x2 of a segment at the
-corridor's mouths decides it, and only pairs next to a corridor edge get
-a segment test.  The block sums add the same terms in the same order as
-a segment test of every pair would, so they keep their bits.  Every
-other streamed vis-mode block takes a segment test of each pair.  The
-same decision (``_visible_pairs``) gives the sparse entries of the
-spectral layer's matrix-free vis operator.  Nothing is kept between
+In vis mode, a group pair that joins the two bells of a dumbbell is
+decided by the portal rule (``geometry.DomainSpec.portal_runs``): the x2
+of a segment at the corridor's mouths decides it, per source and target
+column as runs of the column, and only pairs next to a corridor edge get
+a segment test.  A visible run is summed from a prefix table of the
+kernel over lattice offsets, so these sums differ from a pair-by-pair
+sum by rounding (a few ulps).  All the other streamed vis-mode blocks of
+one energy are first screened at the mouths they cross
+(``DomainSpec.mouth_screen``), and share calls of the segment test for
+the rest; each group pair is summed over its own visible pairs in the
+order of a segment test of every pair, so these sums keep their bits.
+The portal rule's pairs (``_visible_pairs``) give the sparse entries of
+the spectral layer's matrix-free vis operator.  Nothing is kept between
 calls, so an energy's cost does not depend on what ran before it.
 """
 
@@ -176,20 +180,28 @@ def grouped_energy(grid, kernel, mode, u, p):
             f"most {MAX_GROUPS}: assemble the form with a PairSet "
             "(mesh.visibility_pairs) instead")
     groups = [np.nonzero(inverse == g)[0] for g in range(values.size)]
-    delta = boundary_distances(grid) if mode == "ball" else None
+    pairs = [(a, b) for a in range(values.size)
+             for b in range(a + 1, values.size)]
+    sums = _cross_weight_sums(grid, kernel, mode,
+                              [(groups[a], groups[b]) for a, b in pairs])
     total = 0.0
-    for a in range(values.size):
-        for b in range(a + 1, values.size):
-            jump = abs(values[a] - values[b]) ** p
-            total += jump * _cross_weight_sum(grid, kernel, mode, delta,
-                                              groups[a], groups[b])
+    for (a, b), part in zip(pairs, sums):
+        jump = abs(values[a] - values[b]) ** p
+        total += jump * part
     return float(2.0 * total)
 
 
 # ---------------------------------------------------------------------------
-# streamed pair evaluation: the portal rule between the bells, segment
-# tests for the other vis-mode blocks
+# streamed pair evaluation: runs of the portal rule between the bells,
+# mouth-screened segment tests for the other vis-mode blocks
 # ---------------------------------------------------------------------------
+
+#: (source, column) entries per bell-to-bell block of a streamed vis energy
+RUN_BLOCK = 1 << 16
+#: pending segment tests that start a shared segment-test call for the
+#: mouth-screened blocks
+SCREEN_BATCH = 1 << 14
+
 
 def clear_visibility_cache():
     """Does nothing: streamed energies keep no state between calls.
@@ -199,9 +211,11 @@ def clear_visibility_cache():
 
 
 def _bell_columns(grid, A, B):
-    """B's lattice columns when A x B joins the two bells of a dumbbell."""
+    """B's lattice columns when A x B joins the two bells of a dumbbell
+    whose bells see each other through the corridor's mouths alone."""
     ends = {int(grid.tags[A[0]]), int(grid.tags[B[0]])}
     if (ends != {geometry.TAG_MINUS, geometry.TAG_PLUS}
+            or grid.domain._portal_corridor() is None
             or np.any(grid.tags[A] != grid.tags[A[0]])
             or np.any(grid.tags[B] != grid.tags[B[0]])):
         return None
@@ -228,47 +242,215 @@ def _visible_pairs(domain, cA, cB, bell=None):
     return i, k - i * nb
 
 
-def _cross_weight_sum(grid, kernel, mode, delta, A, B):
-    """Sum of the weights k(r) m_i m_j over the pairs A x B.
+def _cross_weight_sums(grid, kernel, mode, group_pairs):
+    """Per group pair (A, B), the sum of the weights k(r) m_i m_j over the
+    pairs A x B (the visible ones in vis mode).
 
-    A is walked in blocks of whole rows against all of B; ``delta`` holds
-    the boundary distances in ball mode.  In vis mode, ``_visible_pairs``
-    decides each block: by the portal rule when the group pair joins the
-    two bells of a dumbbell, else by segment tests.
+    In vis mode a group pair that joins the two bells of a dumbbell is
+    summed over the runs of the portal rule (``_run_sum``), and all the
+    other group pairs share mouth-screened segment tests
+    (``_screened_sums``); in the other modes each group pair is summed
+    apart (``_cross_weight_sum``).
     """
-    domain = grid.domain
+    if mode != "vis" or grid.domain.all_visible:
+        delta = boundary_distances(grid) if mode == "ball" else None
+        return [_cross_weight_sum(grid, kernel, delta, A, B)
+                for A, B in group_pairs]
+    sums = [0.0] * len(group_pairs)
+    rest = []
+    table = None
+    for g, (A, B) in enumerate(group_pairs):
+        bell = _bell_columns(grid, A, B)
+        if bell is not None:
+            if table is None:
+                table = _offset_table(grid, kernel)
+            sums[g] = _run_sum(grid, kernel, A, B, bell, table)
+        else:
+            rest.append((g, A, B))
+    _screened_sums(grid, kernel, rest, sums)
+    return sums
+
+
+def _cross_weight_sum(grid, kernel, delta, A, B):
+    """Sum of the weights k(r) m_i m_j over the pairs A x B, every pair
+    visible (cen mode, or an all-visible domain) or, given the boundary
+    distances ``delta``, the ball-mode survivors.  A is walked in blocks of
+    whole rows against all of B."""
     rows = max(1, mesh.PAIR_BLOCK // B.size)
     cB, mB = grid.centers[B], grid.measures[B]
-    vis = mode == "vis" and not domain.all_visible
-    bell = _bell_columns(grid, A, B) if vis else None
     total = 0.0
     for lo in range(0, A.size, rows):
         a = A[lo:lo + rows]
-        cA = grid.centers[a]
-        if vis:
-            # the visible pairs alone, in the block's (source, B) order, so
-            # the block sum below adds the same terms in the same order
-            i, j = _visible_pairs(domain, cA, cB, bell)
-            dx = cB[j, 0] - cA[i, 0]
-            dy = cB[j, 1] - cA[i, 1]
-            r = np.sqrt(dx * dx + dy * dy)
-            mass = grid.measures[a][i] * mB[j]
-        else:
-            # pair k of the block is (a[k // |B|], B[k % |B|])
-            dx = cB[None, :, 0] - cA[:, None, 0]
-            dy = cB[None, :, 1] - cA[:, None, 1]
-            r = np.sqrt(dx * dx + dy * dy).ravel()
-            mass = np.outer(grid.measures[a], mB).ravel()
-            if mode == "ball":
-                # a survivor has r < max(delta_i, delta_j) / 2, so its
-                # segment lies in the open ball of radius delta about one
-                # end, inside D: it needs no segment test
-                keep = r < np.maximum.outer(delta[a], delta[B]).ravel() / 2.0
-                r, mass = r[keep], mass[keep]
+        # pair k of the block is (a[k // |B|], B[k % |B|])
+        r = _on_block(_distance, grid.centers[a], cB).ravel()
+        mass = _on_block(np.multiply, grid.measures[a], mB).ravel()
+        if delta is not None:
+            # a survivor has r < max(delta_i, delta_j) / 2, so its segment
+            # lies in the open ball of radius delta about one end, inside
+            # D: it needs no segment test
+            keep = r < _on_block(np.maximum, delta[a], delta[B]).ravel() / 2.0
+            r, mass = r[keep], mass[keep]
         if r.size:
             mass *= kernel.k(r)
             total += float(np.sum(mass))
     return total
+
+
+def _offset_table(grid, kernel):
+    """Prefix sums of k over lattice offsets between the two bells.
+
+    Returns (P, d0, U) with P[|dix| - d0, diy + U] the sum of
+    k(h |(dix, u)|) over u = -U .. diy - 1, for every column offset
+    d0 <= |dix| of a bell-to-bell pair and every row offset |diy| <= U of
+    the grid.
+    """
+    ix = [grid.ix[grid.tags == tag]
+          for tag in (geometry.TAG_MINUS, geometry.TAG_PLUS)]
+    d0 = int(ix[1].min() - ix[0].max())
+    dx = np.arange(d0, ix[1].max() - ix[0].min() + 1, dtype=float)
+    U = int(grid.iy.max() - grid.iy.min())
+    du = np.arange(-U, U + 1, dtype=float)
+    table = np.zeros((dx.size, 2 * U + 2))
+    np.cumsum(kernel.k(grid.h * np.sqrt(dx[:, None] ** 2 + du * du)),
+              axis=1, out=table[:, 1:])
+    return table, d0, U
+
+
+def _run_sum(grid, kernel, A, B, bell, table):
+    """Sum of k(r) m_i m_j over the visible pairs between the bells.
+
+    A is walked in blocks of ``RUN_BLOCK // columns`` rows.  Each run that
+    ``DomainSpec.portal_runs`` calls visible is summed as a difference of
+    two entries of the prefix table of ``_offset_table``; the pairs of the
+    band runs get a segment test, and the visible ones are summed from
+    k(h |offset|) one by one.  Every cell has measure h^2.  The terms are
+    those of a sum over the visible pairs, in another order and with
+    lattice offsets for centre differences, so the sum moves by ulps.
+    """
+    P, d0, U = table
+    domain, h = grid.domain, grid.h
+    # lattice offset of target j in column c from a source (ix, iy):
+    # (colx[c] - ix, coly[c] + j - iy), as a column holds consecutive rows
+    head = B[bell.first]
+    colx = grid.ix[head]
+    coly = grid.iy[head] - bell.first
+    if np.ptp(grid.iy[B]) + 1 != bell.levels.size:
+        raise ValueError("the bell's rows are not consecutive lattice rows")
+    rows = max(1, RUN_BLOCK // bell.x.size)
+    total = 0.0
+    for lo in range(0, A.size, rows):
+        a = A[lo:lo + rows]
+        src, first, start, stop, last = domain.portal_runs(grid.centers[a],
+                                                           bell)
+        ix, iy = grid.ix[a[src]], grid.iy[a[src]]
+        base = np.abs(colx[:, None] - ix) - d0
+        base *= P.shape[1]
+        base += (coly + U)[:, None] - iy
+        runs = P.take(base + stop) - P.take(base + start)
+        # the pairs of the band runs, tested
+        i, j = (np.concatenate(v) for v in zip(_run_pairs(src, first, start),
+                                                _run_pairs(src, stop, last)))
+        keep = domain.segment_inside_many(grid.centers[a[i]], bell.points[j])
+        i, j = a[i[keep]], B[j[keep]]
+        dix = (grid.ix[j] - grid.ix[i]).astype(float)
+        diy = (grid.iy[j] - grid.iy[i]).astype(float)
+        band = kernel.k(h * np.sqrt(dix * dix + diy * diy))
+        total += float(np.sum(runs) + np.sum(band))
+    m = h * h
+    return m * m * total
+
+
+def _on_block(f, xa, xb):
+    """f(x, y) over the block xa x xb, x from xa and y from xb, as an array
+    of shape (len xa, len xb), or a tuple of them (None stays None).
+
+    numpy's inner loops run along the last axis of a broadcast, so the
+    longer side is put there and the result transposed back.
+    """
+    if xb.shape[0] >= xa.shape[0]:
+        return f(xa[:, None], xb[None])
+    out = f(xa[None], xb[:, None])
+    if isinstance(out, tuple):
+        return tuple(m.T for m in out)
+    return None if out is None else out.T
+
+
+def _distance(X, Y):
+    dx = Y[..., 0] - X[..., 0]
+    dy = Y[..., 1] - X[..., 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _run_pairs(src, lo, hi):
+    """The runs [lo, hi) of (C, len(src)) arrays as pairs (i, j): source
+    src[column] and target index j."""
+    size = (hi - lo).ravel()
+    nz = np.flatnonzero(size)
+    size = size[nz]
+    i = np.repeat(src[nz % src.size], size)
+    j = np.arange(size.sum()) + np.repeat(
+        lo.ravel()[nz] - (np.cumsum(size) - size), size)
+    return i, j
+
+
+def _screened_sums(grid, kernel, jobs, sums):
+    """Add to sums[g] the weight sum over the visible pairs of A x B, for
+    each (g, A, B) of ``jobs``.
+
+    Each group pair is walked in blocks of whole rows against all of B, as
+    ``_cross_weight_sum`` walks it.  ``DomainSpec.mouth_screen`` decides
+    what it can of a block, and the pairs left over from the blocks of all
+    the group pairs share calls of ``segment_inside_many`` of at least
+    SCREEN_BATCH segments (or PAIR_BLOCK pending pairs).  Each block is
+    then summed over its visible pairs in (source, B) order, so every
+    group pair's sum has the bits of a segment test of each of its pairs.
+    """
+    domain = grid.domain
+    pending = []              # (g, a, B, visible, test) per block
+    counts = [0, 0]           # pending segment tests and pairs
+
+    def flush():
+        keep = domain.segment_inside_many(
+            np.concatenate([grid.centers[a[t // B.size]]
+                            for _, a, B, _, t in pending]),
+            np.concatenate([grid.centers[B[t % B.size]]
+                            for _, a, B, _, t in pending])) \
+            if counts[0] else None
+        at = 0
+        for g, a, B, visible, test in pending:
+            if test.size:
+                visible[test] = keep[at:at + test.size]
+                at += test.size
+            # pair k of the block is (a[k // |B|], B[k % |B|])
+            visible = visible.reshape(a.size, B.size)
+            r = _on_block(_distance, grid.centers[a], grid.centers[B])
+            r = r[visible]
+            mass = _on_block(np.multiply, grid.measures[a], grid.measures[B])
+            mass = mass[visible]
+            if r.size:
+                mass *= kernel.k(r)
+                sums[g] += float(np.sum(mass))
+        pending.clear()
+        counts[:] = [0, 0]
+
+    for g, A, B in jobs:
+        rows = max(1, mesh.PAIR_BLOCK // B.size)
+        cB = grid.centers[B]
+        for lo in range(0, A.size, rows):
+            a = A[lo:lo + rows]
+            screen = _on_block(domain.mouth_screen, grid.centers[a], cB)
+            if screen is None:
+                test = np.arange(a.size * B.size)
+                visible = np.zeros(test.size, dtype=bool)
+            else:
+                test = np.flatnonzero(~screen[0])
+                visible = screen[1].ravel()
+            pending.append((g, a, B, visible, test))
+            counts[0] += test.size
+            counts[1] += visible.size
+            if counts[0] >= SCREEN_BATCH or counts[1] >= mesh.PAIR_BLOCK:
+                flush()
+    flush()
 
 
 # ---------------------------------------------------------------------------

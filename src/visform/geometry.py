@@ -389,10 +389,23 @@ class LatticeColumns:
         return cls(pts, x[first], first, count, rank[first], levels)
 
     def index(self, q, side):
-        """Per column (last axis of q), the index of the first point with
-        x2 >= q (side "left") or x2 > q (side "right")."""
-        k = np.searchsorted(self.levels, q, side) - self.row0
-        return self.first + np.minimum(np.maximum(k, 0), self.count)
+        """Per column (row of the (C, n) array q), the index of the first
+        point with x2 >= q (side "left") or x2 > q (side "right")."""
+        k = np.searchsorted(self.levels, q, side)
+        k -= self.row0[:, None]
+        np.maximum(k, 0, out=k)
+        np.minimum(k, self.count[:, None], out=k)
+        k += self.first[:, None]
+        return k
+
+
+def _portal_band(a, scale):
+    """Half-width in x2 of the band at a mouth that the portal rule leaves
+    to the slot test, for corridor edge slope 2 a and coordinates below
+    ``scale`` - 1 in size (see ``DomainSpec.portal_runs``)."""
+    # |V| <= 2 scale
+    return (4.0 * (1.0 + 2.0 * a) * TAU_GEOM * scale
+            + 1e-12 * (1.0 + a) * scale * scale)
 
 
 @dataclass(frozen=True)
@@ -474,7 +487,35 @@ class DomainSpec:
 
     def portal_pairs(self, X, bell):
         """Visible segments from source points in one bell of a dumbbell to
-        the cells of the other bell, decided through the corridor's mouths.
+        the cells of the other bell: the runs of ``portal_runs``, with a
+        segment test for each pair of a band run.
+
+        Returns None when the rule does not apply, else (i, j): the visible
+        pairs X[i]--bell.points[j], sorted by (i, j).
+        """
+        runs = self.portal_runs(X, bell)
+        if runs is None:
+            return None
+        src, *ends = runs
+        lo, mid_lo, mid_hi, hi = (v.T for v in ends)    # (source, column)
+        X = _as_points(X)
+        # expand the runs [lo, hi) to pairs, row by row and column by column
+        size = (hi - lo).ravel()
+        i = np.repeat(src, (hi - lo).sum(axis=1))
+        j = np.arange(size.sum()) + np.repeat(
+            lo.ravel() - (np.cumsum(size) - size), size)
+        keep = ((j >= np.repeat(mid_lo.ravel(), size))
+                & (j < np.repeat(mid_hi.ravel(), size)))
+        edge = np.flatnonzero(~keep)
+        if edge.size:
+            keep[edge] = self.segment_inside_many(X[i[edge]],
+                                                  bell.points[j[edge]])
+        return i[keep], j[keep]
+
+    def portal_runs(self, X, bell):
+        """Bell-to-bell visibility decided through the corridor's mouths, as
+        runs of target columns: from source points in one bell of a
+        dumbbell to the cells of the other bell.
 
         ``bell`` holds the target cells as ``LatticeColumns``.  Between the
         mouths x1 = -1 and x1 = +1 only the corridor covers a bell-to-bell
@@ -502,10 +543,26 @@ class DomainSpec:
         TAU_GEOM (1 + 2 a) |V| plus twice that rounding zone of an edge;
         ``band`` doubles the first and takes the second 500 times over.
 
+        On the tube, a line with x2 at both mouths within ``band`` of -w
+        has slope at most ``band`` in size, so its x2 at the source is within
+        ``band`` (1 + |px|) of -w: sources farther than twice that bound
+        from x2 = -w have no candidate pairs and are dropped before any
+        threshold is computed.  Per source and end of the range, the mouth
+        that binds (the larger qy for a lower end, the smaller for an upper
+        one) is fixed by the sign of e - py, as qy grows with lam there;
+        rounding keeps that order, so one mouth gives the bits of the
+        maximum or minimum over both.  ``mouth_screen`` applies the same
+        band to any segment.
+
         Returns None when the rule does not apply (not a ``make_dumbbell``
         domain, a tube one can see through, or points not beyond opposite
-        mouths), else (i, j): the visible pairs X[i]--bell.points[j], sorted
-        by (i, j).
+        mouths), else (src, lo, mid_lo, mid_hi, hi): the sources that can
+        have visible pairs, ascending, and per target column (row) and such
+        source (column), indices into ``bell.points`` such that
+        [mid_lo, mid_hi) is visible, [lo, mid_lo) and [mid_hi, hi) are the
+        band runs that need a segment test, and no other target of the
+        column is visible.  Sources run along the rows, the longer axis in
+        practice, so that numpy's inner loops run along them.
         """
         corridor = self._portal_corridor()
         X = _as_points(X)
@@ -519,34 +576,83 @@ class DomainSpec:
             a, e0, e1 = corridor.amplitude, -corridor.radius, -corridor.radius
         scale = 1.0 + max(np.abs(X).max(), np.abs(bell.x).max(),
                           np.abs(bell.levels).max())
-        # |V| <= 2 scale
-        band = (4.0 * (1.0 + 2.0 * a) * TAU_GEOM * scale
-                + 1e-12 * (1.0 + a) * scale * scale)
-        # per source, column and mouth, the qy at which x2 at the mouth is
-        # e0 - band, e0 + band (lower ends), e1 + band, e1 - band (upper
-        # ends); q[mouth, end, source, column]
-        px, py = X[:, :1], X[:, 1:]
-        inv = (bell.x - px) / (np.array([-1.0, 1.0])[:, None, None] - px)
-        ends = np.array([e0 - band, e0 + band, e1 + band, e1 - band])
-        q = py + (ends[:, None, None] - py) * inv[:, None]
-        # both mouths: maybe visible in [lo, hi), visible in [mid_lo, mid_hi)
-        lo, mid_lo = bell.index(np.maximum(q[0, :2], q[1, :2]), "left")
-        hi, mid_hi = bell.index(np.minimum(q[0, 2:], q[1, 2:]), "right")
-        hi = np.maximum(hi, lo)
-        mid_lo = np.minimum(np.maximum(mid_lo, lo), hi)
-        mid_hi = np.minimum(np.maximum(mid_hi, mid_lo), hi)
-        # expand the runs [lo, hi) to pairs, row by row and column by column
-        size = (hi - lo).ravel()
-        i = np.repeat(np.arange(X.shape[0]), (hi - lo).sum(axis=1))
-        j = np.arange(size.sum()) + np.repeat(
-            lo.ravel() - (np.cumsum(size) - size), size)
-        keep = ((j >= np.repeat(mid_lo.ravel(), size))
-                & (j < np.repeat(mid_hi.ravel(), size)))
-        edge = np.flatnonzero(~keep)
-        if edge.size:
-            keep[edge] = self.segment_inside_many(X[i[edge]],
-                                                  bell.points[j[edge]])
-        return i[keep], j[keep]
+        band = _portal_band(a, scale)
+        src = np.arange(X.shape[0])
+        if a > 0.0:
+            src = np.flatnonzero(np.abs(X[:, 1] - e0)
+                                 <= 2.0 * band * (2.0 + np.abs(X[:, 0])))
+        px, py = X[src, 0], X[src, 1]
+        # lam at the near and the far mouth is 1 / inv: inv_near >= inv_far
+        near = -1.0 if X[0, 0] < 0.0 else 1.0
+        inv_near = (bell.x[:, None] - px) / (near - px)
+        inv_far = (bell.x[:, None] - px) / (-near - px)
+
+        def threshold(e, lower):
+            # the qy at which x2 at the binding mouth is e
+            d = e - py
+            return py + d * np.where((d > 0.0) == lower, inv_near, inv_far)
+
+        # maybe visible in [lo, hi), visible in [mid_lo, mid_hi)
+        lo = bell.index(threshold(e0 - band, True), "left")
+        mid_lo = bell.index(threshold(e0 + band, True), "left")
+        hi = bell.index(threshold(e1 + band, False), "right")
+        mid_hi = bell.index(threshold(e1 - band, False), "right")
+        np.maximum(hi, lo, out=hi)
+        np.minimum(np.maximum(mid_lo, lo, out=mid_lo), hi, out=mid_lo)
+        np.minimum(np.maximum(mid_hi, mid_lo, out=mid_hi), hi, out=mid_hi)
+        return src, lo, mid_lo, mid_hi, hi
+
+    def mouth_screen(self, X, Y):
+        """The segments X--Y (broadcast over leading axes) that the
+        corridor's mouths decide, with the portal rule's ``band``.
+
+        A segment crosses the mouth x1 = mu when its ends lie strictly on
+        either side.  At a crossed mouth, x2 outside the opening ± band
+        means not visible: a slot-visible line lies within ``band`` of the
+        opening there (see ``portal_runs``).  For a segment crossing both
+        mouths the opening is the portal rule's range [e0, e1], on the tube
+        [-w, -w].  On the slab, x2 inside the opening ∓ band at every
+        crossed mouth means visible: the pieces of the segment between its
+        ends and the crossed mouths lie in a bell's half-plane or in the
+        convex slab and overlap by more than the slot test's TAU_GEOM, and
+        a segment crossing no mouth lies in one of them.  On the tube
+        nothing is called visible.  x2 at a mouth is rounded by far less
+        than ``band``.
+
+        Returns None when the rule does not apply (see ``portal_runs``),
+        else boolean arrays (decided, visible) of the broadcast shape.
+        """
+        corridor = self._portal_corridor()
+        if corridor is None:
+            return None
+        px, py, qx, qy = X[..., 0], X[..., 1], Y[..., 0], Y[..., 1]
+        if isinstance(corridor, Box):
+            a, w0, w1 = 0.0, corridor.lo[1], corridor.hi[1]
+        else:
+            a, w0, w1 = corridor.amplitude, -corridor.radius, corridor.radius
+        scale = 1.0 + max(X.max(), -X.min(), Y.max(), -Y.min())
+        band = _portal_band(a, scale)
+        mid, half = (w0 + w1) / 2.0, (w1 - w0) / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (qy - py) / (qx - px)
+        hidden = np.zeros(slope.shape, dtype=bool)
+        visible = np.full(slope.shape, a == 0.0)
+        # on the tube: crossing both mouths, and x2 within band of -w at both
+        both = tight = True
+        for mu in (-1.0, 1.0):
+            cross = np.sign(px - mu) * np.sign(qx - mu) < 0.0
+            with np.errstate(invalid="ignore"):
+                y = slope * (mu - px) + py
+            off = np.abs(y - mid)
+            hidden |= cross & (off > half + band)
+            if a == 0.0:
+                visible &= ~cross | (off < half - band)
+            else:
+                both = both & cross
+                tight = tight & (np.abs(y - w0) <= band)
+        if a > 0.0:
+            hidden |= both & ~tight
+        return hidden | visible, visible
 
     def _portal_corridor(self):
         """The corridor of a ``make_dumbbell`` domain whose bells see each

@@ -127,16 +127,23 @@ def visibility_pairs(grid):
         j = (np.arange(lo, hi, dtype=np.int32)
              - np.repeat(first[rows] - rows - 1, take))
         ii[lo:hi], jj[lo:hi] = i, j
+        i, j = ii[lo:hi], jj[lo:hi]
+        # endpoints are gathered one chunk of segments at a time, for the
+        # segment tests and for the distances, not for the whole block
+        chunk = geometry.SEGMENT_CHUNK
         if not all_visible:
             block = vis[lo:hi]
             for member in inside:
                 block |= member[i] & member[j]
             test = np.flatnonzero(~block)
-            block[test] = grid.domain.segment_inside_many(
-                grid.centers[i[test]], grid.centers[j[test]])
-        d = grid.centers[j] - grid.centers[i]
-        r[lo:hi] = np.sqrt(np.einsum("ij,ij->i", d, d))
-        del d                     # not held through the next segment tests
+            for c in range(0, test.size, chunk):
+                t = test[c:c + chunk]
+                block[t] = grid.domain.segment_inside_many(
+                    grid.centers[i[t]], grid.centers[j[t]])
+        dist = r[lo:hi]
+        for c in range(0, hi - lo, chunk):
+            d = grid.centers[j[c:c + chunk]] - grid.centers[i[c:c + chunk]]
+            dist[c:c + chunk] = np.sqrt(np.einsum("ij,ij->i", d, d))
     return PairSet(i=ii, j=jj, visible=vis, r=r)
 
 

@@ -46,9 +46,9 @@ class VisOperator:
     entries: bell-to-bell pairs and pairs that touch a corridor cell, from
     ``forms._visible_pairs`` (the portal rule, else segment tests).
     ``connected`` tells whether the pair graph is connected.  It is a
-    plain operator with a ``shape`` and ``A @ x`` for x of shape (n,) or
-    (n, k); ``poincare_constant_l2`` wraps it in a scipy
-    ``LinearOperator`` for ``eigsh``.
+    plain operator with a ``shape`` and ``A @ x`` for x of shape (n,);
+    ``poincare_constant_l2`` wraps it in a scipy ``LinearOperator`` for
+    ``eigsh``.
     """
 
     def __init__(self, grid, kernel):
@@ -129,10 +129,8 @@ class VisOperator:
         return out.reshape(-1)[self._pos]
 
     def __matmul__(self, x):
-        """A x for x of shape (n,), or (n, k) one column at a time."""
+        """A x for x of shape (n,)."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            return np.column_stack([self @ col for col in x.T])
         wx = self._sparse @ x
         wx[self._cells] += self._mb * self._convolve(self._mb * x[self._cells])
         return 2.0 * (self._diag * x - wx)

@@ -259,16 +259,18 @@ def _brute_energy(grid, kernel, u, p=2.0):
 def test_witness_energy_equals_brute_force_masks(monkeypatch, variant):
     """Witness energies with the portal rule equal (==) the sums over
     brute-force masks, block for block, at R <= 16, and the energies on a
-    second grid built apart from equal inputs."""
+    second grid built apart from equal inputs.  The bell-to-bell sums come
+    from prefix tables and could differ by rounding; at these grids they
+    do not."""
     portal_calls = []
-    original = geo.DomainSpec.portal_pairs
+    original = geo.DomainSpec.portal_runs
 
     def counted(self, X, bell):
-        pairs = original(self, X, bell)
-        portal_calls.append(pairs is not None)
-        return pairs
+        runs = original(self, X, bell)
+        portal_calls.append(runs is not None)
+        return runs
 
-    monkeypatch.setattr(geo.DomainSpec, "portal_pairs", counted)
+    monkeypatch.setattr(geo.DomainSpec, "portal_runs", counted)
     domain = geo.make_dumbbell(variant)
     for R, h in ((4.0, 0.5), (8.0, 0.5), (16.0, 0.5), (10.0, 0.3)):
         grid = mesh.build_grid(domain, (0.0, 0.0), R, h)
@@ -282,6 +284,92 @@ def test_witness_energy_equals_brute_force_masks(monkeypatch, variant):
             assert forms.energy(forms.lazy_form(twin, kernel, "vis"),
                                 spectral.witness_step_function(twin)) == lazy
     assert portal_calls and all(portal_calls)
+
+
+def _group_pairs(grid):
+    """The witness profile's group pairs (A, B), as grouped_energy forms
+    them."""
+    _, inverse = np.unique(spectral.witness_step_function(grid),
+                           return_inverse=True)
+    groups = [np.flatnonzero(inverse == g) for g in range(inverse.max() + 1)]
+    return [(groups[a], groups[b]) for a in range(len(groups))
+            for b in range(a + 1, len(groups))]
+
+
+def _slot_test_sum(grid, kernel, A, B):
+    """The weight sum over A x B with a segment test of every pair, in the
+    streamed path's blocks and pair order."""
+    rows = max(1, mesh.PAIR_BLOCK // B.size)
+    cB, mB = grid.centers[B], grid.measures[B]
+    total = 0.0
+    for lo in range(0, A.size, rows):
+        a = A[lo:lo + rows]
+        i, j = forms._visible_pairs(grid.domain, grid.centers[a], cB)
+        d = cB[j] - grid.centers[a][i]
+        r = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        mass = grid.measures[a][i] * mB[j]
+        if r.size:
+            mass *= kernel.k(r)
+            total += float(np.sum(mass))
+    return total
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+@pytest.mark.parametrize("h", [0.5, 0.4, 0.3])
+def test_screened_sums_equal_per_group_pair(monkeypatch, variant, h):
+    """The group pairs that do not join the two bells, summed in shared
+    mouth-screened batches, equal (==) each group pair summed alone and
+    each summed with a segment test of every pair.  At h = 0.4 the bells'
+    groups take the corridor cells on the mouths, so the bell-to-bell
+    pairs go through the screen too.  Batches and blocks of a few pairs
+    give the same bits."""
+    grid = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), 6.0, h)
+    kernel = kn.KernelSpec("power", s=0.25, p=2)
+    jobs = [(A, B) for A, B in _group_pairs(grid)
+            if forms._bell_columns(grid, A, B) is None]
+    assert len(jobs) == len(_group_pairs(grid)) - (h != 0.4)
+    want = [_slot_test_sum(grid, kernel, A, B) for A, B in jobs]
+    assert forms._cross_weight_sums(grid, kernel, "vis", jobs) == want
+    assert [forms._cross_weight_sums(grid, kernel, "vis", [job])[0]
+            for job in jobs] == want
+    monkeypatch.setattr(forms, "SCREEN_BATCH", 5)
+    monkeypatch.setattr(mesh, "PAIR_BLOCK", 64)
+    want = [_slot_test_sum(grid, kernel, A, B) for A, B in jobs]
+    assert forms._cross_weight_sums(grid, kernel, "vis", jobs) == want
+
+
+#: relative tolerance of the bell-to-bell run sums against a pair-by-pair
+#: sum: the largest difference measured over the cases below is 2.2e-16
+RUN_SUM_RTOL = 1e-15
+
+
+@pytest.mark.parametrize("variant,R,h", [
+    ("straight", 8.0, 0.5), ("straight", 8.0, 0.25), ("straight", 10.0, 0.3),
+    ("straight", 9.0, 0.4), ("curved", 9.0, 0.4)])
+def test_run_sums_match_brute_force(monkeypatch, variant, R, h):
+    """Bell-to-bell sums over the portal rule's runs match a sum over
+    segment-tested pairs to RUN_SUM_RTOL, from either bell, in one block
+    and in blocks of a few rows; at (9, 0.4) the tube's sum is its
+    tangent pairs alone."""
+    grid = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), R, h)
+    minus, plus = (np.flatnonzero(grid.tags == tag)
+                   for tag in (geo.TAG_MINUS, geo.TAG_PLUS))
+    for A, B in ((minus, plus), (plus, minus)):
+        X = np.repeat(grid.centers[A], B.size, axis=0)
+        Y = np.tile(grid.centers[B], (A.size, 1))
+        d = (Y - X)[grid.domain.segment_inside_many(X, Y)]
+        r = np.sqrt(np.sum(d * d, axis=1))
+        for s in (0.25, 0.75):
+            kernel = kn.KernelSpec("power", s=s, p=2)
+            want = float(np.sum(kernel.k(r) * grid.h ** 4))
+            assert want > 0.0
+            with monkeypatch.context() as m:
+                for block in (forms.RUN_BLOCK, 3 * B.size // 2):
+                    m.setattr(forms, "RUN_BLOCK", block)
+                    got = forms._cross_weight_sums(grid, kernel, "vis",
+                                                   [(A, B)])[0]
+                    assert got == pytest.approx(want, rel=RUN_SUM_RTOL,
+                                                abs=0.0)
 
 
 _BALL_GRIDS = {

@@ -229,6 +229,60 @@ def test_portal_pairs_equal_segment_tests(variant, R, h):
         assert visible > 0
 
 
+def test_portal_runs_drop_tube_sources_off_the_tangent_line(monkeypatch,
+                                                            curved_dumbbell):
+    """On the tube, a source block with no row near x2 = -1 has no candidate
+    pair: no pairs and no segment test.  The rows on x2 = -1 at h = 0.4
+    keep their 273 tangent pairs in each direction, from slot tests."""
+    calls = []
+    original = geo.DomainSpec.segment_inside_many
+
+    def counted(self, X, Y):
+        calls.append(len(X))
+        return original(self, X, Y)
+
+    monkeypatch.setattr(geo.DomainSpec, "segment_inside_many", counted)
+    minus, plus = _bells(curved_dumbbell, 18, 0.5)
+    bell = geo.LatticeColumns.of(plus)
+    src, lo, mid_lo, mid_hi, hi = curved_dumbbell.portal_runs(minus, bell)
+    assert src.size == 0 and lo.shape == (bell.x.size, 0)
+    i, j = curved_dumbbell.portal_pairs(minus, bell)
+    assert i.size == j.size == 0 and not calls
+    minus, plus = _bells(curved_dumbbell, 9, 0.4)
+    for src, tgt in ((minus, plus), (plus, minus)):
+        i, j = curved_dumbbell.portal_pairs(src, geo.LatticeColumns.of(tgt))
+        assert i.size == 273
+        assert np.all(src[i, 1] == -1.0) and np.all(tgt[j, 1] == -1.0)
+    assert calls
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+@pytest.mark.parametrize("R,h", _PORTAL_GRIDS)
+def test_mouth_screen_agrees_with_segment_tests(variant, R, h):
+    """Every pair that ``mouth_screen`` decides gets the slot test's
+    answer: random pairs of cells, corridor cells against random cells,
+    and pairs of cells on the rows next to the mouths' corners (the h = 0.4
+    rows on x2 = -1 hold the tube's tangent pairs)."""
+    domain = geo.make_dumbbell(variant)
+    grid = mesh.build_grid(domain, (0.0, 0.0), R, h)
+    c, n = grid.centers, grid.n_cells
+    rng = np.random.default_rng([R, int(round(100 * h))])
+    corridor = np.flatnonzero(grid.tags == geo.TAG_STAR)
+    edge = np.flatnonzero(np.abs(np.abs(c[:, 1]) - 1.0) <= h)
+    ei, ej = (v.ravel() for v in np.meshgrid(edge, edge))
+    pick = rng.permutation(ei.size)[:50000]
+    i = np.concatenate([rng.integers(0, n, 80000), rng.choice(corridor, 20000),
+                        ei[pick]])
+    j = np.concatenate([rng.integers(0, n, 100000), ej[pick]])
+    i, j = i[i != j], j[i != j]
+    decided, visible = domain.mouth_screen(c[i], c[j])
+    truth = domain.segment_inside_many(c[i[decided]], c[j[decided]])
+    assert np.array_equal(visible[decided], truth)
+    assert decided.mean() > (0.9 if variant == "straight" else 0.4)
+    if variant == "curved":
+        assert not visible.any()
+
+
 def test_portal_pairs_corner_segment(straight_dumbbell):
     """(-1.25, -1.25)--(1.25, 1.25) passes through both slab corners; the
     slot test bridges them and calls it visible, and so does the rule."""

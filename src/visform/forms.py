@@ -17,19 +17,22 @@ one entry point: an assembled form sums over its pair list, a lazy form
 blocks, without ever materializing O(N^2) pairs; this suits indicator and
 step profiles on grids too large to assemble.
 
-In vis mode, a group pair that joins the two bells of a dumbbell is
-decided by the portal rule (``geometry.DomainSpec.portal_runs``): the x2
-of a segment at the corridor's mouths decides it, per source and target
-column as runs of the column, and only pairs next to a corridor edge get
-a segment test.  A visible run is summed from a prefix table of the
-kernel over lattice offsets, so these sums differ from a pair-by-pair
-sum by rounding (a few ulps).  All the other streamed vis-mode blocks of
-one energy are first screened at the mouths they cross
-(``DomainSpec.mouth_screen``), and share calls of the segment test for
-the rest; each group pair is summed over its own visible pairs in the
-order of a segment test of every pair, so these sums keep their bits.
-The portal rule's pairs (``_visible_pairs``) give the sparse entries of
-the spectral layer's matrix-free vis operator.  Nothing is kept between
+In vis mode on a ``make_dumbbell`` domain, every value group is split by
+region tag.  The pairs from a bell or the corridor to a bell are decided
+by the portal rule (``geometry.DomainSpec.portal_runs``): the x2 of a
+segment at the mouths it crosses decides it, per source and target column
+as runs of the column, and only pairs next to a corridor edge, or the
+tube's candidates that its upper edge's vertex leaves open, get a segment
+test.  A visible run is summed from a prefix table of the kernel over
+lattice offsets, and the corridor cells' sums are taken per cell, so
+these sums differ from a pair-by-pair sum by rounding (a few ulps).  Two
+cells of one bell, or of the straight dumbbell's slab, lie in one convex
+piece of the domain and see each other without a test; every other
+streamed vis-mode pair gets a segment test, the tests of one energy's
+blocks made together.  These sums keep the bits of a segment test of
+every pair.  The
+portal rule's pairs (``_visible_pairs``) give the sparse entries of the
+spectral layer's matrix-free vis operator.  Nothing is kept between
 calls, so an energy's cost does not depend on what ran before it.
 """
 
@@ -70,13 +73,13 @@ class FormOperator:
 
 
 def _lattice_neighbors(grid):
-    key = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(grid.ix, grid.iy))}
-    right = np.full(grid.n_cells, -1, dtype=np.int64)
-    up = np.full(grid.n_cells, -1, dtype=np.int64)
-    for k in range(grid.n_cells):
-        right[k] = key.get((int(grid.ix[k]) + 1, int(grid.iy[k])), -1)
-        up[k] = key.get((int(grid.ix[k]), int(grid.iy[k]) + 1), -1)
-    return right, up
+    """Per cell, its right and upper lattice neighbours (-1 if none), from a
+    table of cell indices over the grid's lattice box, one row and column
+    wider so that the +1 steps stay inside it."""
+    ix, iy = grid.ix - grid.ix.min(), grid.iy - grid.iy.min()
+    index = np.full((ix.max() + 2, iy.max() + 2), -1, dtype=np.int64)
+    index[ix, iy] = np.arange(grid.n_cells)
+    return index[ix + 1, iy], index[ix, iy + 1]
 
 
 def boundary_distances(grid):
@@ -182,8 +185,7 @@ def grouped_energy(grid, kernel, mode, u, p):
     groups = [np.nonzero(inverse == g)[0] for g in range(values.size)]
     pairs = [(a, b) for a in range(values.size)
              for b in range(a + 1, values.size)]
-    sums = _cross_weight_sums(grid, kernel, mode,
-                              [(groups[a], groups[b]) for a, b in pairs])
+    sums = _cross_weight_sums(grid, kernel, mode, groups, pairs)
     total = 0.0
     for (a, b), part in zip(pairs, sums):
         jump = abs(values[a] - values[b]) ** p
@@ -192,15 +194,15 @@ def grouped_energy(grid, kernel, mode, u, p):
 
 
 # ---------------------------------------------------------------------------
-# streamed pair evaluation: runs of the portal rule between the bells,
-# mouth-screened segment tests for the other vis-mode blocks
+# streamed pair evaluation: runs of the portal rule to the bells, segment
+# tests for the other vis-mode blocks
 # ---------------------------------------------------------------------------
 
-#: (source, column) entries per bell-to-bell block of a streamed vis energy
+#: (source, column) entries per bell-to-bell block of a streamed vis energy,
+#: and candidate pairs per corridor-to-bell block
 RUN_BLOCK = 1 << 16
-#: pending segment tests that start a shared segment-test call for the
-#: mouth-screened blocks
-SCREEN_BATCH = 1 << 14
+
+_BELLS = {geometry.TAG_MINUS, geometry.TAG_PLUS}
 
 
 def clear_visibility_cache():
@@ -210,16 +212,17 @@ def clear_visibility_cache():
     """
 
 
-def _bell_columns(grid, A, B):
-    """B's lattice columns when A x B joins the two bells of a dumbbell
-    whose bells see each other through the corridor's mouths alone."""
-    ends = {int(grid.tags[A[0]]), int(grid.tags[B[0]])}
-    if (ends != {geometry.TAG_MINUS, geometry.TAG_PLUS}
-            or grid.domain._portal_corridor() is None
-            or np.any(grid.tags[A] != grid.tags[A[0]])
-            or np.any(grid.tags[B] != grid.tags[B[0]])):
+def _bell_columns(grid, B):
+    """B's lattice columns when B, cells of one bell of a dumbbell, can be
+    the targets of ``DomainSpec.portal_runs``: the domain's mouths decide
+    what sees them, and B's columns have no hole and lie on consecutive
+    lattice rows.  Else None."""
+    if not B.size or grid.domain._portal_corridor() is None:
         return None
-    return geometry.LatticeColumns.of(grid.centers[B])
+    bell = geometry.LatticeColumns.of(grid.centers[B])
+    if bell is None or np.ptp(grid.iy[B]) + 1 != bell.levels.size:
+        return None
+    return bell
 
 
 def _visible_pairs(domain, cA, cB, bell=None):
@@ -242,137 +245,222 @@ def _visible_pairs(domain, cA, cB, bell=None):
     return i, k - i * nb
 
 
-def _cross_weight_sums(grid, kernel, mode, group_pairs):
-    """Per group pair (A, B), the sum of the weights k(r) m_i m_j over the
-    pairs A x B (the visible ones in vis mode).
+def _cross_weight_sums(grid, kernel, mode, groups, pairs):
+    """Per group pair (a, b) of ``pairs``, the sum of the weights
+    k(r) m_i m_j over the pairs groups[a] x groups[b] (the visible ones in
+    vis mode).
 
-    In vis mode a group pair that joins the two bells of a dumbbell is
-    summed over the runs of the portal rule (``_run_sum``), and all the
-    other group pairs share mouth-screened segment tests
-    (``_screened_sums``); in the other modes each group pair is summed
-    apart (``_cross_weight_sum``).
+    In vis mode on a dumbbell whose mouths decide what sees a bell
+    (``DomainSpec.portal_runs``), every group is split by region tag.  A
+    bell part against the other bell's part is summed over the portal
+    rule's runs (``_run_sum``); the corridor parts against one bell part
+    are summed over the runs too, per source, from one call for all their
+    cells; two parts in one convex piece of the domain (one bell, or the
+    straight dumbbell's slab) see each other whole.  Every other part, and
+    every group pair on other domains, is summed over segment tests
+    (``_weight_sums``), the tests of all of them made together.
     """
+    jobs = [(g, groups[a], groups[b]) for g, (a, b) in enumerate(pairs)]
+    sums = np.zeros(len(pairs))
     if mode != "vis" or grid.domain.all_visible:
         delta = boundary_distances(grid) if mode == "ball" else None
-        return [_cross_weight_sum(grid, kernel, delta, A, B)
-                for A, B in group_pairs]
-    sums = [0.0] * len(group_pairs)
-    rest = []
-    table = None
-    for g, (A, B) in enumerate(group_pairs):
-        bell = _bell_columns(grid, A, B)
-        if bell is not None:
-            if table is None:
-                table = _offset_table(grid, kernel)
-            sums[g] = _run_sum(grid, kernel, A, B, bell, table)
-        else:
-            rest.append((g, A, B))
-    _screened_sums(grid, kernel, rest, sums)
-    return sums
+        _weight_sums(grid, kernel, jobs, sums, delta=delta)
+        return sums.tolist()
+    corridor = grid.domain._portal_corridor()
+    if corridor is None:
+        _weight_sums(grid, kernel, jobs, sums, test=True)
+        return sums.tolist()
+    convex = set(_BELLS)
+    if isinstance(corridor, geometry.Box):
+        convex.add(geometry.TAG_STAR)
+    tags = grid.tags
+    parts = [{int(t): G[tags[G] == t] for t in np.unique(tags[G])}
+             for G in groups]
+    table = None              # _offset_table, once it is needed
+    to_bell = {}              # (group, bell tag) -> [(pair, corridor part)]
+    whole, tested = [], []    # jobs (pair, A, B) for _weight_sums
+    for g, (a, b) in enumerate(pairs):
+        for s, A in parts[a].items():
+            for t, B in parts[b].items():
+                bell = _bell_columns(grid, B) if {s, t} == _BELLS else None
+                if bell is not None:
+                    if table is None:
+                        table = _offset_table(grid, kernel)
+                    sums[g] += _run_sum(grid, kernel, A, B, bell, table)
+                elif s == geometry.TAG_STAR and t in _BELLS:
+                    to_bell.setdefault((b, t), []).append((g, A))
+                elif t == geometry.TAG_STAR and s in _BELLS:
+                    to_bell.setdefault((a, s), []).append((g, B))
+                elif s == t and s in convex:
+                    whole.append((g, A, B))
+                else:
+                    tested.append((g, A, B))
+    for (b, t), sources in to_bell.items():
+        B = parts[b][t]
+        bell = _bell_columns(grid, B)
+        if bell is None:
+            tested += [(g, S, B) for g, S in sources]
+            continue
+        if table is None:
+            table = _offset_table(grid, kernel)
+        S = np.concatenate([S for _, S in sources])
+        per_source = _run_sum(grid, kernel, S, B, bell, table, True)
+        label = np.repeat([g for g, _ in sources],
+                          [S.size for _, S in sources])
+        sums += np.bincount(label, per_source, minlength=len(pairs))
+    _weight_sums(grid, kernel, whole, sums)
+    _weight_sums(grid, kernel, tested, sums, test=True)
+    return sums.tolist()
 
 
-def _cross_weight_sum(grid, kernel, delta, A, B):
-    """Sum of the weights k(r) m_i m_j over the pairs A x B, every pair
-    visible (cen mode, or an all-visible domain) or, given the boundary
-    distances ``delta``, the ball-mode survivors.  A is walked in blocks of
-    whole rows against all of B."""
-    rows = max(1, mesh.PAIR_BLOCK // B.size)
-    cB, mB = grid.centers[B], grid.measures[B]
-    total = 0.0
-    for lo in range(0, A.size, rows):
-        a = A[lo:lo + rows]
+def _row_blocks(jobs):
+    """The jobs (g, A, B) cut into blocks (g, a, B) of whole rows a of A
+    against all of B, at most PAIR_BLOCK pairs each (one row at least)."""
+    blocks = []
+    for g, A, B in jobs:
+        rows = max(1, mesh.PAIR_BLOCK // B.size)
+        blocks += [(g, A[lo:lo + rows], B) for lo in range(0, A.size, rows)]
+    return blocks
+
+
+def _weight_sums(grid, kernel, jobs, sums, delta=None, test=False):
+    """Add to sums[g], for each job (g, A, B), the sum of the weights
+    k(r) m_i m_j over the pairs A x B: every pair or, given the boundary
+    distances ``delta``, the ball-mode survivors or, given ``test``, the
+    pairs that a segment test calls visible.
+
+    Each block of ``_row_blocks`` is summed apart in (source, B) order, so
+    a job's sum does not depend on the jobs beside it.
+    """
+    blocks = _row_blocks(jobs)
+    masks = _segment_masks(grid, blocks) if test else [None] * len(blocks)
+    for (g, a, B), keep in zip(blocks, masks):
         # pair k of the block is (a[k // |B|], B[k % |B|])
-        r = _on_block(_distance, grid.centers[a], cB).ravel()
-        mass = _on_block(np.multiply, grid.measures[a], mB).ravel()
+        r = _on_block(_distance, grid.centers[a], grid.centers[B]).ravel()
+        mass = _on_block(np.multiply, grid.measures[a],
+                         grid.measures[B]).ravel()
         if delta is not None:
             # a survivor has r < max(delta_i, delta_j) / 2, so its segment
             # lies in the open ball of radius delta about one end, inside
             # D: it needs no segment test
             keep = r < _on_block(np.maximum, delta[a], delta[B]).ravel() / 2.0
+        if keep is not None:
             r, mass = r[keep], mass[keep]
         if r.size:
             mass *= kernel.k(r)
-            total += float(np.sum(mass))
-    return total
+            sums[g] += float(np.sum(mass))
+
+
+def _segment_masks(grid, blocks):
+    """Per block (g, a, B), the segment tests of its pairs in (source, B)
+    order, as a mask.  Consecutive blocks share one call of
+    ``segment_inside_many`` of at most PAIR_BLOCK segments (a larger block
+    has a call of its own); a call is made when its first mask is due."""
+    sizes = [a.size * B.size for _, a, B in blocks]
+    start = 0
+    while start < len(blocks):
+        stop, total = start + 1, sizes[start]
+        while stop < len(blocks) and total + sizes[stop] <= mesh.PAIR_BLOCK:
+            total += sizes[stop]
+            stop += 1
+        X, Y = np.empty((total, 2)), np.empty((total, 2))
+        at = 0
+        for _, a, B in blocks[start:stop]:
+            n = a.size * B.size
+            X[at:at + n].reshape(a.size, B.size, 2)[...] = \
+                grid.centers[a][:, None]
+            Y[at:at + n].reshape(a.size, B.size, 2)[...] = grid.centers[B]
+            at += n
+        keep = grid.domain.segment_inside_many(X, Y)
+        del X, Y
+        yield from np.split(keep, np.cumsum(sizes[start:stop - 1]))
+        start = stop
 
 
 def _offset_table(grid, kernel):
-    """Prefix sums of k over lattice offsets between the two bells.
+    """Prefix sums of k over the grid's lattice offsets.
 
-    Returns (P, d0, U) with P[|dix| - d0, diy + U] the sum of
-    k(h |(dix, u)|) over u = -U .. diy - 1, for every column offset
-    d0 <= |dix| of a bell-to-bell pair and every row offset |diy| <= U of
-    the grid.
+    Returns (P, U) with P[|dix| - 1, diy + U] the sum of k(h |(dix, u)|)
+    over u = -U .. diy - 1, for every column offset |dix| >= 1 and every
+    row offset |diy| <= U of the grid.
     """
-    ix = [grid.ix[grid.tags == tag]
-          for tag in (geometry.TAG_MINUS, geometry.TAG_PLUS)]
-    d0 = int(ix[1].min() - ix[0].max())
-    dx = np.arange(d0, ix[1].max() - ix[0].min() + 1, dtype=float)
-    U = int(grid.iy.max() - grid.iy.min())
+    dx = np.arange(1, np.ptp(grid.ix) + 1, dtype=float)
+    U = int(np.ptp(grid.iy))
     du = np.arange(-U, U + 1, dtype=float)
     table = np.zeros((dx.size, 2 * U + 2))
     np.cumsum(kernel.k(grid.h * np.sqrt(dx[:, None] ** 2 + du * du)),
               axis=1, out=table[:, 1:])
-    return table, d0, U
+    return table, U
 
 
-def _run_sum(grid, kernel, A, B, bell, table):
-    """Sum of k(r) m_i m_j over the visible pairs between the bells.
+def _run_sum(grid, kernel, A, B, bell, table, per_source=False):
+    """Sum of k(r) m_i m_j over the visible pairs from A to the bell cells B,
+    in total or, given ``per_source``, per cell of A.
 
-    A is walked in blocks of ``RUN_BLOCK // columns`` rows.  Each run that
-    ``DomainSpec.portal_runs`` calls visible is summed as a difference of
-    two entries of the prefix table of ``_offset_table``; the pairs of the
-    band runs get a segment test, and the visible ones are summed from
+    A lies in the other bell, or in the corridor.  A is walked in blocks
+    of ``RUN_BLOCK // columns`` rows or, per source, of ``RUN_BLOCK // |B|``
+    rows, as a corridor source on the tube may have every cell of B as a
+    candidate.  Each run that ``DomainSpec.portal_runs`` calls visible is
+    summed as a difference of two entries of the prefix table of
+    ``_offset_table``; the pairs of the band runs are decided by
+    ``DomainSpec.portal_inside_many``, and the visible ones are summed from
     k(h |offset|) one by one.  Every cell has measure h^2.  The terms are
     those of a sum over the visible pairs, in another order and with
     lattice offsets for centre differences, so the sum moves by ulps.
     """
-    P, d0, U = table
+    P, U = table
     domain, h = grid.domain, grid.h
-    # lattice offset of target j in column c from a source (ix, iy):
-    # (colx[c] - ix, coly[c] + j - iy), as a column holds consecutive rows
+    # target j of column c lies at the lattice offset (cx - ix,
+    # cy - first[c] + j - iy) from a source (ix, iy), (cx, cy) the column's
+    # lowest cell, as a column holds consecutive rows; cx - ix has one
+    # sign, as B lies beyond a mouth and A does not.  So its entry of P is
+    # at a column term plus a source term plus j.
     head = B[bell.first]
-    colx = grid.ix[head]
-    coly = grid.iy[head] - bell.first
-    if np.ptp(grid.iy[B]) + 1 != bell.levels.size:
-        raise ValueError("the bell's rows are not consecutive lattice rows")
-    rows = max(1, RUN_BLOCK // bell.x.size)
-    total = 0.0
+    sign = 1 if bell.x[0] > 0.0 else -1
+    width = P.shape[1]
+    column = ((sign * grid.ix[head] - 1) * width
+              + grid.iy[head] - bell.first + U)
+    rows = max(1, RUN_BLOCK // (B.size if per_source else bell.x.size))
+    total = np.zeros(A.size) if per_source else 0.0
     for lo in range(0, A.size, rows):
         a = A[lo:lo + rows]
         src, first, start, stop, last = domain.portal_runs(grid.centers[a],
                                                            bell)
-        ix, iy = grid.ix[a[src]], grid.iy[a[src]]
-        base = np.abs(colx[:, None] - ix) - d0
-        base *= P.shape[1]
-        base += (coly + U)[:, None] - iy
-        runs = P.take(base + stop) - P.take(base + start)
-        # the pairs of the band runs, tested
+        # the pairs of the band runs, decided apart
         i, j = (np.concatenate(v) for v in zip(_run_pairs(src, first, start),
                                                 _run_pairs(src, stop, last)))
-        keep = domain.segment_inside_many(grid.centers[a[i]], bell.points[j])
-        i, j = a[i[keep]], B[j[keep]]
-        dix = (grid.ix[j] - grid.ix[i]).astype(float)
-        diy = (grid.iy[j] - grid.iy[i]).astype(float)
+        del first, last           # a block holds few (C, n) arrays at once
+        # the runs' ends as indices into P, in place
+        source = -(sign * width * grid.ix[a[src]] + grid.iy[a[src]])
+        for end in (start, stop):
+            end += column[:, None]
+            end += source
+        runs = P.take(stop)
+        runs -= P.take(start)
+        keep = domain.portal_inside_many(grid.centers[a[i]], bell.points[j])
+        i, j = i[keep], j[keep]
+        dix = (grid.ix[B[j]] - grid.ix[a[i]]).astype(float)
+        diy = (grid.iy[B[j]] - grid.iy[a[i]]).astype(float)
         band = kernel.k(h * np.sqrt(dix * dix + diy * diy))
-        total += float(np.sum(runs) + np.sum(band))
+        if per_source:
+            total[lo + src] += np.sum(runs, axis=0)
+            total[lo:lo + a.size] += np.bincount(i, band, minlength=a.size)
+        else:
+            total += float(np.sum(runs) + np.sum(band))
     m = h * h
     return m * m * total
 
 
 def _on_block(f, xa, xb):
     """f(x, y) over the block xa x xb, x from xa and y from xb, as an array
-    of shape (len xa, len xb), or a tuple of them (None stays None).
+    of shape (len xa, len xb).
 
     numpy's inner loops run along the last axis of a broadcast, so the
     longer side is put there and the result transposed back.
     """
     if xb.shape[0] >= xa.shape[0]:
         return f(xa[:, None], xb[None])
-    out = f(xa[None], xb[:, None])
-    if isinstance(out, tuple):
-        return tuple(m.T for m in out)
-    return None if out is None else out.T
+    return f(xa[None], xb[:, None]).T
 
 
 def _distance(X, Y):
@@ -391,66 +479,6 @@ def _run_pairs(src, lo, hi):
     j = np.arange(size.sum()) + np.repeat(
         lo.ravel()[nz] - (np.cumsum(size) - size), size)
     return i, j
-
-
-def _screened_sums(grid, kernel, jobs, sums):
-    """Add to sums[g] the weight sum over the visible pairs of A x B, for
-    each (g, A, B) of ``jobs``.
-
-    Each group pair is walked in blocks of whole rows against all of B, as
-    ``_cross_weight_sum`` walks it.  ``DomainSpec.mouth_screen`` decides
-    what it can of a block, and the pairs left over from the blocks of all
-    the group pairs share calls of ``segment_inside_many`` of at least
-    SCREEN_BATCH segments (or PAIR_BLOCK pending pairs).  Each block is
-    then summed over its visible pairs in (source, B) order, so every
-    group pair's sum has the bits of a segment test of each of its pairs.
-    """
-    domain = grid.domain
-    pending = []              # (g, a, B, visible, test) per block
-    counts = [0, 0]           # pending segment tests and pairs
-
-    def flush():
-        keep = domain.segment_inside_many(
-            np.concatenate([grid.centers[a[t // B.size]]
-                            for _, a, B, _, t in pending]),
-            np.concatenate([grid.centers[B[t % B.size]]
-                            for _, a, B, _, t in pending])) \
-            if counts[0] else None
-        at = 0
-        for g, a, B, visible, test in pending:
-            if test.size:
-                visible[test] = keep[at:at + test.size]
-                at += test.size
-            # pair k of the block is (a[k // |B|], B[k % |B|])
-            visible = visible.reshape(a.size, B.size)
-            r = _on_block(_distance, grid.centers[a], grid.centers[B])
-            r = r[visible]
-            mass = _on_block(np.multiply, grid.measures[a], grid.measures[B])
-            mass = mass[visible]
-            if r.size:
-                mass *= kernel.k(r)
-                sums[g] += float(np.sum(mass))
-        pending.clear()
-        counts[:] = [0, 0]
-
-    for g, A, B in jobs:
-        rows = max(1, mesh.PAIR_BLOCK // B.size)
-        cB = grid.centers[B]
-        for lo in range(0, A.size, rows):
-            a = A[lo:lo + rows]
-            screen = _on_block(domain.mouth_screen, grid.centers[a], cB)
-            if screen is None:
-                test = np.arange(a.size * B.size)
-                visible = np.zeros(test.size, dtype=bool)
-            else:
-                test = np.flatnonzero(~screen[0])
-                visible = screen[1].ravel()
-            pending.append((g, a, B, visible, test))
-            counts[0] += test.size
-            counts[1] += visible.size
-            if counts[0] >= SCREEN_BATCH or counts[1] >= mesh.PAIR_BLOCK:
-                flush()
-    flush()
 
 
 # ---------------------------------------------------------------------------

@@ -388,14 +388,13 @@ class LatticeColumns:
         count = np.diff(np.append(first, pts.shape[0]))
         return cls(pts, x[first], first, count, rank[first], levels)
 
-    def index(self, q, side):
-        """Per column (row of the (C, n) array q), the index of the first
-        point with x2 >= q (side "left") or x2 > q (side "right")."""
-        k = np.searchsorted(self.levels, q, side)
-        k -= self.row0[:, None]
-        np.maximum(k, 0, out=k)
-        np.minimum(k, self.count[:, None], out=k)
-        k += self.first[:, None]
+    def at(self, k):
+        """Per column (row of the (C, n) array k of ranks in ``levels``),
+        the index of the column's first point whose x2 has rank k or more;
+        k is overwritten."""
+        k += (self.first - self.row0)[:, None]
+        np.maximum(k, self.first[:, None], out=k)
+        np.minimum(k, (self.first + self.count)[:, None], out=k)
         return k
 
 
@@ -406,6 +405,29 @@ def _portal_band(a, scale):
     # |V| <= 2 scale
     return (4.0 * (1.0 + 2.0 * a) * TAU_GEOM * scale
             + 1e-12 * (1.0 + a) * scale * scale)
+
+
+def _tube_chords(tube, X, Y):
+    """The chords X[i]--Y[i] from corridor points (|x1| <= 1) to bell cells
+    beyond a mouth that the tube's edges decide, by the upper edge's vertex
+    (see ``DomainSpec.portal_runs``): boolean arrays (decided, visible).
+    Every other pair is undecided."""
+    a, w = tube.amplitude, tube.radius
+    band = _portal_band(a, 1.0 + max(np.abs(X).max(), np.abs(Y).max()))
+    px, py, qx, qy = X[:, 0], X[:, 1], Y[:, 0], Y[:, 1]
+    mu = np.sign(qx)
+    # a vertical pair (qx == px) is no chord through a mouth: undecided
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (qy - py) / (qx - px)
+        # x2 at the mouth above the lower edge, and D(x*) of the upper one
+        lower = py + slope * (mu - px) + w
+        xs = np.clip(slope / (2.0 * a), np.minimum(px, mu),
+                     np.maximum(px, mu))
+        upper = a * xs * xs - a + w - (py + slope * (xs - px))
+    visible = (lower > band) & (upper > band)
+    decided = (np.abs(px) <= 1.0) & (np.abs(qx) > 1.0) & (
+        visible | (lower < -band) | (upper < -band))
+    return decided, visible & decided
 
 
 @dataclass(frozen=True)
@@ -486,9 +508,10 @@ class DomainSpec:
         return cover >= 1.0 - TAU_GEOM
 
     def portal_pairs(self, X, bell):
-        """Visible segments from source points in one bell of a dumbbell to
-        the cells of the other bell: the runs of ``portal_runs``, with a
-        segment test for each pair of a band run.
+        """Visible segments from source points in one bell of a dumbbell, or
+        in its corridor, to the cells of a bell: the runs of
+        ``portal_runs``, with the pairs of a band run decided by
+        ``portal_inside_many``.
 
         Returns None when the rule does not apply, else (i, j): the visible
         pairs X[i]--bell.points[j], sorted by (i, j).
@@ -508,151 +531,178 @@ class DomainSpec:
                 & (j < np.repeat(mid_hi.ravel(), size)))
         edge = np.flatnonzero(~keep)
         if edge.size:
-            keep[edge] = self.segment_inside_many(X[i[edge]],
-                                                  bell.points[j[edge]])
+            keep[edge] = self.portal_inside_many(X[i[edge]],
+                                                 bell.points[j[edge]])
         return i[keep], j[keep]
 
     def portal_runs(self, X, bell):
-        """Bell-to-bell visibility decided through the corridor's mouths, as
-        runs of target columns: from source points in one bell of a
-        dumbbell to the cells of the other bell.
+        """Visibility through the corridor's mouths, as runs of target
+        columns: from source points in one bell of a dumbbell, or in its
+        corridor, to the cells of a bell.
 
-        ``bell`` holds the target cells as ``LatticeColumns``.  Between the
-        mouths x1 = -1 and x1 = +1 only the corridor covers a bell-to-bell
-        segment, so on the slab it is visible when its x2 at both mouths lies
-        in the slab, the range [e0, e1].  The tube with amplitude a >= 2 w
-        admits none in the open domain: the segment's x2 at x1 = 0 is the
-        mean of its x2 at the mouths, which the tube's mouths hold above -w,
-        while the tube needs it below -a + w <= -w.  The rule takes the tube
-        as the range [e0, e1] = [-w, -w]: nothing is surely visible, and
-        lines near x2 = -w, which touches the tube at (0, -w) when a = 2 w,
-        are left to the slot test.  On the line from (px, py) to (qx, qy),
-        x2 at a mouth mu is py + (qy - py) lam, lam = (mu - px) / (qx - px)
-        in (0, 1), increasing in qy: for one source and one target column
-        the targets with x2 in a range at both mouths are one run of the
-        column.
+        ``bell`` holds the target cells as ``LatticeColumns``, beyond the
+        mouth x1 = mu (mu = +-1).  Between the mouths only the corridor
+        covers a segment, and beyond a mouth the bell's half-plane covers
+        all of it.  A segment from the other bell crosses both mouths; a
+        segment from a corridor point strictly between the mouths, or on
+        the other mouth, crosses mu alone.  On the line from (px, py) to
+        (qx, qy), x2 at a mouth m is py + (qy - py) lam, lam = (m - px) /
+        (qx - px) in (0, 1], increasing in qy: for one source and one target
+        column, the targets with x2 in a range at the crossed mouths are one
+        run of the column.
+
+        On the slab the corridor is convex, so a segment is visible when its
+        x2 at every crossed mouth lies in the slab, the range [e0, e1].
+        The tube with amplitude a >= 2 w admits no bell-to-bell segment in
+        the open domain: the segment's x2 at x1 = 0 is the mean of its x2 at
+        the mouths, which the tube's mouths hold above -w, while the tube
+        needs it below -a + w <= -w.  The rule takes the tube as the range
+        [e0, e1] = [-w, -w] for those: nothing is surely visible, and lines
+        near x2 = -w, which touches the tube at (0, -w) when a = 2 w, are
+        left to the slot test.
+
+        For a corridor source the tube's range is its opening (-w, w) at
+        mu, which only gives candidates, each decided at the upper edge's
+        vertex (``portal_inside_many``).  Between the source p and the mouth
+        the tube is the convex set {x2 > a x1^2 - a - w} cut by
+        {x2 < a x1^2 - a + w}.  The chord lies in the first set when its x2
+        at the mouth, y_mu, is above -w, the first set's edge there, as p
+        lies in it too.  It lies below the second set's edge when
+        D(x) = a x^2 - a + w - line(x), convex, is positive at its least
+        value on [px, mu], which it takes at x* = slope / (2 a) clamped to
+        that interval.  So the chord is visible iff y_mu + w > 0 and
+        D(x*) > 0.  Either value below -band leaves a gap that the slot test
+        does not bridge, both above band leave the overlap it needs (see
+        below; a chord above the edge by d at an inner x* leaves the tube
+        for 2 sqrt(d / (a Vx^2)) in the parameter, more than at a mouth),
+        and a pair with a value within band of 0 gets a slot test.  A
+        corridor source on the mouth mu itself sees the whole bell: the
+        bell's half-plane holds the segment but for that end, where its
+        slot parameter is exactly 0 or 1 (x1 - mu is 0 there, and the two
+        ends' differences from mu are each other's negatives).
 
         Pairs with x2 at a mouth within ``band`` of a corridor edge go to
-        ``segment_inside_many``, so the result is the slot test's, bridged
-        contacts included.  The slot test bridges gaps up to TAU_GEOM in the
-        segment parameter: a line missing a mouth by d in x2 leaves a gap of
+        the slot test, so the result is the slot test's, bridged contacts
+        included.  The slot test bridges gaps up to TAU_GEOM in the segment
+        parameter: a line missing a mouth by d in x2 leaves a gap of
         d / (|Vy| + 2 a Vx) there (edge slope 2 a on the tube, 0 on the
         slab), and on the tube a line above x2 = -a + w at x1 = 0 by d is
         decided by the rounding of a double root while d is below about
-        1e-15 a x1^2.  A slot-visible line thus has x2 at both mouths within
-        TAU_GEOM (1 + 2 a) |V| plus twice that rounding zone of an edge;
-        ``band`` doubles the first and takes the second 500 times over.
+        1e-15 a x1^2.  A slot-visible line thus has x2 at every crossed
+        mouth within TAU_GEOM (1 + 2 a) |V| plus twice that rounding zone of
+        an edge; ``band`` doubles the first and takes the second 500 times
+        over.
 
-        On the tube, a line with x2 at both mouths within ``band`` of -w
-        has slope at most ``band`` in size, so its x2 at the source is within
-        ``band`` (1 + |px|) of -w: sources farther than twice that bound
-        from x2 = -w have no candidate pairs and are dropped before any
-        threshold is computed.  Per source and end of the range, the mouth
-        that binds (the larger qy for a lower end, the smaller for an upper
-        one) is fixed by the sign of e - py, as qy grows with lam there;
-        rounding keeps that order, so one mouth gives the bits of the
-        maximum or minimum over both.  ``mouth_screen`` applies the same
-        band to any segment.
+        On the tube, a bell-to-bell line with x2 at both mouths within
+        ``band`` of -w has slope at most ``band`` in size, so its x2 at the
+        source is within ``band`` (1 + |px|) of -w: sources farther than
+        twice that bound from x2 = -w have no candidate pairs and are
+        dropped before any threshold is computed.  Per source and end of
+        the range, the mouth that binds (the larger qy for a lower end, the
+        smaller for an upper one) is fixed by the sign of e - py, as qy
+        grows with lam there; rounding keeps that order, so one mouth gives
+        the bits of the maximum or minimum over both.
+
+        Two searches per block: the thresholds of e0 - band and e0 + band
+        (and of e1 + band and e1 - band) differ by at most 2 band / lam.
+        When twice that is below the smallest gap between target rows, at
+        most one row lies between them, so the inner end is the outer one
+        moved by at most one row after one comparison; otherwise it is
+        searched for too.  Both ways give the same runs.
 
         Returns None when the rule does not apply (not a ``make_dumbbell``
-        domain, a tube one can see through, or points not beyond opposite
-        mouths), else (src, lo, mid_lo, mid_hi, hi): the sources that can
-        have visible pairs, ascending, and per target column (row) and such
-        source (column), indices into ``bell.points`` such that
-        [mid_lo, mid_hi) is visible, [lo, mid_lo) and [mid_hi, hi) are the
-        band runs that need a segment test, and no other target of the
-        column is visible.  Sources run along the rows, the longer axis in
-        practice, so that numpy's inner loops run along them.
+        domain, a tube one can see through, or sources neither all beyond
+        the other mouth nor all within x1 in [-1, 1]), else
+        (src, lo, mid_lo, mid_hi, hi): the sources that can have visible
+        pairs, ascending, and per target column (row) and such source
+        (column), indices into ``bell.points`` such that [mid_lo, mid_hi)
+        is visible, [lo, mid_lo) and [mid_hi, hi) are the band runs that
+        need a test, and no other target of the column is visible.
+        Sources run along the rows, the longer axis in practice, so that
+        numpy's inner loops run along them.
         """
         corridor = self._portal_corridor()
         X = _as_points(X)
-        if corridor is None or not (
-                (X[:, 0].max() < -1.0 and bell.x[0] > 1.0)
-                or (X[:, 0].min() > 1.0 and bell.x[-1] < -1.0)):
+        if corridor is None:
             return None
-        if isinstance(corridor, Box):
-            a, e0, e1 = 0.0, corridor.lo[1], corridor.hi[1]
+        mu = 1.0 if bell.x[0] > 1.0 else -1.0        # the targets' mouth
+        inner = np.abs(X[:, 0]).max() <= 1.0        # corridor sources
+        if mu * bell.x[-1] <= 1.0 or not (
+                inner or (-mu * X[:, 0]).min() > 1.0):
+            return None
+        tube = isinstance(corridor, ParabolicTube)
+        if tube:
+            a, w = corridor.amplitude, corridor.radius
+            e0, e1 = (-w, w) if inner else (-w, -w)
         else:
-            a, e0, e1 = corridor.amplitude, -corridor.radius, -corridor.radius
+            a, e0, e1 = 0.0, corridor.lo[1], corridor.hi[1]
         scale = 1.0 + max(np.abs(X).max(), np.abs(bell.x).max(),
                           np.abs(bell.levels).max())
         band = _portal_band(a, scale)
         src = np.arange(X.shape[0])
-        if a > 0.0:
+        if tube and not inner:
             src = np.flatnonzero(np.abs(X[:, 1] - e0)
                                  <= 2.0 * band * (2.0 + np.abs(X[:, 0])))
         px, py = X[src, 0], X[src, 1]
-        # lam at the near and the far mouth is 1 / inv: inv_near >= inv_far
-        near = -1.0 if X[0, 0] < 0.0 else 1.0
-        inv_near = (bell.x[:, None] - px) / (near - px)
-        inv_far = (bell.x[:, None] - px) / (-near - px)
+        # (qx - px) / (m - px) is 1 / lam at a mouth m: at the sources'
+        # mouth -mu (near) and at the targets' mouth mu (far)
+        dx = bell.x[:, None] - px
+        near, far = -mu - px, mu - px
+        if inner:
+            own = px == mu
+            far[own] = 1.0
+            near = far
 
         def threshold(e, lower):
             # the qy at which x2 at the binding mouth is e
             d = e - py
-            return py + d * np.where((d > 0.0) == lower, inv_near, inv_far)
+            m = far if inner else np.where((d > 0.0) == lower, near, far)
+            return py + d * (dx / m)
 
-        # maybe visible in [lo, hi), visible in [mid_lo, mid_hi)
-        lo = bell.index(threshold(e0 - band, True), "left")
-        mid_lo = bell.index(threshold(e0 + band, True), "left")
-        hi = bell.index(threshold(e1 + band, False), "right")
-        mid_hi = bell.index(threshold(e1 - band, False), "right")
+        # ranks in bell.levels: maybe visible in [lo, hi), visible in
+        # [mid_lo, mid_hi)
+        levels = bell.levels
+        lo = np.searchsorted(levels, threshold(e0 - band, True), "left")
+        hi = np.searchsorted(levels, threshold(e1 + band, False), "right")
+        # 1 / lam is at most the largest |dx| over the nearest mouth's |m|
+        inv = (np.abs(bell.x[[0, -1], None] - px).max(initial=0.0)
+               / np.abs(near).min(initial=_INF))
+        if tube and inner:
+            mid_lo, mid_hi = hi.copy(), hi.copy()
+        elif 4.0 * band * inv < np.diff(levels).min(initial=_INF):
+            # at most one row between the thresholds of e - band and e + band:
+            # levels[k] is above[k], and levels[k - 1] is below[k]
+            above = np.append(levels, _INF)
+            below = np.concatenate(([-_INF], levels))
+            mid_lo = lo + (above.take(lo) < threshold(e0 + band, True))
+            mid_hi = hi - (below.take(hi) > threshold(e1 - band, False))
+        else:
+            mid_lo = np.searchsorted(levels, threshold(e0 + band, True),
+                                     "left")
+            mid_hi = np.searchsorted(levels, threshold(e1 - band, False),
+                                     "right")
+        lo, mid_lo, mid_hi, hi = (bell.at(k) for k in (lo, mid_lo, mid_hi, hi))
         np.maximum(hi, lo, out=hi)
         np.minimum(np.maximum(mid_lo, lo, out=mid_lo), hi, out=mid_lo)
         np.minimum(np.maximum(mid_hi, mid_lo, out=mid_hi), hi, out=mid_hi)
+        if inner and own.any():
+            lo[:, own] = mid_lo[:, own] = bell.first[:, None]
+            hi[:, own] = mid_hi[:, own] = (bell.first + bell.count)[:, None]
         return src, lo, mid_lo, mid_hi, hi
 
-    def mouth_screen(self, X, Y):
-        """The segments X--Y (broadcast over leading axes) that the
-        corridor's mouths decide, with the portal rule's ``band``.
-
-        A segment crosses the mouth x1 = mu when its ends lie strictly on
-        either side.  At a crossed mouth, x2 outside the opening ± band
-        means not visible: a slot-visible line lies within ``band`` of the
-        opening there (see ``portal_runs``).  For a segment crossing both
-        mouths the opening is the portal rule's range [e0, e1], on the tube
-        [-w, -w].  On the slab, x2 inside the opening ∓ band at every
-        crossed mouth means visible: the pieces of the segment between its
-        ends and the crossed mouths lie in a bell's half-plane or in the
-        convex slab and overlap by more than the slot test's TAU_GEOM, and
-        a segment crossing no mouth lies in one of them.  On the tube
-        nothing is called visible.  x2 at a mouth is rounded by far less
-        than ``band``.
-
-        Returns None when the rule does not apply (see ``portal_runs``),
-        else boolean arrays (decided, visible) of the broadcast shape.
-        """
+    def portal_inside_many(self, X, Y):
+        """``segment_inside_many`` for the pairs of ``portal_runs``' band
+        runs: on the tube, the chords from corridor points to bell cells
+        that ``_tube_chords`` decides take its answer, and every other pair
+        gets a slot test."""
+        X, Y = _as_points(X), _as_points(Y)
         corridor = self._portal_corridor()
-        if corridor is None:
-            return None
-        px, py, qx, qy = X[..., 0], X[..., 1], Y[..., 0], Y[..., 1]
-        if isinstance(corridor, Box):
-            a, w0, w1 = 0.0, corridor.lo[1], corridor.hi[1]
-        else:
-            a, w0, w1 = corridor.amplitude, -corridor.radius, corridor.radius
-        scale = 1.0 + max(X.max(), -X.min(), Y.max(), -Y.min())
-        band = _portal_band(a, scale)
-        mid, half = (w0 + w1) / 2.0, (w1 - w0) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (qy - py) / (qx - px)
-        hidden = np.zeros(slope.shape, dtype=bool)
-        visible = np.full(slope.shape, a == 0.0)
-        # on the tube: crossing both mouths, and x2 within band of -w at both
-        both = tight = True
-        for mu in (-1.0, 1.0):
-            cross = np.sign(px - mu) * np.sign(qx - mu) < 0.0
-            with np.errstate(invalid="ignore"):
-                y = slope * (mu - px) + py
-            off = np.abs(y - mid)
-            hidden |= cross & (off > half + band)
-            if a == 0.0:
-                visible &= ~cross | (off < half - band)
-            else:
-                both = both & cross
-                tight = tight & (np.abs(y - w0) <= band)
-        if a > 0.0:
-            hidden |= both & ~tight
-        return hidden | visible, visible
+        if not isinstance(corridor, ParabolicTube) or not X.shape[0]:
+            return self.segment_inside_many(X, Y)
+        decided, inside = _tube_chords(corridor, X, Y)
+        test = np.flatnonzero(~decided)
+        inside[test] = self.segment_inside_many(X[test], Y[test])
+        return inside
 
     def _portal_corridor(self):
         """The corridor of a ``make_dumbbell`` domain whose bells see each
@@ -661,8 +711,8 @@ class DomainSpec:
         if (meta is None or len(self.primitives) != 3
                 or (meta.minus_ids, meta.corridor_ids, meta.plus_ids)
                 != ((0,), (1,), (2,))
-                or self.primitives[0] != HalfSpace((1.0, 0.0), -1.0)
-                or self.primitives[2] != HalfSpace((-1.0, 0.0), -1.0)):
+                or self.primitives[0] != _MINUS_BELL
+                or self.primitives[2] != _PLUS_BELL):
             return None
         corridor = self.primitives[1]
         if isinstance(corridor, Box) and corridor.lo[0] == -_INF \
@@ -741,6 +791,10 @@ class DomainSpec:
 
 TAG_OTHER, TAG_MINUS, TAG_STAR, TAG_PLUS = 0, 1, 2, 3
 
+#: the bells of ``make_dumbbell``: {x1 < -1} and {x1 > 1}
+_MINUS_BELL = HalfSpace(normal=(1.0, 0.0), offset=-1.0)
+_PLUS_BELL = HalfSpace(normal=(-1.0, 0.0), offset=-1.0)
+
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -755,8 +809,6 @@ def make_dumbbell(variant="straight"):
     parabolic tube, which blocks all direct left-right visibility.
     """
     r = 1.0
-    minus = HalfSpace(normal=(1.0, 0.0), offset=-1.0)     # x1 < -1
-    plus = HalfSpace(normal=(-1.0, 0.0), offset=-1.0)     # x1 > 1
     if variant == "straight":
         corridor = Box(lo=(-_INF, -r), hi=(_INF, r))
         gamma_tilde_id = 1
@@ -769,8 +821,8 @@ def make_dumbbell(variant="straight"):
         minus_ids=(0,), corridor_ids=(1,), plus_ids=(2,),
         gamma_star_lo=(-1.0, -r - 2.0), gamma_star_hi=(1.0, r),
         x0=(0.0, 0.0), gamma_tilde_id=gamma_tilde_id)
-    return DomainSpec(primitives=(minus, corridor, plus), dumbbell=meta,
-                      name=f"{variant}-dumbbell")
+    return DomainSpec(primitives=(_MINUS_BELL, corridor, _PLUS_BELL),
+                      dumbbell=meta, name=f"{variant}-dumbbell")
 
 
 def make_annulus(r_in=1.0 / 3.0, r_out=1.0):

@@ -89,7 +89,7 @@ class VisOperator:
 
         # sparse entries, each unordered pair once
         A, B = bells
-        cB, bell = grid.centers[B], forms._bell_columns(grid, A, B)
+        cB, bell = grid.centers[B], forms._bell_columns(grid, B)
         rows = max(1, mesh.PAIR_BLOCK // B.size)
         parts = []
         for lo in range(0, A.size, rows):

@@ -99,6 +99,34 @@ def test_local_form_energy_by_hand(unit_square):
     assert forms.energy(form, np.ones(4)) == 0.0
 
 
+def _dict_neighbors(grid):
+    """Right and upper lattice neighbours from a dict of lattice indices,
+    one cell at a time."""
+    key = {(int(a), int(b)): k
+           for k, (a, b) in enumerate(zip(grid.ix, grid.iy))}
+    right = np.full(grid.n_cells, -1, dtype=np.int64)
+    up = np.full(grid.n_cells, -1, dtype=np.int64)
+    for k in range(grid.n_cells):
+        right[k] = key.get((int(grid.ix[k]) + 1, int(grid.iy[k])), -1)
+        up[k] = key.get((int(grid.ix[k]), int(grid.iy[k]) + 1), -1)
+    return right, up
+
+
+@pytest.mark.parametrize("domain,x0,R,h", [
+    (geo.make_box(1.0, 1.0), (0.5, 0.5), 1.0, 1.0 / 16.0),
+    (geo.make_dumbbell("straight"), (0.0, 0.0), 6.0, 0.5),
+    (geo.make_dumbbell("curved"), (0.0, 0.0), 5.0, 0.4),
+    (geo.make_annulus(), (0.0, 0.0), 1.0, 1.0 / 12.0)])
+def test_lattice_neighbors_match_dict_lookup(domain, x0, R, h):
+    """The local stencil's neighbours from the lattice-index table are those
+    of a dict lookup per cell, holes and edges included."""
+    grid = mesh.build_grid(domain, x0, R, h)
+    right, up = forms._lattice_neighbors(grid)
+    want_right, want_up = _dict_neighbors(grid)
+    assert np.array_equal(right, want_right) and np.array_equal(up, want_up)
+    assert (right < 0).any() and (right >= 0).any()
+
+
 def test_ball_mode_requires_distances_and_validates_mode(two_cells, const_kernel):
     grid, pairs = two_cells
     with pytest.raises(ValueError):
@@ -255,13 +283,18 @@ def _brute_energy(grid, kernel, u, p=2.0):
     return float(2.0 * total)
 
 
+#: relative tolerance of witness energies against sums over brute-force
+#: masks: the largest difference measured over the cases below is 4.0e-16
+WITNESS_RTOL = 4e-15
+
+
 @pytest.mark.parametrize("variant", ["straight", "curved"])
 def test_witness_energy_equals_brute_force_masks(monkeypatch, variant):
-    """Witness energies with the portal rule equal (==) the sums over
-    brute-force masks, block for block, at R <= 16, and the energies on a
-    second grid built apart from equal inputs.  The bell-to-bell sums come
-    from prefix tables and could differ by rounding; at these grids they
-    do not."""
+    """Witness energies with the portal rule match the sums over
+    brute-force masks to WITNESS_RTOL at R <= 16, and the energies on a
+    second grid built apart from equal inputs are equal (==).  The sums of
+    the runs to the bells come from prefix tables and per-source sums, so
+    they differ by rounding."""
     portal_calls = []
     original = geo.DomainSpec.portal_runs
 
@@ -280,62 +313,184 @@ def test_witness_energy_equals_brute_force_masks(monkeypatch, variant):
         for s in (0.25, 0.75):
             kernel = kn.KernelSpec("power", s=s, p=2)
             lazy = forms.energy(forms.lazy_form(grid, kernel, "vis"), u)
-            assert lazy == _brute_energy(grid, kernel, u)
+            assert lazy == pytest.approx(_brute_energy(grid, kernel, u),
+                                         rel=WITNESS_RTOL, abs=0.0)
             assert forms.energy(forms.lazy_form(twin, kernel, "vis"),
                                 spectral.witness_step_function(twin)) == lazy
     assert portal_calls and all(portal_calls)
 
 
-def _group_pairs(grid):
-    """The witness profile's group pairs (A, B), as grouped_energy forms
-    them."""
-    _, inverse = np.unique(spectral.witness_step_function(grid),
-                           return_inverse=True)
-    groups = [np.flatnonzero(inverse == g) for g in range(inverse.max() + 1)]
-    return [(groups[a], groups[b]) for a in range(len(groups))
-            for b in range(a + 1, len(groups))]
+def _witness_slot_tests(monkeypatch, variant, R, h):
+    """Segments that a witness energy sends to the slot test."""
+    count = [0]
+    original = geo.DomainSpec.segment_inside_many
+
+    def counted(self, X, Y):
+        count[0] += len(X)
+        return original(self, X, Y)
+
+    grid = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), R, h)
+    form = forms.lazy_form(grid, kn.KernelSpec("power", s=0.25, p=2), "vis")
+    with monkeypatch.context() as m:
+        m.setattr(geo.DomainSpec, "segment_inside_many", counted)
+        forms.energy(form, spectral.witness_step_function(grid))
+    return count[0]
 
 
-def _slot_test_sum(grid, kernel, A, B):
-    """The weight sum over A x B with a segment test of every pair, in the
-    streamed path's blocks and pair order."""
-    rows = max(1, mesh.PAIR_BLOCK // B.size)
-    cB, mB = grid.centers[B], grid.measures[B]
-    total = 0.0
-    for lo in range(0, A.size, rows):
-        a = A[lo:lo + rows]
-        i, j = forms._visible_pairs(grid.domain, grid.centers[a], cB)
-        d = cB[j] - grid.centers[a][i]
-        r = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-        mass = grid.measures[a][i] * mB[j]
-        if r.size:
-            mass *= kernel.k(r)
-            total += float(np.sum(mass))
-    return total
+def test_witness_slot_test_budget(monkeypatch):
+    """Witness energies send few segments to the slot test.  The curved
+    R = 18, h = 0.5 energy made 18,476 when every pair between a bell and
+    the corridor that crossed a mouth took one; with the tube's chords
+    decided at the upper edge's vertex it makes 494.  At h = 0.4, R = 9,
+    where the corridor cells on the mouths share the bells' values, the
+    straight energy makes 3,044 (the bell-to-bell band runs; the slab's
+    cells see each other untested) and the curved one 1,151 (11,497
+    before)."""
+    assert _witness_slot_tests(monkeypatch, "curved", 18.0, 0.5) <= 1000
+    assert _witness_slot_tests(monkeypatch, "straight", 9.0, 0.4) <= 4000
+    assert _witness_slot_tests(monkeypatch, "curved", 9.0, 0.4) <= 1500
 
 
 @pytest.mark.parametrize("variant", ["straight", "curved"])
-@pytest.mark.parametrize("h", [0.5, 0.4, 0.3])
-def test_screened_sums_equal_per_group_pair(monkeypatch, variant, h):
-    """The group pairs that do not join the two bells, summed in shared
-    mouth-screened batches, equal (==) each group pair summed alone and
-    each summed with a segment test of every pair.  At h = 0.4 the bells'
-    groups take the corridor cells on the mouths, so the bell-to-bell
-    pairs go through the screen too.  Batches and blocks of a few pairs
-    give the same bits."""
-    grid = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), 6.0, h)
+@pytest.mark.parametrize("h", [0.5, 0.4, 0.3, 0.25])
+def test_convex_pieces_take_no_slot_test(monkeypatch, variant, h):
+    """Two cells of one bell, or of the straight dumbbell's slab, lie in one
+    convex piece of the domain: the slot test calls every such pair
+    visible, and a lazy vis energy of a random profile sends none of them
+    to it, yet equals the assembled energy."""
+    grid = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), 5.0, h)
+    pieces = [geo.TAG_MINUS, geo.TAG_PLUS]
+    if variant == "straight":
+        pieces.append(geo.TAG_STAR)
+    for tag in pieces:
+        C = grid.centers[grid.tags == tag]
+        i, j = np.triu_indices(C.shape[0], k=1)
+        assert i.size and grid.domain.segment_inside_many(C[i], C[j]).all()
     kernel = kn.KernelSpec("power", s=0.25, p=2)
-    jobs = [(A, B) for A, B in _group_pairs(grid)
-            if forms._bell_columns(grid, A, B) is None]
-    assert len(jobs) == len(_group_pairs(grid)) - (h != 0.4)
-    want = [_slot_test_sum(grid, kernel, A, B) for A, B in jobs]
-    assert forms._cross_weight_sums(grid, kernel, "vis", jobs) == want
-    assert [forms._cross_weight_sums(grid, kernel, "vis", [job])[0]
-            for job in jobs] == want
-    monkeypatch.setattr(forms, "SCREEN_BATCH", 5)
+    u = np.random.default_rng(0).choice([0.0, 0.5, 1.0], grid.n_cells)
+    dense = forms.energy(forms.assemble(grid, mesh.visibility_pairs(grid),
+                                        kernel, "vis"), u)
+    tested = []
+    original = geo.DomainSpec.segment_inside_many
+
+    def recorded(self, X, Y):
+        tested.append((self.region_tags(X), self.region_tags(Y)))
+        return original(self, X, Y)
+
+    with monkeypatch.context() as m:
+        m.setattr(geo.DomainSpec, "segment_inside_many", recorded)
+        lazy = forms.energy(forms.lazy_form(grid, kernel, "vis"), u)
+    assert lazy == pytest.approx(dense, rel=1e-12, abs=0.0)
+    s, t = (np.concatenate(v) for v in zip(*tested))
+    assert s.size
+    assert not np.any((s == t) & np.isin(s, pieces))
+
+
+def test_segment_masks_share_calls(monkeypatch, annulus_grid):
+    """The segment tests of consecutive blocks share calls of at most
+    PAIR_BLOCK segments, a larger block has a call of its own, and each
+    block's mask equals a segment test of that block alone."""
     monkeypatch.setattr(mesh, "PAIR_BLOCK", 64)
-    want = [_slot_test_sum(grid, kernel, A, B) for A, B in jobs]
-    assert forms._cross_weight_sums(grid, kernel, "vis", jobs) == want
+    cells = np.arange(annulus_grid.n_cells)
+    assert cells.size > 120
+    jobs = [(0, cells[:10], cells[10:13]), (1, cells[20:24], cells[30:35]),
+            (2, cells[40:43], cells[:100]), (3, cells[50:52], cells[60:65]),
+            (4, cells[70:79], cells[80:86])]
+    blocks = forms._row_blocks(jobs)
+    assert [a.size * B.size for _, a, B in blocks] == \
+        [30, 20, 100, 100, 100, 10, 54]
+    calls = []
+    original = geo.DomainSpec.segment_inside_many
+
+    def counted(self, X, Y):
+        calls.append(len(X))
+        return original(self, X, Y)
+
+    with monkeypatch.context() as m:
+        m.setattr(geo.DomainSpec, "segment_inside_many", counted)
+        masks = list(forms._segment_masks(annulus_grid, blocks))
+    assert calls == [50, 100, 100, 100, 64]
+    assert len(masks) == len(blocks)
+    assert not np.concatenate(masks).all()
+    for (_, a, B), mask in zip(blocks, masks):
+        want, _ = _slot_pairs(annulus_grid, a, B)
+        assert np.array_equal(mask, want.ravel())
+
+
+def _slot_pairs(grid, S, B):
+    """Mask of the visible pairs S x B and their distances, every pair by a
+    slot test."""
+    X = np.repeat(grid.centers[S], B.size, axis=0)
+    Y = np.tile(grid.centers[B], (S.size, 1))
+    d = Y - X
+    return (grid.domain.segment_inside_many(X, Y).reshape(S.size, B.size),
+            np.hypot(d[:, 0], d[:, 1]).reshape(S.size, B.size))
+
+
+#: relative tolerance of corridor-to-bell sums against sums over slot-tested
+#: pairs: the largest difference measured over the cases below is 8.4e-15
+#: per corridor cell and 7.2e-15 per group pair, both on the tube at
+#: h = 0.3, whose terms all come from pairs; a centre difference carries
+#: the rounding of both centres, which the kernel's power amplifies
+CORRIDOR_RTOL = 2e-14
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+@pytest.mark.parametrize("h", [0.5, 0.4, 0.3, 0.25])
+def test_corridor_run_sums_match_slot_tests(monkeypatch, variant, h):
+    """Per corridor cell, the weight sum over its visible pairs with either
+    bell, from the runs of one call for all corridor cells, matches a slot
+    test of every pair to CORRIDOR_RTOL, in one block and in blocks of one
+    source.  A cell that sees nothing of a bell gets 0."""
+    grid = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), 9.0, h)
+    S = np.flatnonzero(grid.tags == geo.TAG_STAR)
+    for s in (0.25, 0.75):
+        kernel = kn.KernelSpec("power", s=s, p=2)
+        table = forms._offset_table(grid, kernel)
+        for tag in (geo.TAG_MINUS, geo.TAG_PLUS):
+            B = np.flatnonzero(grid.tags == tag)
+            visible, r = _slot_pairs(grid, S, B)
+            want = np.sum(np.where(visible, kernel.k(r), 0.0), axis=1) * h ** 4
+            assert np.any(want > 0.0)
+            bell = forms._bell_columns(grid, B)
+            for block in (forms.RUN_BLOCK, B.size):
+                monkeypatch.setattr(forms, "RUN_BLOCK", block)
+                got = forms._run_sum(grid, kernel, S, B, bell, table, True)
+                np.testing.assert_allclose(got, want, rtol=CORRIDOR_RTOL,
+                                           atol=0.0)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+@pytest.mark.parametrize("h", [0.5, 0.4, 0.3, 0.25])
+def test_screened_sums_equal_per_group_pair(monkeypatch, variant, h):
+    """The witness profile's group pairs, summed in one call (bell parts by
+    runs, corridor parts by the runs of one call, the corridor parts
+    against each other in one block), equal (==) each group pair summed
+    alone, and match a slot test of every pair to CORRIDOR_RTOL.  Blocks
+    of a few rows and pairs match it too.  At h = 0.4 the bells' groups
+    take the corridor cells on the mouths."""
+    grid = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), 9.0, h)
+    u = spectral.witness_step_function(grid)
+    values, inverse = np.unique(u, return_inverse=True)
+    groups = [np.flatnonzero(inverse == g) for g in range(values.size)]
+    pairs = [(a, b) for a in range(values.size)
+             for b in range(a + 1, values.size)]
+    for s in (0.25, 0.75):
+        kernel = kn.KernelSpec("power", s=s, p=2)
+        want = []
+        for a, b in pairs:
+            visible, r = _slot_pairs(grid, groups[a], groups[b])
+            want.append(float(np.sum(kernel.k(r[visible]))) * h ** 4)
+        got = forms._cross_weight_sums(grid, kernel, "vis", groups, pairs)
+        assert got == pytest.approx(want, rel=CORRIDOR_RTOL, abs=0.0)
+        assert got == [forms._cross_weight_sums(grid, kernel, "vis", groups,
+                                                [pair])[0] for pair in pairs]
+        with monkeypatch.context() as m:
+            m.setattr(forms, "RUN_BLOCK", 5)
+            m.setattr(mesh, "PAIR_BLOCK", 64)
+            got = forms._cross_weight_sums(grid, kernel, "vis", groups, pairs)
+        assert got == pytest.approx(want, rel=CORRIDOR_RTOL, abs=0.0)
 
 
 #: relative tolerance of the bell-to-bell run sums against a pair-by-pair
@@ -367,7 +522,7 @@ def test_run_sums_match_brute_force(monkeypatch, variant, R, h):
                 for block in (forms.RUN_BLOCK, 3 * B.size // 2):
                     m.setattr(forms, "RUN_BLOCK", block)
                     got = forms._cross_weight_sums(grid, kernel, "vis",
-                                                   [(A, B)])[0]
+                                                   [A, B], [(0, 1)])[0]
                     assert got == pytest.approx(want, rel=RUN_SUM_RTOL,
                                                 abs=0.0)
 

@@ -256,13 +256,64 @@ def test_portal_runs_drop_tube_sources_off_the_tangent_line(monkeypatch,
     assert calls
 
 
+def _corridor(domain, R, h):
+    grid = mesh.build_grid(domain, (0.0, 0.0), R, h)
+    return grid.centers[grid.tags == geo.TAG_STAR], _bells(domain, R, h)
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+@pytest.mark.parametrize("h", [0.5, 0.4, 0.3, 0.25])
+def test_portal_pairs_from_corridor_equal_segment_tests(variant, h):
+    """From the corridor cells to either bell, the portal rule's runs and
+    the tube's vertex decisions give the slot test's mask, bit for bit.
+    At h = 0.4 the cells on the mouths see their own bell whole."""
+    domain = geo.make_dumbbell(variant)
+    corridor, bells = _corridor(domain, 12.0, h)
+    for tgt, mu in zip(bells, (-1.0, 1.0)):
+        mask = _portal_mask(domain, corridor, geo.LatticeColumns.of(tgt))
+        assert np.array_equal(mask, _brute_mask(domain, corridor, tgt))
+        assert mask.any() and not mask.all()
+        own = corridor[:, 0] == mu
+        assert own.any() == (h == 0.4) and mask[own].all()
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+@pytest.mark.parametrize("R,h", _PORTAL_GRIDS)
+def test_tube_chord_decisions_equal_slot_tests(variant, R, h):
+    """Every chord from a corridor cell to a bell cell that the tube's
+    upper-edge vertex decides gets the slot test's answer (0 mismatches).
+    The vertex leaves few undecided, mostly lines through a mouth's corner:
+    at most 2.1% of the pairs on these grids (at R = 6).  On the slab
+    every band pair gets a slot test."""
+    domain = geo.make_dumbbell(variant)
+    corridor, bells = _corridor(domain, R, h)
+    for tgt in bells:
+        X = np.repeat(corridor, tgt.shape[0], axis=0)
+        Y = np.tile(tgt, (corridor.shape[0], 1))
+        truth = domain.segment_inside_many(X, Y)
+        assert np.array_equal(domain.portal_inside_many(X, Y), truth)
+        if variant == "straight":
+            continue
+        decided, visible = geo._tube_chords(domain.primitives[1], X, Y)
+        assert np.array_equal(visible[decided], truth[decided])
+        assert not visible[~decided].any() and visible.any()
+        assert decided.mean() > 0.97
+    # bell-to-bell pairs are left to the slot test
+    X, Y = bells[0][:50], bells[1][-50:]
+    decided, _ = geo._tube_chords(geo.ParabolicTube(), X, Y)
+    assert not decided.any()
+
+
 @pytest.mark.parametrize("variant", ["straight", "curved"])
 @pytest.mark.parametrize("R,h", _PORTAL_GRIDS)
 def test_mouth_screen_agrees_with_segment_tests(variant, R, h):
-    """Every pair that ``mouth_screen`` decides gets the slot test's
-    answer: random pairs of cells, corridor cells against random cells,
-    and pairs of cells on the rows next to the mouths' corners (the h = 0.4
-    rows on x2 = -1 hold the tube's tangent pairs)."""
+    """``portal_inside_many``, the mouths' screen in front of the slot
+    test, gives the slot test's answer on any pairs of cells, not only on
+    the band runs of ``portal_runs``: random pairs of cells, corridor cells
+    against random cells, and pairs of cells on the rows next to the
+    mouths' corners (the h = 0.4 rows on x2 = -1 hold the tube's tangent
+    pairs).  On the tube the upper edge's vertex decides most of the
+    chords from the corridor to the bells, and only those."""
     domain = geo.make_dumbbell(variant)
     grid = mesh.build_grid(domain, (0.0, 0.0), R, h)
     c, n = grid.centers, grid.n_cells
@@ -275,12 +326,114 @@ def test_mouth_screen_agrees_with_segment_tests(variant, R, h):
                         ei[pick]])
     j = np.concatenate([rng.integers(0, n, 100000), ej[pick]])
     i, j = i[i != j], j[i != j]
-    decided, visible = domain.mouth_screen(c[i], c[j])
-    truth = domain.segment_inside_many(c[i[decided]], c[j[decided]])
-    assert np.array_equal(visible[decided], truth)
-    assert decided.mean() > (0.9 if variant == "straight" else 0.4)
+    truth = domain.segment_inside_many(c[i], c[j])
+    assert np.array_equal(domain.portal_inside_many(c[i], c[j]), truth)
+    assert truth.any() and not truth.all()
     if variant == "curved":
-        assert not visible.any()
+        decided, visible = geo._tube_chords(domain.primitives[1], c[i], c[j])
+        assert np.array_equal(visible[decided], truth[decided])
+        chord = (grid.tags[i] == geo.TAG_STAR) & (np.abs(c[j, 0]) > 1.0)
+        assert not decided[~chord].any() and decided[chord].mean() > 0.9
+
+
+def _four_search_runs(domain, X, bell):
+    """``portal_runs`` with each end of a run found by its own search, from
+    the binding mouth as the maximum or minimum over the crossed mouths."""
+    corridor = domain.primitives[1]
+    mu = 1.0 if bell.x[0] > 1.0 else -1.0
+    inner = np.abs(X[:, 0]).max() <= 1.0
+    mouths = (mu,) if inner else (mu, -mu)
+    tube = isinstance(corridor, geo.ParabolicTube)
+    if tube:
+        a, w = corridor.amplitude, corridor.radius
+        e0, e1 = (-w, w) if inner else (-w, -w)
+    else:
+        a, e0, e1 = 0.0, corridor.lo[1], corridor.hi[1]
+    band = geo._portal_band(a, 1.0 + max(np.abs(X).max(), np.abs(bell.x).max(),
+                                         np.abs(bell.levels).max()))
+    src = np.arange(X.shape[0])
+    if tube and not inner:
+        src = src[np.abs(X[:, 1] - e0) <= 2.0 * band * (2.0 + np.abs(X[:, 0]))]
+    px, py = X[src, 0], X[src, 1]
+    own = px == mu
+    qx = bell.x[:, None]
+
+    def index(e, lower, side):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qy = [py + (e - py) * ((qx - px) / (m - px)) for m in mouths]
+        q = np.maximum.reduce(qy) if lower else np.minimum.reduce(qy)
+        k = np.searchsorted(bell.levels, q, side) - bell.row0[:, None]
+        return np.clip(k, 0, bell.count[:, None]) + bell.first[:, None]
+
+    lo = index(e0 - band, True, "left")
+    hi = np.maximum(index(e1 + band, False, "right"), lo)
+    if tube and inner:
+        mid_lo = mid_hi = hi
+    else:
+        mid_lo = np.clip(index(e0 + band, True, "left"), lo, hi)
+        mid_hi = np.clip(index(e1 - band, False, "right"), mid_lo, hi)
+    full = (bell.first, bell.first + bell.count)
+    return src, *(np.where(own, end[:, None], k) for end, k in
+                  zip((full[0], full[0], full[1], full[1]),
+                      (lo, mid_lo, mid_hi, hi)))
+
+
+def _runs_equal(domain, X, bell):
+    got, want = domain.portal_runs(X, bell), _four_search_runs(domain, X, bell)
+    return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+@pytest.mark.parametrize("R,h", _PORTAL_GRIDS + ((9, 0.25),))
+def test_portal_runs_two_searches_equal_four(monkeypatch, variant, R, h):
+    """The runs from two searches per block, the inner ends one row step
+    from the outer ones, equal (array_equal) those of a search per end,
+    from either bell in blocks of rows and from the corridor cells."""
+    searches = []
+    original = np.searchsorted
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return original(*args, **kwargs)
+
+    domain = geo.make_dumbbell(variant)
+    corridor, (minus, plus) = _corridor(domain, R, h)
+    for src, tgt in ((minus, plus), (plus, minus), (corridor, plus),
+                     (corridor, minus)):
+        bell = geo.LatticeColumns.of(tgt)
+        for lo in range(0, src.shape[0], 500):
+            with monkeypatch.context() as m:
+                m.setattr(np, "searchsorted", counted)
+                runs = domain.portal_runs(src[lo:lo + 500], bell)
+            assert runs is not None and len(searches) == 2
+            assert _runs_equal(domain, src[lo:lo + 500], bell)
+            searches.clear()
+
+
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+def test_portal_runs_wide_band_searches_each_end(monkeypatch, variant):
+    """A band too wide for one row step between a run's outer and inner
+    ends falls back to a search per end, with the same runs as the
+    reference."""
+    searches = []
+    original = np.searchsorted
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return original(*args, **kwargs)
+
+    domain = geo.make_dumbbell(variant)
+    monkeypatch.setattr(geo, "_portal_band", lambda a, scale: 0.3)
+    corridor, (minus, plus) = _corridor(domain, 12.0, 0.5)
+    for src, tgt in ((minus, plus), (corridor, plus)):
+        bell = geo.LatticeColumns.of(tgt)
+        with monkeypatch.context() as m:
+            m.setattr(np, "searchsorted", counted)
+            domain.portal_runs(src, bell)
+        assert len(searches) == (2 if variant == "curved"
+                                 and src is corridor else 4)
+        assert _runs_equal(domain, src, bell)
+        searches.clear()
 
 
 def test_portal_pairs_corner_segment(straight_dumbbell):
@@ -297,10 +450,11 @@ def test_portal_pairs_corner_segment(straight_dumbbell):
 def test_portal_pairs_declines(straight_dumbbell, annulus):
     minus, plus = _bells(straight_dumbbell, 6.0, 0.5)
     bell = geo.LatticeColumns.of(plus)
-    # not a dumbbell, sources not beyond a mouth, or sources and targets
-    # beyond the same mouth
+    # not a dumbbell, sources neither all beyond the other mouth nor all in
+    # the corridor, or sources and targets beyond the same mouth
     assert annulus.portal_pairs(minus, bell) is None
-    assert straight_dumbbell.portal_pairs([[0.25, 0.25]], bell) is None
+    assert straight_dumbbell.portal_pairs([[0.25, 0.25], [-1.25, 0.25]],
+                                          bell) is None
     assert straight_dumbbell.portal_pairs(plus[:5], bell) is None
     # a tube shallow enough to see through (amplitude < 2 radius) has
     # visible bell-to-bell pairs

@@ -17,23 +17,23 @@ one entry point: an assembled form sums over its pair list, a lazy form
 blocks, without ever materializing O(N^2) pairs; this suits indicator and
 step profiles on grids too large to assemble.
 
-In vis mode on a ``make_dumbbell`` domain, every value group is split by
-region tag.  The pairs from a bell or the corridor to a bell are decided
-by the portal rule (``geometry.DomainSpec.portal_runs``): the x2 of a
-segment at the mouths it crosses decides it, per source and target column
-as runs of the column, and only pairs next to a corridor edge, or the
-tube's candidates that its upper edge's vertex leaves open, get a segment
-test.  A visible run is summed from a prefix table of the kernel over
-lattice offsets, and the corridor cells' sums are taken per cell, so
-these sums differ from a pair-by-pair sum by rounding (a few ulps).  Two
-cells of one bell, or of the straight dumbbell's slab, lie in one convex
-piece of the domain and see each other without a test; every other
-streamed vis-mode pair gets a segment test, the tests of one energy's
-blocks made together.  These sums keep the bits of a segment test of
-every pair.  The
-portal rule's pairs (``_visible_pairs``) give the sparse entries of the
-spectral layer's matrix-free vis operator.  Nothing is kept between
-calls, so an energy's cost does not depend on what ran before it.
+In vis mode on a ``make_dumbbell`` domain, one part-pair rule
+(``_part_jobs``) decides the visible pairs, for the streamed energies and
+for the sparse entries of the spectral layer's matrix-free vis operator
+(``_visible_pairs``).  Cells are split by region tag.  The pairs from a
+bell or the corridor to a bell are decided by the portal rule
+(``geometry.DomainSpec.portal_runs``): the x2 of a segment at the mouths
+it crosses decides it, per source and target column as runs of the
+column, and only pairs next to a corridor edge, or the tube's candidates
+that its upper edge's vertex leaves open, get a segment test.  Two cells
+of one bell, or of the straight dumbbell's slab, lie in one convex piece
+of the domain and see each other without a test; every other pair gets a
+segment test, the tests of one call's blocks made together.  An energy
+sums a visible run from a prefix table of the kernel over lattice
+offsets, and the corridor cells' sums per cell, so these sums differ from
+a pair-by-pair sum by rounding (a few ulps); its other sums keep the bits
+of a segment test of every pair.  Nothing is kept between calls, so an
+energy's cost does not depend on what ran before it.
 """
 
 from __future__ import annotations
@@ -194,11 +194,11 @@ def grouped_energy(grid, kernel, mode, u, p):
 
 
 # ---------------------------------------------------------------------------
-# streamed pair evaluation: runs of the portal rule to the bells, segment
-# tests for the other vis-mode blocks
+# visible pairs and streamed pair evaluation: runs of the portal rule to the
+# bells, segment tests for the other vis-mode blocks
 # ---------------------------------------------------------------------------
 
-#: (source, column) entries per bell-to-bell block of a streamed vis energy,
+#: (source, column) entries per bell-to-bell block of the portal rule's runs,
 #: and candidate pairs per corridor-to-bell block
 RUN_BLOCK = 1 << 16
 
@@ -213,36 +213,90 @@ def clear_visibility_cache():
 
 
 def _bell_columns(grid, B):
-    """B's lattice columns when B, cells of one bell of a dumbbell, can be
-    the targets of ``DomainSpec.portal_runs``: the domain's mouths decide
-    what sees them, and B's columns have no hole and lie on consecutive
-    lattice rows.  Else None."""
-    if not B.size or grid.domain._portal_corridor() is None:
-        return None
+    """B's lattice columns, for B cells of one bell of a dumbbell, when B
+    can be the targets of ``DomainSpec.portal_runs``: its columns have no
+    hole and lie on consecutive lattice rows.  Else None."""
     bell = geometry.LatticeColumns.of(grid.centers[B])
     if bell is None or np.ptp(grid.iy[B]) + 1 != bell.levels.size:
         return None
     return bell
 
 
-def _visible_pairs(domain, cA, cB, bell=None):
-    """The visible segments of the block cA x cB, as indices (i, j) into
-    cA and cB in (source, cB) order.
+def _part_jobs(grid, groups, pairs):
+    """The part-pair rule of vis mode, for the group pairs g = (a, b) of
+    ``pairs``: jobs (runs, to_bell, whole, tested).
 
-    ``bell`` holds cB as ``LatticeColumns`` when the block joins the two
-    bells of a dumbbell; ``DomainSpec.portal_pairs`` then decides it.
-    Otherwise each pair gets a segment test from
-    ``DomainSpec.segment_inside_many``.
+    On a dumbbell whose mouths decide what sees a bell
+    (``DomainSpec.portal_runs``), groups are split by region tag.  A bell
+    part B of groups[b] faced by the other bell's part, or by corridor
+    parts from either side, is an entry (b, B, bell, sources) of ``runs``
+    or ``to_bell``: ``bell`` holds B's columns as the portal rule's
+    targets, sources the jobs (g, S) of the parts S facing it.  Two parts
+    of one convex piece (a bell, or the straight dumbbell's slab) see each
+    other whole: a job (g, A, B) of ``whole``.  Every other part pair, a
+    bell part that ``_bell_columns`` declines, and every group pair on
+    other domains are jobs of ``tested``, for segment tests.
     """
-    pairs = None if bell is None else domain.portal_pairs(cA, bell)
-    if pairs is not None:
-        return pairs
-    nb = cB.shape[0]
-    keep = domain.segment_inside_many(np.repeat(cA, nb, axis=0),
-                                      np.tile(cB, (cA.shape[0], 1)))
-    k = np.flatnonzero(keep)
-    i = k // nb
-    return i, k - i * nb
+    corridor = grid.domain._portal_corridor()
+    if corridor is None:
+        return [], [], [], [(g, groups[a], groups[b])
+                            for g, (a, b) in enumerate(pairs)]
+    slab = isinstance(corridor, geometry.Box)
+    convex = _BELLS | {geometry.TAG_STAR} if slab else _BELLS
+    tags = grid.tags
+    parts = [{int(t): G[tags[G] == t] for t in np.unique(tags[G])}
+             for G in groups]
+    runs, whole, tested = [], [], []
+    faced = {}                # (group, bell tag) -> [(pair, corridor part)]
+    for g, (a, b) in enumerate(pairs):
+        for s, A in parts[a].items():
+            for t, B in parts[b].items():
+                bell = _bell_columns(grid, B) if {s, t} == _BELLS else None
+                if bell is not None:
+                    runs.append((b, B, bell, [(g, A)]))
+                elif s == geometry.TAG_STAR and t in _BELLS:
+                    faced.setdefault((b, t), []).append((g, A))
+                elif t == geometry.TAG_STAR and s in _BELLS:
+                    faced.setdefault((a, s), []).append((g, B))
+                elif s == t and s in convex:
+                    whole.append((g, A, B))
+                else:
+                    tested.append((g, A, B))
+    to_bell = []
+    for (b, t), sources in faced.items():
+        B = parts[b][t]
+        bell = _bell_columns(grid, B)
+        if bell is None:
+            tested += [(g, S, B) for g, S in sources]
+        else:
+            to_bell.append((b, B, bell, sources))
+    return runs, to_bell, whole, tested
+
+
+def _visible_pairs(grid, A, B):
+    """The visible pairs of A x B, for A and B grid cell indices, as grid
+    indices (i, j) with i from A and j from B, sorted by (i, j).
+
+    The part-pair rule of ``_part_jobs`` decides them, as it does for the
+    streamed energies: by the portal rule's runs to a bell
+    (``_portal_blocks``), whole in a convex piece, and by a segment test
+    of every other pair.
+    """
+    n = grid.n_cells
+    runs, to_bell, whole, tested = _part_jobs(grid, [A, B], [(0, 1)])
+    keys = [np.zeros(0, dtype=np.int64)]
+    for b, T, bell, sources in runs + to_bell:
+        for _, S in sources:
+            for _, a, src, lo, hi, i, j in _portal_blocks(grid, S, T, bell):
+                ri, rj = _run_pairs(src, lo, hi)
+                i, j = a[np.concatenate((ri, i))], T[np.concatenate((rj, j))]
+                # the bell cells T are cells of A when b = 0
+                keys.append(j * n + i if b == 0 else i * n + j)
+    keys += [(S[:, None] * n + T).ravel() for _, S, T in whole]
+    blocks = _row_blocks(tested)
+    for (_, a, T), keep in zip(blocks, _segment_masks(grid, blocks)):
+        keys.append((a[:, None] * n + T).ravel()[keep])
+    return np.divmod(np.sort(np.concatenate(keys)), n)
 
 
 def _cross_weight_sums(grid, kernel, mode, groups, pairs):
@@ -250,59 +304,25 @@ def _cross_weight_sums(grid, kernel, mode, groups, pairs):
     k(r) m_i m_j over the pairs groups[a] x groups[b] (the visible ones in
     vis mode).
 
-    In vis mode on a dumbbell whose mouths decide what sees a bell
-    (``DomainSpec.portal_runs``), every group is split by region tag.  A
-    bell part against the other bell's part is summed over the portal
-    rule's runs (``_run_sum``); the corridor parts against one bell part
-    are summed over the runs too, per source, from one call for all their
-    cells; two parts in one convex piece of the domain (one bell, or the
-    straight dumbbell's slab) see each other whole.  Every other part, and
-    every group pair on other domains, is summed over segment tests
-    (``_weight_sums``), the tests of all of them made together.
+    In vis mode the part-pair rule of ``_part_jobs`` routes the groups'
+    parts.  A bell part against the other bell's part is summed over the
+    portal rule's runs (``_run_sum``); the corridor parts against one bell
+    part are summed over the runs too, per source, from one call for all
+    their cells; two parts in one convex piece see each other whole.  The
+    other pairs are summed over segment tests (``_weight_sums``), the tests
+    of all of them made together.
     """
-    jobs = [(g, groups[a], groups[b]) for g, (a, b) in enumerate(pairs)]
     sums = np.zeros(len(pairs))
     if mode != "vis" or grid.domain.all_visible:
+        jobs = [(g, groups[a], groups[b]) for g, (a, b) in enumerate(pairs)]
         delta = boundary_distances(grid) if mode == "ball" else None
         _weight_sums(grid, kernel, jobs, sums, delta=delta)
         return sums.tolist()
-    corridor = grid.domain._portal_corridor()
-    if corridor is None:
-        _weight_sums(grid, kernel, jobs, sums, test=True)
-        return sums.tolist()
-    convex = set(_BELLS)
-    if isinstance(corridor, geometry.Box):
-        convex.add(geometry.TAG_STAR)
-    tags = grid.tags
-    parts = [{int(t): G[tags[G] == t] for t in np.unique(tags[G])}
-             for G in groups]
-    table = None              # _offset_table, once it is needed
-    to_bell = {}              # (group, bell tag) -> [(pair, corridor part)]
-    whole, tested = [], []    # jobs (pair, A, B) for _weight_sums
-    for g, (a, b) in enumerate(pairs):
-        for s, A in parts[a].items():
-            for t, B in parts[b].items():
-                bell = _bell_columns(grid, B) if {s, t} == _BELLS else None
-                if bell is not None:
-                    if table is None:
-                        table = _offset_table(grid, kernel)
-                    sums[g] += _run_sum(grid, kernel, A, B, bell, table)
-                elif s == geometry.TAG_STAR and t in _BELLS:
-                    to_bell.setdefault((b, t), []).append((g, A))
-                elif t == geometry.TAG_STAR and s in _BELLS:
-                    to_bell.setdefault((a, s), []).append((g, B))
-                elif s == t and s in convex:
-                    whole.append((g, A, B))
-                else:
-                    tested.append((g, A, B))
-    for (b, t), sources in to_bell.items():
-        B = parts[b][t]
-        bell = _bell_columns(grid, B)
-        if bell is None:
-            tested += [(g, S, B) for g, S in sources]
-            continue
-        if table is None:
-            table = _offset_table(grid, kernel)
+    runs, to_bell, whole, tested = _part_jobs(grid, groups, pairs)
+    table = _offset_table(grid, kernel) if runs or to_bell else None
+    for _, B, bell, [(g, A)] in runs:
+        sums[g] += _run_sum(grid, kernel, A, B, bell, table)
+    for _, B, bell, sources in to_bell:
         S = np.concatenate([S for _, S in sources])
         per_source = _run_sum(grid, kernel, S, B, bell, table, True)
         label = np.repeat([g for g, _ in sources],
@@ -393,23 +413,49 @@ def _offset_table(grid, kernel):
     return table, U
 
 
+def _portal_blocks(grid, A, B, bell):
+    """The portal rule's visible pairs from A, cells of one bell or of the
+    corridor, to the cells B of a bell, per block of rows of A:
+    (lo, a, src, start, stop, i, j) with a = A[lo:lo + |a|], the visible
+    runs [start, stop) of ``DomainSpec.portal_runs``, (column, source)
+    arrays of indices into B for the sources a[src], and the pairs
+    (a[i], B[j]) of its band runs that ``DomainSpec.portal_inside_many``
+    calls visible.
+
+    A is walked in blocks of ``RUN_BLOCK // |B|`` rows when it lies in the
+    corridor, as a corridor source on the tube may have every cell of B as
+    a candidate, else of ``RUN_BLOCK // columns`` rows.
+    """
+    domain = grid.domain
+    corridor = grid.tags[A[0]] == geometry.TAG_STAR
+    rows = max(1, RUN_BLOCK // (B.size if corridor else bell.x.size))
+    for lo in range(0, A.size, rows):
+        a = A[lo:lo + rows]
+        src, first, start, stop, last = domain.portal_runs(grid.centers[a],
+                                                           bell)
+        # the pairs of the band runs, decided apart
+        i, j = (np.concatenate(v) for v in zip(_run_pairs(src, first, start),
+                                                _run_pairs(src, stop, last)))
+        del first, last           # a block holds few (C, n) arrays at once
+        if i.size:                # a block may have no band pair
+            ok = domain.portal_inside_many(grid.centers[a[i]], bell.points[j])
+            i, j = i[ok], j[ok]
+        yield lo, a, src, start, stop, i, j
+
+
 def _run_sum(grid, kernel, A, B, bell, table, per_source=False):
     """Sum of k(r) m_i m_j over the visible pairs from A to the bell cells B,
     in total or, given ``per_source``, per cell of A.
 
-    A lies in the other bell, or in the corridor.  A is walked in blocks
-    of ``RUN_BLOCK // columns`` rows or, per source, of ``RUN_BLOCK // |B|``
-    rows, as a corridor source on the tube may have every cell of B as a
-    candidate.  Each run that ``DomainSpec.portal_runs`` calls visible is
-    summed as a difference of two entries of the prefix table of
-    ``_offset_table``; the pairs of the band runs are decided by
-    ``DomainSpec.portal_inside_many``, and the visible ones are summed from
-    k(h |offset|) one by one.  Every cell has measure h^2.  The terms are
-    those of a sum over the visible pairs, in another order and with
-    lattice offsets for centre differences, so the sum moves by ulps.
+    A lies in the other bell, or in the corridor.  Each visible run of
+    ``_portal_blocks`` is summed as a difference of two entries of the
+    prefix table of ``_offset_table``, and the visible pairs of its band
+    runs from k(h |offset|) one by one.  Every cell has measure h^2.  The
+    terms are those of a sum over the visible pairs, in another order and
+    with lattice offsets for centre differences, so the sum moves by ulps.
     """
     P, U = table
-    domain, h = grid.domain, grid.h
+    h = grid.h
     # target j of column c lies at the lattice offset (cx - ix,
     # cy - first[c] + j - iy) from a source (ix, iy), (cx, cy) the column's
     # lowest cell, as a column holds consecutive rows; cx - ix has one
@@ -420,16 +466,8 @@ def _run_sum(grid, kernel, A, B, bell, table, per_source=False):
     width = P.shape[1]
     column = ((sign * grid.ix[head] - 1) * width
               + grid.iy[head] - bell.first + U)
-    rows = max(1, RUN_BLOCK // (B.size if per_source else bell.x.size))
     total = np.zeros(A.size) if per_source else 0.0
-    for lo in range(0, A.size, rows):
-        a = A[lo:lo + rows]
-        src, first, start, stop, last = domain.portal_runs(grid.centers[a],
-                                                           bell)
-        # the pairs of the band runs, decided apart
-        i, j = (np.concatenate(v) for v in zip(_run_pairs(src, first, start),
-                                                _run_pairs(src, stop, last)))
-        del first, last           # a block holds few (C, n) arrays at once
+    for lo, a, src, start, stop, i, j in _portal_blocks(grid, A, B, bell):
         # the runs' ends as indices into P, in place
         source = -(sign * width * grid.ix[a[src]] + grid.iy[a[src]])
         for end in (start, stop):
@@ -437,8 +475,6 @@ def _run_sum(grid, kernel, A, B, bell, table, per_source=False):
             end += source
         runs = P.take(stop)
         runs -= P.take(start)
-        keep = domain.portal_inside_many(grid.centers[a[i]], bell.points[j])
-        i, j = i[keep], j[keep]
         dix = (grid.ix[B[j]] - grid.ix[a[i]]).astype(float)
         diy = (grid.iy[B[j]] - grid.iy[a[i]]).astype(float)
         band = kernel.k(h * np.sqrt(dix * dix + diy * diy))

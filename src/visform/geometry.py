@@ -507,34 +507,6 @@ class DomainSpec:
                 break
         return cover >= 1.0 - TAU_GEOM
 
-    def portal_pairs(self, X, bell):
-        """Visible segments from source points in one bell of a dumbbell, or
-        in its corridor, to the cells of a bell: the runs of
-        ``portal_runs``, with the pairs of a band run decided by
-        ``portal_inside_many``.
-
-        Returns None when the rule does not apply, else (i, j): the visible
-        pairs X[i]--bell.points[j], sorted by (i, j).
-        """
-        runs = self.portal_runs(X, bell)
-        if runs is None:
-            return None
-        src, *ends = runs
-        lo, mid_lo, mid_hi, hi = (v.T for v in ends)    # (source, column)
-        X = _as_points(X)
-        # expand the runs [lo, hi) to pairs, row by row and column by column
-        size = (hi - lo).ravel()
-        i = np.repeat(src, (hi - lo).sum(axis=1))
-        j = np.arange(size.sum()) + np.repeat(
-            lo.ravel() - (np.cumsum(size) - size), size)
-        keep = ((j >= np.repeat(mid_lo.ravel(), size))
-                & (j < np.repeat(mid_hi.ravel(), size)))
-        edge = np.flatnonzero(~keep)
-        if edge.size:
-            keep[edge] = self.portal_inside_many(X[i[edge]],
-                                                 bell.points[j[edge]])
-        return i[keep], j[keep]
-
     def portal_runs(self, X, bell):
         """Visibility through the corridor's mouths, as runs of target
         columns: from source points in one bell of a dumbbell, or in its

@@ -44,7 +44,7 @@ class VisOperator:
     batched ``numpy.fft`` call on a zero-padded (2 nx, 2 ny) lattice, with
     the table's spectrum taken once.  The other visible pairs are sparse
     entries: bell-to-bell pairs and pairs that touch a corridor cell, from
-    ``forms._visible_pairs`` (the portal rule, else segment tests).
+    ``forms._visible_pairs``, the part-pair rule of the streamed energies.
     ``connected`` tells whether the pair graph is connected.  It is a
     plain operator with a ``shape`` and ``A @ x`` for x of shape (n,);
     ``poincare_constant_l2`` wraps it in a scipy ``LinearOperator`` for
@@ -87,23 +87,14 @@ class VisOperator:
         # the table is even, so its spectrum is real
         self._spec = np.fft.rfft2(table).real
 
-        # sparse entries, each unordered pair once
-        A, B = bells
-        cB, bell = grid.centers[B], forms._bell_columns(grid, B)
-        rows = max(1, mesh.PAIR_BLOCK // B.size)
-        parts = []
-        for lo in range(0, A.size, rows):
-            a = A[lo:lo + rows]
-            i, j = forms._visible_pairs(grid.domain, grid.centers[a], cB, bell)
-            parts.append((a[i], B[j]))
-        for s in np.flatnonzero(~in_bell):
-            # s against every bell cell and every later corridor cell
-            B = np.flatnonzero(in_bell | (np.arange(n) > s))
-            _, j = forms._visible_pairs(grid.domain, grid.centers[s:s + 1],
-                                        grid.centers[B])
-            parts.append((np.full(j.size, s), B[j]))
-        i = np.concatenate([p[0] for p in parts])
-        j = np.concatenate([p[1] for p in parts])
+        # sparse entries, each unordered pair once: bell to bell, and the
+        # other cells against the bells and every later one of them
+        i, j = (np.concatenate(v) for v in zip(
+            forms._visible_pairs(grid, *bells),
+            forms._visible_pairs(grid, np.flatnonzero(~in_bell),
+                                 np.arange(n))))
+        keep = in_bell[j] | (i < j)
+        i, j = i[keep], j[keep]
         d = grid.centers[j] - grid.centers[i]
         w = kernel.k(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
         w *= m[i] * m[j]

@@ -1,9 +1,9 @@
-"""Every public name of visform is used by the package or the benchmark.
+"""Every name of visform is used by the package or the benchmark.
 
 A module-level function, class or UPPER_CASE constant that only tests
-call, and a public method or annotated field of a class that nothing
-reads, is API that no experiment runs; these guards keep it from growing
-back.
+call, a public method or annotated field of a class that nothing reads,
+and a private function or method that nothing calls, is code that no
+experiment runs; these guards keep it from growing back.
 """
 import ast
 from pathlib import Path
@@ -55,6 +55,21 @@ def _member_reads(tree):
             yield node.value
 
 
+def _private_functions(tree):
+    """Each module-level private function, and each private method of a
+    class (dunder methods, which Python calls, aside)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node.name
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name.startswith("_")
+                        and not node.name.endswith("__")):
+                    yield f"{cls.name}.{node.name}"
+
+
 def _uses(tree):
     """Names read anywhere in the module: the definitions do not count."""
     for node in ast.walk(tree):
@@ -83,3 +98,13 @@ def test_no_class_member_is_write_only():
                         ast.parse(path.read_text()))
                     if name not in read)
     assert not unread, f"class members nothing reads: {unread}"
+
+
+def test_no_private_function_is_orphaned():
+    used = {name for path in USERS
+            for name in _uses(ast.parse(path.read_text()))}
+    orphans = sorted(f"{path.stem}.{name}" for path in PACKAGE
+                     for name in _private_functions(
+                         ast.parse(path.read_text()))
+                     if name.rpartition(".")[2] not in used)
+    assert not orphans, f"private functions nothing calls: {orphans}"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from visform import geometry as geo, mesh
+from visform import forms, geometry as geo, mesh
 from conftest import sample_points_in
 
 
@@ -180,12 +180,20 @@ def _bells(domain, R, h):
             grid.centers[grid.tags == geo.TAG_PLUS])
 
 
-def _portal_mask(domain, src, bell):
-    i, j = domain.portal_pairs(src, bell)
-    order = i * bell.points.shape[0] + j
+def _cells(domain, R, h):
+    """A grid, and the cell indices of its corridor, bell- and bell+."""
+    grid = mesh.build_grid(domain, (0.0, 0.0), R, h)
+    return grid, *(np.flatnonzero(grid.tags == tag)
+                   for tag in (geo.TAG_STAR, geo.TAG_MINUS, geo.TAG_PLUS))
+
+
+def _pair_mask(grid, A, B):
+    """``forms._visible_pairs`` of A x B as an (|A|, |B|) mask."""
+    i, j = forms._visible_pairs(grid, A, B)
+    order = i * grid.n_cells + j
     assert np.all(np.diff(order) > 0)          # sorted by (source, target)
-    mask = np.zeros((src.shape[0], bell.points.shape[0]), dtype=bool)
-    mask[i, j] = True
+    mask = np.zeros((A.size, B.size), dtype=bool)
+    mask[np.searchsorted(A, i), np.searchsorted(B, j)] = True
     return mask
 
 
@@ -206,23 +214,21 @@ _PORTAL_GRIDS = ((6, 0.5), (12, 0.5), (18, 0.5), (32, 0.5), (16, 0.25),
 @pytest.mark.parametrize("variant", ["straight", "curved"])
 @pytest.mark.parametrize("R,h", _PORTAL_GRIDS)
 def test_portal_pairs_equal_segment_tests(variant, R, h):
-    """The portal rule's bell-to-bell masks are the slot test's, bit for
-    bit, in blocks of rows as the streamed energies take them; on small
-    grids also from bell+ to bell-."""
-    domain = geo.make_dumbbell(variant)
-    minus, plus = _bells(domain, R, h)
+    """The bell-to-bell pairs of ``forms._visible_pairs``, from the portal
+    rule's runs, are the slot test's, bit for bit, compared in blocks of
+    rows; on small grids also from bell+ to bell-."""
+    grid, _, minus, plus = _cells(geo.make_dumbbell(variant), R, h)
     directions = [(minus, plus)]
-    if minus.shape[0] * plus.shape[0] < 5e6:
+    if minus.size * plus.size < 5e6:
         directions.append((plus, minus))
     visible = 0
-    for src, tgt in directions:
-        bell = geo.LatticeColumns.of(tgt)
-        rows = max(1, mesh.PAIR_BLOCK // tgt.shape[0])
-        for lo in range(0, src.shape[0], rows):
-            block = src[lo:lo + rows]
-            mask = _portal_mask(domain, block, bell)
-            assert np.array_equal(mask, _brute_mask(domain, block, tgt))
-            visible += int(mask.sum())
+    for A, B in directions:
+        mask = _pair_mask(grid, A, B)
+        rows = max(1, mesh.PAIR_BLOCK // B.size)
+        for lo in range(0, A.size, rows):
+            assert np.array_equal(mask[lo:lo + rows], _brute_mask(
+                grid.domain, grid.centers[A[lo:lo + rows]], grid.centers[B]))
+        visible += int(mask.sum())
     if variant == "curved":
         assert visible == (2 * 273 if (R, h) == (9, 0.4) else 0)
     else:
@@ -242,18 +248,21 @@ def test_portal_runs_drop_tube_sources_off_the_tangent_line(monkeypatch,
         return original(self, X, Y)
 
     monkeypatch.setattr(geo.DomainSpec, "segment_inside_many", counted)
-    minus, plus = _bells(curved_dumbbell, 18, 0.5)
-    bell = geo.LatticeColumns.of(plus)
-    src, lo, mid_lo, mid_hi, hi = curved_dumbbell.portal_runs(minus, bell)
+    grid, _, minus, plus = _cells(curved_dumbbell, 18, 0.5)
+    bell = geo.LatticeColumns.of(grid.centers[plus])
+    src, lo, mid_lo, mid_hi, hi = curved_dumbbell.portal_runs(
+        grid.centers[minus], bell)
     assert src.size == 0 and lo.shape == (bell.x.size, 0)
-    i, j = curved_dumbbell.portal_pairs(minus, bell)
+    i, j = forms._visible_pairs(grid, minus, plus)
     assert i.size == j.size == 0 and not calls
-    minus, plus = _bells(curved_dumbbell, 9, 0.4)
-    for src, tgt in ((minus, plus), (plus, minus)):
-        i, j = curved_dumbbell.portal_pairs(src, geo.LatticeColumns.of(tgt))
-        assert i.size == 273
-        assert np.all(src[i, 1] == -1.0) and np.all(tgt[j, 1] == -1.0)
-    assert calls
+    grid, _, minus, plus = _cells(curved_dumbbell, 9, 0.4)
+    for A, B in ((minus, plus), (plus, minus)):
+        calls.clear()
+        i, j = forms._visible_pairs(grid, A, B)
+        assert i.size == 273 and np.isin(i, A).all() and np.isin(j, B).all()
+        assert np.all(grid.centers[i, 1] == -1.0)
+        assert np.all(grid.centers[j, 1] == -1.0)
+        assert sum(calls) >= 273            # every visible pair was tested
 
 
 def _corridor(domain, R, h):
@@ -264,16 +273,18 @@ def _corridor(domain, R, h):
 @pytest.mark.parametrize("variant", ["straight", "curved"])
 @pytest.mark.parametrize("h", [0.5, 0.4, 0.3, 0.25])
 def test_portal_pairs_from_corridor_equal_segment_tests(variant, h):
-    """From the corridor cells to either bell, the portal rule's runs and
-    the tube's vertex decisions give the slot test's mask, bit for bit.
-    At h = 0.4 the cells on the mouths see their own bell whole."""
-    domain = geo.make_dumbbell(variant)
-    corridor, bells = _corridor(domain, 12.0, h)
-    for tgt, mu in zip(bells, (-1.0, 1.0)):
-        mask = _portal_mask(domain, corridor, geo.LatticeColumns.of(tgt))
-        assert np.array_equal(mask, _brute_mask(domain, corridor, tgt))
+    """From the corridor cells to either bell, and back, the pairs of
+    ``forms._visible_pairs``, from the portal rule's runs and the tube's
+    vertex decisions, give the slot test's mask, bit for bit.  At h = 0.4
+    the cells on the mouths see their own bell whole."""
+    grid, corridor, *bells = _cells(geo.make_dumbbell(variant), 12.0, h)
+    for B, mu in zip(bells, (-1.0, 1.0)):
+        mask = _pair_mask(grid, corridor, B)
+        assert np.array_equal(mask, _brute_mask(
+            grid.domain, grid.centers[corridor], grid.centers[B]))
+        assert np.array_equal(_pair_mask(grid, B, corridor), mask.T)
         assert mask.any() and not mask.all()
-        own = corridor[:, 0] == mu
+        own = grid.centers[corridor, 0] == mu
         assert own.any() == (h == 0.4) and mask[own].all()
 
 
@@ -439,12 +450,12 @@ def test_portal_runs_wide_band_searches_each_end(monkeypatch, variant):
 def test_portal_pairs_corner_segment(straight_dumbbell):
     """(-1.25, -1.25)--(1.25, 1.25) passes through both slab corners; the
     slot test bridges them and calls it visible, and so does the rule."""
-    minus, plus = _bells(straight_dumbbell, 6.0, 0.5)
-    src = np.array([[-1.25, -1.25]])
-    bell = geo.LatticeColumns.of(plus)
-    k = int(np.flatnonzero((plus == (1.25, 1.25)).all(axis=1))[0])
-    assert straight_dumbbell.segment_inside_many(src, plus[k:k + 1])[0]
-    assert _portal_mask(straight_dumbbell, src, bell)[0, k]
+    grid, _, minus, plus = _cells(straight_dumbbell, 6.0, 0.5)
+    c = grid.centers
+    s = np.flatnonzero((c == (-1.25, -1.25)).all(axis=1))
+    k = np.flatnonzero((c == (1.25, 1.25)).all(axis=1))
+    assert straight_dumbbell.segment_inside_many(c[s], c[k])[0]
+    assert _pair_mask(grid, s, plus)[0, np.searchsorted(plus, k[0])]
 
 
 def test_portal_pairs_declines(straight_dumbbell, annulus):
@@ -452,17 +463,21 @@ def test_portal_pairs_declines(straight_dumbbell, annulus):
     bell = geo.LatticeColumns.of(plus)
     # not a dumbbell, sources neither all beyond the other mouth nor all in
     # the corridor, or sources and targets beyond the same mouth
-    assert annulus.portal_pairs(minus, bell) is None
-    assert straight_dumbbell.portal_pairs([[0.25, 0.25], [-1.25, 0.25]],
-                                          bell) is None
-    assert straight_dumbbell.portal_pairs(plus[:5], bell) is None
+    assert annulus.portal_runs(minus, bell) is None
+    assert straight_dumbbell.portal_runs([[0.25, 0.25], [-1.25, 0.25]],
+                                         bell) is None
+    assert straight_dumbbell.portal_runs(plus[:5], bell) is None
     # a tube shallow enough to see through (amplitude < 2 radius) has
-    # visible bell-to-bell pairs
+    # visible bell-to-bell pairs, which segment tests find
     wide = geo.DomainSpec(
         (straight_dumbbell.primitives[0], geo.ParabolicTube(1.0, 1.0),
          straight_dumbbell.primitives[2]),
         dumbbell=straight_dumbbell.dumbbell)
-    assert wide.portal_pairs(minus, bell) is None
+    assert wide.portal_runs(minus, bell) is None
+    grid, _, A, B = _cells(wide, 6.0, 0.5)
+    mask = _pair_mask(grid, A, B)
+    assert mask.any() and np.array_equal(mask, _brute_mask(
+        wide, grid.centers[A], grid.centers[B]))
     # the targets must be in grid order, with no hole in a column
     assert geo.LatticeColumns.of(plus[::-1]) is None
     assert geo.LatticeColumns.of(np.delete(plus, 1, axis=0)) is None

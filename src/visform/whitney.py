@@ -13,8 +13,9 @@ an (n, d) array of lattice anchors, their centers are evaluated in one
 (n, 2^d, d) corner arrays, and masks decide accept, drop (wholly
 outside, or a sliver at ``max_level``) or split into the next level's
 anchors.  Each cube's decision depends on that cube alone, so the cube
-set is the one a per-cube recursion gives.  A decomposition holds its
-cubes only as rows of arrays, sorted by (level, anchor).
+set is the one a per-cube recursion gives.  A decomposition stores each
+cube only as its (level, anchor) row, sorted in that order; sides,
+corners and centers are derived from the rows.
 
 Admissible chains are searched on the cubes' touching graph, a CSR
 pattern found by dyadic-lattice lookups per level pair, by one
@@ -30,10 +31,10 @@ float32 screen in finest-lattice units, with a proven relative error
 bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 4.2, for the positive row sums), values every source, and only the
 sources that screen within that bound of the largest get the exact
-float64 sum, in blocks of rows against (d, n) columns of the cube bounds
-with the per-source arithmetic and summation order.  The sup and its
-source keep their bits; where the bound cannot be certified every source
-gets the float64 sum.
+float64 sum.  One loop takes both, in blocks of rows against (d, n)
+columns of the cube bounds with the per-source arithmetic and summation
+order.  The sup and its source keep their bits; where the bound cannot
+be certified every source gets the float64 sum.
 
 Level-L cubes have side  base * 2^-L  with base a quarter of the
 bounding-box side, so level 0 starts below the domain scale and the
@@ -126,21 +127,29 @@ def _min_delta_lower_bound(domain, lows, highs, center_delta, diam):
 
 @dataclass
 class WhitneyDecomposition:
-    """Accepted cubes as rows of arrays, sorted by (level, anchor)."""
+    """Accepted cubes as (level, anchor) rows, sorted by (level, anchor).
+
+    A cube's side, corners and center are derived from its row with
+    ``whitney_decompose``'s arithmetic, so they are the lattice's.
+    """
     domain: object
     levels: np.ndarray           # (n,) dyadic level
     anchors: np.ndarray          # (n, d) lattice position at that level
-    sides: np.ndarray            # (n,)
-    lows: np.ndarray             # (n, d)
-    highs: np.ndarray            # (n, d)
     base: float
     max_level: int
     bbox_lo: tuple
     bbox_hi: tuple
+    sides: np.ndarray = field(init=False)        # (n,) base * 2^-level
+    lows: np.ndarray = field(init=False)         # (n, d)
+    highs: np.ndarray = field(init=False)        # (n, d)
     centers: np.ndarray = field(init=False)
     _adjacency: object = field(default=None, init=False)  # by adjacency()
 
     def __post_init__(self):
+        self.sides = self.base * 2.0 ** -self.levels
+        self.lows = (np.asarray(self.bbox_lo, dtype=float)
+                     + self.anchors * self.sides[:, None])
+        self.highs = self.lows + self.sides[:, None]
         self.centers = (self.lows + self.highs) / 2.0
 
     @property
@@ -223,7 +232,7 @@ def whitney_decompose(domain, max_level=8):
     counts = np.maximum(1, np.ceil((bb_hi - bb_lo) / base - 1e-12).astype(int))
     anchors = np.asarray(list(np.ndindex(*counts)), dtype=np.int64)
     children = np.asarray(list(np.ndindex(*(2,) * dim)), dtype=np.int64)
-    levels, sides, lows, highs, kept = [], [], [], [], []
+    levels, kept = [], []
     for level in range(max_level + 1):
         side = base * 2.0 ** (-level)
         diam = side * np.sqrt(dim)
@@ -237,9 +246,6 @@ def whitney_decompose(domain, max_level=8):
         done = np.flatnonzero(accept)
         done = done[np.lexsort(anchors[done].T[::-1])]      # anchor order
         levels.append(np.full(done.size, level))
-        sides.append(np.full(done.size, side))
-        lows.append(lo[done])
-        highs.append(hi[done])
         kept.append(anchors[done])
         # cubes still undecided at max_level are the boundary sliver,
         # reported by coverage_residual
@@ -248,9 +254,8 @@ def whitney_decompose(domain, max_level=8):
 
     return WhitneyDecomposition(
         domain=domain, levels=np.concatenate(levels),
-        anchors=np.concatenate(kept), sides=np.concatenate(sides),
-        lows=np.concatenate(lows), highs=np.concatenate(highs), base=base,
-        max_level=max_level, bbox_lo=tuple(bb_lo), bbox_hi=tuple(bb_hi))
+        anchors=np.concatenate(kept), base=base, max_level=max_level,
+        bbox_lo=tuple(bb_lo), bbox_hi=tuple(bb_hi))
 
 
 def coverage_residual(decomp):
@@ -266,9 +271,12 @@ def coverage_residual(decomp):
     hi = np.asarray(decomp.bbox_hi)
     counts = np.ceil((hi - lo) / step).astype(int)
     covered = np.zeros(tuple(counts), dtype=bool)
-    first = np.floor((decomp.lows - lo) / step + 0.5).astype(int).tolist()
-    stop = np.floor((decomp.highs - lo) / step + 0.5).astype(int).tolist()
-    for i0, i1 in zip(first, stop):
+    # exact index ranges: a level-l cube spans 2^(max_level - l) finest
+    # sides, RESIDUAL_OVERSAMPLE steps each
+    span = RESIDUAL_OVERSAMPLE * 2 ** (decomp.max_level
+                                       - decomp.levels[:, None])
+    first = decomp.anchors * span
+    for i0, i1 in zip(first.tolist(), (first + span).tolist()):
         covered[tuple(slice(max(0, a), min(n, b))
                       for a, b, n in zip(i0, i1, counts))] = True
 
@@ -473,45 +481,64 @@ def find_admissible_chain(decomp, qi, si, eps):
 # the chain-sum estimate
 # ---------------------------------------------------------------------------
 
+def _row_sums(lows, highs, sides, powered, qs, b):
+    """sum over S of powered(S) / (side(Q) + dist(Q, S) + side(S))^b for
+    each Q in qs, in the dtype of the (d, n) cube bounds and (n,) sides.
+
+    Sources go B = CHUNK // n at a time through one (B, n) buffer.  Each
+    element sees the per-source arithmetic in its order: squared gaps
+    summed axis by axis, sqrt, side(Q) + dist + side(S), the power, the
+    division, and a pairwise ``np.sum`` along the contiguous row, so a
+    source's row sum does not depend on the others in its block.  float32
+    takes the power by products, as the screen's error bound assumes;
+    float64 takes numpy's array power.
+    """
+    n = sides.shape[0]
+    rows = max(1, CHUNK // n)
+    q_lows, q_highs, q_sides = lows[:, qs], highs[:, qs], sides[qs]
+    buf, gap, other, zero = (np.zeros((rows, n), sides.dtype)
+                             for _ in range(4))
+    sums = np.empty(len(qs), sides.dtype)
+    for start in range(0, len(qs), rows):
+        q = slice(start, start + rows)
+        m = min(rows, len(qs) - start)
+        acc, g, g2 = buf[:m], gap[:m], other[:m]
+        for k in range(lows.shape[0]):
+            np.subtract(q_lows[k, q, None], highs[k], out=g)
+            np.subtract(lows[k], q_highs[k, q, None], out=g2)
+            np.maximum(g, g2, out=g)
+            np.maximum(g, zero[:m], out=g)
+            if k == 0:
+                np.square(g, out=acc)
+            else:
+                acc += np.square(g, out=g)
+        np.sqrt(acc, out=acc)
+        acc += q_sides[q, None]
+        acc += sides
+        if acc.dtype == np.float32:
+            np.copyto(g, acc)
+            for _ in range(int(b) - 1):
+                g *= acc
+        else:
+            acc **= b
+            g = acc
+        np.divide(powered, g, out=acc)
+        sums[q] = np.sum(acc, axis=1)
+    return sums
+
+
 def _whitney_sum_values(decomp, a, b, qs):
     """side(Q)^(b-a) * sum over S of side(S)^a / D(Q,S)^b for each Q in qs.
 
     The exact path of ``verify_whitney_sum``, for the sources its screen
-    keeps (or all of them).  Sources go B = CHUNK // n at a time through
-    one (B, n) buffer, built from (d, n) columns of the cube bounds.  Each
-    element sees the per-source arithmetic in its order: squared gaps
-    summed axis by axis, sqrt, side(Q) + dist + side(S), the array power,
-    the division, and a pairwise ``np.sum`` along the contiguous row, so a
-    source's value does not depend on the others in its block.  The
+    keeps (or all of them): float64 ``_row_sums`` of the cube bounds.  The
     factor side(Q)^(b-a) stays a scalar power per source: numpy's array
     power differs from it in the last bit for a few percent of inputs.
     """
     sides = decomp.sides
-    lows = np.ascontiguousarray(decomp.lows.T)          # (d, n)
-    highs = np.ascontiguousarray(decomp.highs.T)
-    n = sides.shape[0]
-    powered = sides ** a
-    rows = max(1, CHUNK // n)
-    buf = np.empty((rows, n))
-    gap = np.empty((rows, n))
-    other = np.empty((rows, n))
-    sums = np.empty(len(qs))
-    for start in range(0, len(qs), rows):
-        q = qs[start:start + rows]
-        acc, g, g2 = buf[:len(q)], gap[:len(q)], other[:len(q)]
-        acc.fill(0.0)
-        for k in range(lows.shape[0]):
-            np.subtract(lows[k, q, None], highs[k], out=g)
-            np.subtract(lows[k], highs[k, q, None], out=g2)
-            np.maximum(g, g2, out=g)
-            np.maximum(0.0, g, out=g)
-            acc += np.square(g, out=g)
-        np.sqrt(acc, out=acc)
-        acc += sides[q, None]
-        acc += sides
-        acc **= b
-        np.divide(powered, acc, out=acc)
-        sums[start:start + len(q)] = np.sum(acc, axis=1)
+    sums = _row_sums(np.ascontiguousarray(decomp.lows.T),      # (d, n)
+                     np.ascontiguousarray(decomp.highs.T), sides, sides ** a,
+                     qs, b)
     return np.array([sides[q] ** (b - a) * s
                      for q, s in zip(qs.tolist(), sums.tolist())])
 
@@ -545,15 +572,12 @@ _SCREEN_ERR = 2.0 ** -14
 def _screen_values(decomp, a, b, qs):
     """float32 screen of _whitney_sum_values(decomp, a, b, qs): each value
     within _SCREEN_ERR of the float64 one, relatively, or None where b is
-    not integral, the bound above cannot be certified or the cube bounds
-    are not the lattice's.
+    not integral or the bound above cannot be certified.
 
     The value is scale-free, so it is taken in finest-lattice units:
     coordinates are the integers anchor * 2^(L - level) and sides
-    w = 2^(L - level), L the finest level.  Each element takes the steps
-    of the float64 path in float32 (gap, squared gaps, sqrt, + w_Q + w_S,
-    power by products, divide, row sum); the row sums times w_Q^(b-a) are
-    float64.
+    w = 2^(L - level), L the finest level.  The row sums are float32
+    ``_row_sums``; times w_Q^(b-a) they are float64.
     """
     if not float(b).is_integer():
         return None
@@ -563,15 +587,7 @@ def _screen_values(decomp, a, b, qs):
     w = 2.0 ** (top - levels)
     lo = decomp.anchors * w[:, None]                    # exact integers
     hi = lo + w[:, None]
-    # the float64 bounds must be the lattice's, as whitney_decompose makes
-    # them: the screen reads (level, anchor), the float64 path the bounds
     finest = decomp.sides.min()
-    if not (np.array_equal(decomp.sides, w * finest)
-            and np.array_equal(decomp.lows,
-                               np.asarray(decomp.bbox_lo) + lo * finest)
-            and np.array_equal(decomp.highs,
-                               decomp.lows + decomp.sides[:, None])):
-        return None
     reach = float(hi.max())
     scale = reach + np.abs(decomp.bbox_lo + decomp.bbox_hi).max() / finest
     bound = ((b * (dim / 2 + 4) + 40) * (2.0 ** -24 + 2.0 ** -53)
@@ -580,37 +596,9 @@ def _screen_values(decomp, a, b, qs):
             and b * np.log2(2 * w.max() + np.sqrt(dim) * reach) <= 120
             and 10 * bound <= _SCREEN_ERR):
         return None
-    lows = np.ascontiguousarray(lo.T, dtype=np.float32)   # (d, n)
-    highs = np.ascontiguousarray(hi.T, dtype=np.float32)
-    q_lows, q_highs = lows[:, qs], highs[:, qs]
-    sides = w.astype(np.float32)
-    q_sides = sides[qs]
-    powered = (w ** a).astype(np.float32)
-    rows = max(1, CHUNK // n)
-    buf, gap, other, zero = (np.zeros((rows, n), np.float32)
-                             for _ in range(4))
-    sums = np.empty(len(qs), np.float32)
-    for start in range(0, len(qs), rows):
-        q = slice(start, start + rows)
-        m = min(rows, len(qs) - start)
-        acc, g, g2 = buf[:m], gap[:m], other[:m]
-        for k in range(dim):
-            np.subtract(q_lows[k, q, None], highs[k], out=g)
-            np.subtract(lows[k], q_highs[k, q, None], out=g2)
-            np.maximum(g, g2, out=g)
-            np.maximum(g, zero[:m], out=g)
-            if k == 0:
-                np.square(g, out=acc)
-            else:
-                acc += np.square(g, out=g)
-        np.sqrt(acc, out=acc)
-        acc += q_sides[q, None]
-        acc += sides
-        np.copyto(g, acc)
-        for _ in range(int(b) - 1):
-            g *= acc
-        np.divide(powered, g, out=acc)
-        sums[q] = np.sum(acc, axis=1)
+    sums = _row_sums(np.ascontiguousarray(lo.T, dtype=np.float32),
+                     np.ascontiguousarray(hi.T, dtype=np.float32),
+                     w.astype(np.float32), (w ** a).astype(np.float32), qs, b)
     return sums.astype(float) * w[qs] ** (b - a)
 
 
@@ -628,9 +616,8 @@ def verify_whitney_sum(decomp, a, b):
     handful, get float64 sums, and the sup and its first source are the
     ones of the float64 sums of all sources.  Where b is not integral or
     the screen's bound is not certified (den^b out of float32 range, a
-    large b, a lattice too fine for float32 integers, or cube bounds that
-    are not those of the cubes' (level, anchor)) every source gets its
-    float64 sum.
+    large b, or a lattice too fine for float32 integers) every source gets
+    its float64 sum.
     """
     d = decomp.dim
     if not b > a > d - 1:

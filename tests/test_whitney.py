@@ -71,13 +71,11 @@ def _ref_lower_bound(domain, lo, hi, side, center_delta):
 
 
 def _decomposition(domain, rows, base, max_level, bbox_lo, bbox_hi):
-    """A decomposition from (level, anchor, side, lo, hi) rows."""
-    levels, anchors, sides, lows, highs = (np.asarray(v) for v in zip(*rows))
+    """A decomposition from (level, anchor) rows."""
+    levels, anchors = (np.asarray(v) for v in zip(*rows))
     return wh.WhitneyDecomposition(
-        domain=domain, levels=levels, anchors=anchors,
-        sides=sides.astype(float), lows=lows.astype(float),
-        highs=highs.astype(float), base=base, max_level=max_level,
-        bbox_lo=tuple(bbox_lo), bbox_hi=tuple(bbox_hi))
+        domain=domain, levels=levels, anchors=anchors, base=base,
+        max_level=max_level, bbox_lo=tuple(bbox_lo), bbox_hi=tuple(bbox_hi))
 
 
 def _rows(decomp):
@@ -86,6 +84,11 @@ def _rows(decomp):
                     map(tuple, decomp.anchors.tolist()),
                     decomp.sides.tolist(), map(tuple, decomp.lows.tolist()),
                     map(tuple, decomp.highs.tolist())))
+
+
+def _cubes(decomp):
+    """(level, anchor) per cube, as plain Python values."""
+    return [row[:2] for row in _rows(decomp)]
 
 
 def _ref_decompose(domain, max_level):
@@ -316,11 +319,12 @@ def test_decompose_and_sandwich_match_per_cube_reference(name, domain, level):
 
 def test_sandwich_flags_injected_cubes_like_reference(annulus):
     decomp = wh.whitney_decompose(annulus, max_level=6)
-    # too large for its distance: the cube reaches into the hole
-    too_big = (1, (0, 0), 0.5, (0.25, -0.25), (0.75, 0.25))
-    # centre at the middle radius, 1/3 from the boundary > 4 diam
-    too_far = (7, (0, 0), 0.01, (0.66, -0.005), (0.67, 0.005))
-    rows = _rows(decomp)
+    # too large for its distance: the cube [-0.5, -0.25] x [-0.25, 0] has
+    # its centre in the annulus and its corner (-0.25, 0) in the hole
+    too_big = (1, (2, 3))
+    # near the middle radius 2/3, about 1/3 from the boundary > 4 diam
+    too_far = (7, (426, 256))
+    rows = _cubes(decomp)
     rows = rows[:10] + [too_big] + rows[10:] + [too_far]
     injected = _decomposition(annulus, rows, decomp.base, 7, decomp.bbox_lo,
                               decomp.bbox_hi)
@@ -437,15 +441,13 @@ def _with_ancestor(decomp, k, up):
     """The rows of decomp plus the ancestor ``up`` levels above cube k."""
     level = int(decomp.levels[k]) - up
     anchor = tuple(int(v) // 2 ** up for v in decomp.anchors[k])
-    side = decomp.base * 2.0 ** -level
-    lo = np.asarray(decomp.bbox_lo) + np.asarray(anchor) * side
-    return _rows(decomp) + [(level, anchor, side, tuple(lo), tuple(lo + side))]
+    return _cubes(decomp) + [(level, anchor)]
 
 
 def test_disjoint_interiors_false_branches(unit_square):
     decomp = wh.whitney_decompose(unit_square, max_level=5)
     assert wh.disjoint_interiors(decomp)
-    rows = _rows(decomp)
+    rows = _cubes(decomp)
     k = int(np.flatnonzero(decomp.levels >= 3)[0])
     cases = {"duplicate": rows[:k + 1] + [rows[k]] + rows[k + 1:],
              "parent": _with_ancestor(decomp, k, 1),
@@ -456,8 +458,7 @@ def test_disjoint_interiors_false_branches(unit_square):
                              decomp.bbox_lo, decomp.bbox_hi)
         assert not wh.disjoint_interiors(bad), name
     # a coarse cube that contains none of the others keeps the verdict
-    lone = (0, (7, 7), decomp.base, (7 * decomp.base,) * 2,
-            (8 * decomp.base,) * 2)
+    lone = (0, (7, 7))
     assert wh.disjoint_interiors(_decomposition(
         unit_square, rows + [lone], decomp.base, 5, decomp.bbox_lo,
         decomp.bbox_hi))
@@ -475,9 +476,8 @@ def test_long_distance_values(annulus_decomp):
 
 def test_long_distance_separated_unit_cubes():
     # two unit-side cubes three apart: 1 + 3 + 1 = 5
-    a = (0, (0, 0), 1.0, (0.0, 0.0), (1.0, 1.0))
-    b = (0, (4, 0), 1.0, (4.0, 0.0), (5.0, 1.0))
-    decomp = _decomposition(None, [a, b], 1.0, 0, (0, 0), (5, 1))
+    decomp = _decomposition(None, [(0, (0, 0)), (0, (4, 0))], 1.0, 0, (0, 0),
+                            (5, 1))
     assert decomp.long_distance(0, 1) == pytest.approx(5.0)
 
 
@@ -485,9 +485,8 @@ def test_validate_chain_length_clause_like_reference():
     # three touching unit cubes a, b, c; a zig-zag a b a b a b c keeps every
     # growth clause at j0 = 5 (long distances 2 there), so only its length
     # 7 against D(a, c) / eps = 3 / eps decides
-    rows = [(0, (k, 0), 1.0, (float(k), 0.0), (k + 1.0, 1.0))
-            for k in range(3)]
-    decomp = _decomposition(None, rows, 1.0, 0, (0, 0), (3, 1))
+    decomp = _decomposition(None, [(0, (k, 0)) for k in range(3)], 1.0, 0,
+                            (0, 0), (3, 1))
     for eps, ok in ((0.4, True), (0.45, False)):
         chain = wh.Chain([0, 1, 0, 1, 0, 1, 2], eps, 5, 7.0)
         assert wh.validate_chain(decomp, chain) is ok
@@ -642,27 +641,6 @@ def test_whitney_sum_uncertified_range_takes_every_exact_row(monkeypatch):
     counts = _counting_exact_rows(monkeypatch)
     sup, arg = wh.verify_whitney_sum(decomp, 2.0, 40.0)
     assert counts == [len(qs)] == [257]
-    ref_sup, ref_arg = _ref_first_max(qs, ref)
-    assert (sup.hex(), arg) == (ref_sup.hex(), ref_arg)
-
-
-def test_whitney_sum_off_lattice_rows_take_every_exact_row(monkeypatch,
-                                                           annulus):
-    # the injected cubes' bounds are not their (level, anchor) cubes', so
-    # the lattice screen would value other geometry than the float64 sums
-    decomp = wh.whitney_decompose(annulus, max_level=6)
-    too_big = (1, (0, 0), 0.5, (0.25, -0.25), (0.75, 0.25))
-    rows = _rows(decomp)
-    injected = _decomposition(annulus, rows[:10] + [too_big] + rows[10:],
-                              decomp.base, 6, decomp.bbox_lo, decomp.bbox_hi)
-    assert wh._screen_values(decomp, 2.0, 3.0,
-                             _sources(decomp, wh.MAX_SOURCES)) is not None
-    qs = _sources(injected, wh.MAX_SOURCES)
-    assert wh._screen_values(injected, 2.0, 3.0, qs) is None
-    counts = _counting_exact_rows(monkeypatch)
-    sup, arg = wh.verify_whitney_sum(injected, 2.0, 3.0)
-    assert counts == [len(qs)]
-    qs, ref = _ref_whitney_sum(injected, 2.0, 3.0, wh.MAX_SOURCES)
     ref_sup, ref_arg = _ref_first_max(qs, ref)
     assert (sup.hex(), arg) == (ref_sup.hex(), ref_arg)
 

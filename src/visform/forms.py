@@ -17,23 +17,24 @@ one entry point: an assembled form sums over its pair list, a lazy form
 blocks, without ever materializing O(N^2) pairs; this suits indicator and
 step profiles on grids too large to assemble.
 
-In vis mode on a ``make_dumbbell`` domain, one part-pair rule
-(``_part_jobs``) decides the visible pairs, for the streamed energies and
-for the sparse entries of the spectral layer's matrix-free vis operator
-(``_visible_pairs``).  Cells are split by region tag.  The pairs from a
-bell or the corridor to a bell are decided by the portal rule
-(``geometry.DomainSpec.portal_runs``): the x2 of a segment at the mouths
-it crosses decides it, per source and target column as runs of the
-column, and only pairs next to a corridor edge, or the tube's candidates
-that its upper edge's vertex leaves open, get a segment test.  Two cells
-of one bell, or of the straight dumbbell's slab, lie in one convex piece
-of the domain and see each other without a test; every other pair gets a
-segment test, the tests of one call's blocks made together.  An energy
-sums a visible run from a prefix table of the kernel over lattice
-offsets, and the corridor cells' sums per cell, so these sums differ from
-a pair-by-pair sum by rounding (a few ulps); its other sums keep the bits
-of a segment test of every pair.  Nothing is kept between calls, so an
-energy's cost does not depend on what ran before it.
+In vis mode one part-pair rule (``_part_jobs``) decides the visible pairs,
+for the streamed energies, the sparse entries of the spectral layer's vis
+operator (``_visible_pairs``) and the flags of ``mesh.visibility_pairs``;
+a cell set paired with itself is decided once per unordered pair.  On a
+convex domain every pair is visible.  On a ``make_dumbbell`` domain cells
+are split by region tag.  The pairs from a bell or the corridor to a bell
+are decided by the portal rule (``geometry.DomainSpec.portal_runs``): the
+x2 of a segment at the mouths it crosses decides it, per source and target
+column as runs of the column, and only pairs next to a corridor edge, or
+the tube's candidates that its upper edge's vertex leaves open, get a
+segment test.  Two cells of one bell, or of the straight dumbbell's slab,
+lie in one convex piece of the domain and see each other without a test;
+every other pair gets a segment test, the tests of one call's blocks made
+together.  An energy sums a visible run from a prefix table of the kernel
+over lattice offsets, and the corridor cells' sums per cell, so these sums
+differ from a pair-by-pair sum by rounding (a few ulps); its other sums
+keep the bits of a segment test of every pair.  Nothing is kept between
+calls, so an energy's cost does not depend on what ran before it.
 """
 
 from __future__ import annotations
@@ -235,12 +236,16 @@ def _part_jobs(grid, groups, pairs):
     of one convex piece (a bell, or the straight dumbbell's slab) see each
     other whole: a job (g, A, B) of ``whole``.  Every other part pair, a
     bell part that ``_bell_columns`` declines, and every group pair on
-    other domains are jobs of ``tested``, for segment tests.
+    other domains are jobs of ``tested``, for segment tests; on an
+    all-visible domain they are jobs of ``whole``.  A group paired with
+    itself (a = b) gives each unordered part pair once, s <= t.
     """
+    jobs = [(g, groups[a], groups[b]) for g, (a, b) in enumerate(pairs)]
+    if grid.domain.all_visible:
+        return [], [], jobs, []
     corridor = grid.domain._portal_corridor()
     if corridor is None:
-        return [], [], [], [(g, groups[a], groups[b])
-                            for g, (a, b) in enumerate(pairs)]
+        return [], [], [], jobs
     slab = isinstance(corridor, geometry.Box)
     convex = _BELLS | {geometry.TAG_STAR} if slab else _BELLS
     tags = grid.tags
@@ -251,6 +256,8 @@ def _part_jobs(grid, groups, pairs):
     for g, (a, b) in enumerate(pairs):
         for s, A in parts[a].items():
             for t, B in parts[b].items():
+                if a == b and s > t:
+                    continue
                 bell = _bell_columns(grid, B) if {s, t} == _BELLS else None
                 if bell is not None:
                     runs.append((b, B, bell, [(g, A)]))
@@ -273,30 +280,38 @@ def _part_jobs(grid, groups, pairs):
     return runs, to_bell, whole, tested
 
 
-def _visible_pairs(grid, A, B):
-    """The visible pairs of A x B, for A and B grid cell indices, as grid
-    indices (i, j) with i from A and j from B, sorted by (i, j).
-
-    The part-pair rule of ``_part_jobs`` decides them, as it does for the
-    streamed energies: by the portal rule's runs to a bell
-    (``_portal_blocks``), whole in a convex piece, and by a segment test
-    of every other pair.
-    """
+def _visible_keys(grid, A, B):
+    """The visible pairs of A x B, for A and B grid cell indices, as blocks
+    of keys i n + j (n cells), unsorted, i from A and j from B; when B is
+    A, each unordered pair once, i < j.  The part-pair rule of
+    ``_part_jobs`` decides them, as it does for the streamed energies."""
     n = grid.n_cells
-    runs, to_bell, whole, tested = _part_jobs(grid, [A, B], [(0, 1)])
-    keys = [np.zeros(0, dtype=np.int64)]
+    same = B is A
+    runs, to_bell, whole, tested = _part_jobs(
+        grid, [A] if same else [A, B], [(0, 0)] if same else [(0, 1)])
     for b, T, bell, sources in runs + to_bell:
         for _, S in sources:
             for _, a, src, lo, hi, i, j in _portal_blocks(grid, S, T, bell):
                 ri, rj = _run_pairs(src, lo, hi)
                 i, j = a[np.concatenate((ri, i))], T[np.concatenate((rj, j))]
-                # the bell cells T are cells of A when b = 0
-                keys.append(j * n + i if b == 0 else i * n + j)
-    keys += [(S[:, None] * n + T).ravel() for _, S, T in whole]
+                if same:
+                    i, j = np.minimum(i, j), np.maximum(i, j)
+                elif b == 0:          # the bell cells T are cells of A
+                    i, j = j, i
+                yield i * n + j
+    for _, a, T in _row_blocks(whole):
+        yield (a[:, None] * n + T).ravel()
     blocks = _row_blocks(tested)
     for (_, a, T), keep in zip(blocks, _segment_masks(grid, blocks)):
-        keys.append((a[:, None] * n + T).ravel()[keep])
-    return np.divmod(np.sort(np.concatenate(keys)), n)
+        # when B is A a block lies wholly before or after T, as parts do
+        i, j = (T, a[:, None]) if same and a[0] > T[0] else (a[:, None], T)
+        yield (i * n + j).ravel()[keep]
+
+
+def _visible_pairs(grid, A, B):
+    """``_visible_keys`` as grid indices (i, j), sorted by (i, j)."""
+    keys = [np.zeros(0, dtype=np.int64), *_visible_keys(grid, A, B)]
+    return np.divmod(np.sort(np.concatenate(keys)), grid.n_cells)
 
 
 def _cross_weight_sums(grid, kernel, mode, groups, pairs):
@@ -313,7 +328,7 @@ def _cross_weight_sums(grid, kernel, mode, groups, pairs):
     of all of them made together.
     """
     sums = np.zeros(len(pairs))
-    if mode != "vis" or grid.domain.all_visible:
+    if mode != "vis":
         jobs = [(g, groups[a], groups[b]) for g, (a, b) in enumerate(pairs)]
         delta = boundary_distances(grid) if mode == "ball" else None
         _weight_sums(grid, kernel, jobs, sums, delta=delta)
@@ -335,9 +350,13 @@ def _cross_weight_sums(grid, kernel, mode, groups, pairs):
 
 def _row_blocks(jobs):
     """The jobs (g, A, B) cut into blocks (g, a, B) of whole rows a of A
-    against all of B, at most PAIR_BLOCK pairs each (one row at least)."""
+    against all of B, at most PAIR_BLOCK pairs each (one row at least), or
+    when B is A into blocks (g, A[k:k + 1], A[k + 1:]), each pair once."""
     blocks = []
     for g, A, B in jobs:
+        if B is A:
+            blocks += [(g, A[k:k + 1], A[k + 1:]) for k in range(A.size - 1)]
+            continue
         rows = max(1, mesh.PAIR_BLOCK // B.size)
         blocks += [(g, A[lo:lo + rows], B) for lo in range(0, A.size, rows)]
     return blocks

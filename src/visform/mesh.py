@@ -2,7 +2,8 @@
 
 Cells are axis-aligned lattice squares of side h anchored at the ball
 center x0; a cell belongs to the grid when its center lies in D cap
-B(x0, R), and every cell carries the full measure h^2.
+B(x0, R), and every cell carries the full measure h^2.  ``visibility_pairs``
+flags every unordered cell pair by the part-pair rule of ``forms``.
 """
 
 from __future__ import annotations
@@ -91,11 +92,12 @@ PAIR_BLOCK = 1 << 21
 def visibility_pairs(grid):
     """Exact visibility flags for every unordered cell pair.
 
-    O(N^2) pairs, evaluated in vectorized blocks: a pair with both ends in
-    one convex primitive is visible, every other pair gets a segment test.
-    Pairs come out sorted lexicographically so downstream results are
-    order-independent.
+    O(N^2) pairs, sorted lexicographically so downstream results are
+    order-independent, flagged by the part-pair rule of the vis energies
+    (``forms._visible_keys``), which decides each unordered pair once.
     """
+    from . import forms       # forms imports this module
+
     n = grid.n_cells
     if n == 0:
         raise ValueError("empty grid")
@@ -111,39 +113,17 @@ def visibility_pairs(grid):
     first = (a * (2 * n - 1 - a) // 2).astype(np.int32)
     n_pairs = int(first[-1])
     ii, jj, r = (np.empty(n_pairs, t) for t in (np.int32, np.int32, float))
-    all_visible = grid.domain.all_visible
-    vis = np.full(n_pairs, all_visible)
-    # a pair with both ends in one convex primitive is visible with no
-    # segment test
-    inside = [] if all_visible else [
-        prim.contains_many(grid.centers)
-        for prim in grid.domain.primitives if prim.convex]
-    for lo in range(0, n_pairs, PAIR_BLOCK):
-        hi = min(lo + PAIR_BLOCK, n_pairs)
-        rows = np.arange(np.searchsorted(first, lo, "right") - 1,
-                         np.searchsorted(first, hi), dtype=np.int32)
-        take = np.diff(np.clip(first[rows[0]:rows[-1] + 2], lo, hi))
-        i = np.repeat(rows, take)
-        j = (np.arange(lo, hi, dtype=np.int32)
-             - np.repeat(first[rows] - rows - 1, take))
-        ii[lo:hi], jj[lo:hi] = i, j
-        i, j = ii[lo:hi], jj[lo:hi]
-        # endpoints are gathered one chunk of segments at a time, for the
-        # segment tests and for the distances, not for the whole block
-        chunk = geometry.SEGMENT_CHUNK
-        if not all_visible:
-            block = vis[lo:hi]
-            for member in inside:
-                block |= member[i] & member[j]
-            test = np.flatnonzero(~block)
-            for c in range(0, test.size, chunk):
-                t = test[c:c + chunk]
-                block[t] = grid.domain.segment_inside_many(
-                    grid.centers[i[t]], grid.centers[j[t]])
-        dist = r[lo:hi]
-        for c in range(0, hi - lo, chunk):
-            d = grid.centers[j[c:c + chunk]] - grid.centers[i[c:c + chunk]]
-            dist[c:c + chunk] = np.sqrt(np.einsum("ij,ij->i", d, d))
+    for k in range(n - 1):
+        row = slice(first[k], first[k + 1])
+        ii[row], jj[row] = k, np.arange(k + 1, n)
+        d = grid.centers[k + 1:] - grid.centers[k]
+        r[row] = np.sqrt(np.einsum("ij,ij->i", d, d))
+    # pair (i, j) sits at first[i] + j - i - 1: its key i n + j plus shift[i]
+    cells = np.arange(n)
+    shift = first[:-1] - cells * (n + 1) - 1
+    vis = np.zeros(n_pairs, dtype=bool)
+    for keys in forms._visible_keys(grid, cells, cells):
+        vis[shift[keys // n] + keys] = True
     return PairSet(i=ii, j=jj, visible=vis, r=r)
 
 

@@ -43,8 +43,8 @@ class VisOperator:
     k(h |offset|) (zero at offset 0).  Both bells are convolved in one
     batched ``numpy.fft`` call on a zero-padded (2 nx, 2 ny) lattice, with
     the table's spectrum taken once.  The other visible pairs are sparse
-    entries: bell-to-bell pairs and pairs that touch a corridor cell, from
-    ``forms._visible_pairs``, the part-pair rule of the streamed energies.
+    entries: bell-to-bell pairs and pairs that touch a corridor cell, each
+    decided once by the part-pair rule (``forms._visible_pairs``).
     ``connected`` tells whether the pair graph is connected.  It is a
     plain operator with a ``shape`` and ``A @ x`` for x of shape (n,);
     ``poincare_constant_l2`` wraps it in a scipy ``LinearOperator`` for
@@ -57,7 +57,6 @@ class VisOperator:
 
         n, m = grid.n_cells, grid.measures
         self.shape = (n, n)
-        in_bell = np.isin(grid.tags, (TAG_MINUS, TAG_PLUS))
         bells = [np.flatnonzero(grid.tags == tag)
                  for tag in (TAG_MINUS, TAG_PLUS)]
         if not all(cells.size for cells in bells):
@@ -87,14 +86,13 @@ class VisOperator:
         # the table is even, so its spectrum is real
         self._spec = np.fft.rfft2(table).real
 
-        # sparse entries, each unordered pair once: bell to bell, and the
-        # other cells against the bells and every later one of them
+        # sparse entries, each unordered pair once: bell to bell, the other
+        # cells against the bells, and the other cells among themselves
+        rest = np.flatnonzero(~np.isin(grid.tags, (TAG_MINUS, TAG_PLUS)))
         i, j = (np.concatenate(v) for v in zip(
             forms._visible_pairs(grid, *bells),
-            forms._visible_pairs(grid, np.flatnonzero(~in_bell),
-                                 np.arange(n))))
-        keep = in_bell[j] | (i < j)
-        i, j = i[keep], j[keep]
+            forms._visible_pairs(grid, rest, self._cells),
+            forms._visible_pairs(grid, rest, rest)))
         d = grid.centers[j] - grid.centers[i]
         w = kernel.k(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
         w *= m[i] * m[j]

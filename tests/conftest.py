@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,23 @@ def sample_points_in(domain, n, seed, box=None):
         keep = domain.contains_many(cand)
         pts.extend(cand[keep][: n - len(pts)])
     return np.asarray(pts)
+
+
+def brute_visibility_pairs(grid):
+    """``mesh.visibility_pairs(grid)``'s pairs and distances with the flags
+    of a segment test of every pair, the oracle of the part-pair rule.  A
+    pair with both ends in one convex primitive is visible untested; that
+    skip reads no region tag and no portal rule."""
+    pairs = mesh.visibility_pairs(grid)
+    C = grid.centers
+    visible = np.zeros(pairs.n_pairs, dtype=bool)
+    for prim in grid.domain.primitives:
+        if prim.convex:
+            member = prim.contains_many(C)
+            visible |= member[pairs.i] & member[pairs.j]
+    test = np.flatnonzero(~visible)
+    for lo in range(0, test.size, mesh.PAIR_BLOCK):
+        t = test[lo:lo + mesh.PAIR_BLOCK]
+        visible[t] = grid.domain.segment_inside_many(C[pairs.i[t]],
+                                                     C[pairs.j[t]])
+    return dataclasses.replace(pairs, visible=visible)

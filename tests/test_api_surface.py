@@ -108,3 +108,28 @@ def test_no_private_function_is_orphaned():
                          ast.parse(path.read_text()))
                      if name.rpartition(".")[2] not in used)
     assert not orphans, f"private functions nothing calls: {orphans}"
+
+
+#: the functions that may call ``segment_inside_many`` outside geometry
+#: and forms, whose part-pair rule decides every grid pair: whitney's
+#: audit of cube sample points
+SEGMENT_TEST_CALLERS = {"geometry": None, "forms": None,
+                        "whitney": {"_cube_visible_from_point",
+                                    "_cubes_mutually_visible",
+                                    "audit_visible_paths"}}
+
+
+def test_segment_tests_only_in_the_visibility_rule():
+    """No other module decides visibility by segment tests of its own."""
+    stray = []
+    for path in PACKAGE:
+        allowed = SEGMENT_TEST_CALLERS.get(path.stem, set())
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", "<module>")
+            if allowed is None or name in allowed:
+                continue
+            stray += [f"{path.stem}.{name}" for call in ast.walk(node)
+                      if isinstance(call, ast.Call)
+                      and isinstance(call.func, ast.Attribute)
+                      and call.func.attr == "segment_inside_many"]
+    assert not stray, f"segment tests outside the visibility rule: {stray}"

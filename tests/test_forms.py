@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from visform import forms, geometry as geo, kernels as kn, mesh, spectral
-from conftest import two_cell_grid
+from conftest import brute_visibility_pairs, two_cell_grid
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +195,7 @@ def test_lazy_energy_matches_assembled(grid, values, seed, s):
     kernel = kn.KernelSpec("power", s=s, p=2)
     rng = np.random.default_rng(seed)
     u = np.asarray(values)[rng.integers(0, len(values), grid.n_cells)]
-    pairs = mesh.visibility_pairs(grid)
+    pairs = brute_visibility_pairs(grid)
     for mode in ("vis", "cen", "ball"):
         dense = forms.energy(forms.assemble(grid, pairs, kernel, mode), u)
         lazy = forms.energy(forms.lazy_form(grid, kernel, mode), u)
@@ -368,7 +368,7 @@ def test_convex_pieces_take_no_slot_test(monkeypatch, variant, h):
         assert i.size and grid.domain.segment_inside_many(C[i], C[j]).all()
     kernel = kn.KernelSpec("power", s=0.25, p=2)
     u = np.random.default_rng(0).choice([0.0, 0.5, 1.0], grid.n_cells)
-    dense = forms.energy(forms.assemble(grid, mesh.visibility_pairs(grid),
+    dense = forms.energy(forms.assemble(grid, brute_visibility_pairs(grid),
                                         kernel, "vis"), u)
     tested = []
     original = geo.DomainSpec.segment_inside_many

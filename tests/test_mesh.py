@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from visform import geometry as geo, mesh
+from conftest import brute_visibility_pairs
 
 
 def test_exact_tiling_four_cells(unit_square):
@@ -74,28 +77,45 @@ def test_visibility_pairs_annulus_blocked(annulus_grid):
     assert np.array_equal(recheck, pairs.visible)
 
 
-@pytest.mark.parametrize("variant", ["straight", "curved"])
-@pytest.mark.parametrize("R,h", [(4.0, 0.5), (8.0, 0.5), (6.0, 0.4),
-                                 (5.0, 0.3)])
+#: (domain, R, h) of the segment-test counts, about x0 = 0; the ids keep
+#: the names the dumbbell cases had
+_RULE_CASES = [(variant, R, h)
+               for R, h in [(4.0, 0.5), (8.0, 0.5), (6.0, 0.4), (5.0, 0.3)]
+               for variant in ("straight", "curved")] + [
+    ("annulus", 1.0, 1.0 / 8.0), ("annulus", 1.0, 1.0 / 16.0),
+    ("box", 2.0, 1.0 / 16.0)]
+
+
+@pytest.mark.parametrize("variant,R,h", _RULE_CASES,
+                         ids=[f"{R}-{h}-{v}" for v, R, h in _RULE_CASES])
 def test_visibility_pairs_convex_primitive_skip(monkeypatch, variant, R, h):
-    """Pairs with both ends in one convex primitive skip the segment test;
-    the flags equal a segment test of every pair."""
-    domain = geo.make_dumbbell(variant)
-    grid = mesh.build_grid(domain, (0.0, 0.0), R, h)
-    tested = []
+    """The flags come from the part-pair rule and equal a segment test of
+    every pair.  The rule segment-tests at most 2% of a dumbbell's pairs
+    (a test of every pair outside one convex primitive made about half of
+    them), each unordered pair of the annulus once, and no pair of a
+    convex box."""
+    domain = {"annulus": geo.make_annulus(),
+              "box": geo.make_box(1.0, 1.0)}.get(variant)
+    grid = mesh.build_grid(domain or geo.make_dumbbell(variant), (0.0, 0.0),
+                           R, h)
+    tested = [0]
     original = geo.DomainSpec.segment_inside_many
 
     def counted(self, X, Y):
-        tested.append(len(X))
+        tested[0] += len(X)
         return original(self, X, Y)
 
-    monkeypatch.setattr(geo.DomainSpec, "segment_inside_many", counted)
-    pairs = mesh.visibility_pairs(grid)
-    assert 0 < sum(tested) < pairs.n_pairs * 0.6
-    monkeypatch.undo()
-    brute = domain.segment_inside_many(grid.centers[pairs.i],
-                                       grid.centers[pairs.j])
-    assert np.array_equal(pairs.visible, brute)
+    with monkeypatch.context() as m:
+        m.setattr(geo.DomainSpec, "segment_inside_many", counted)
+        pairs = mesh.visibility_pairs(grid)
+    if variant == "annulus":
+        assert tested[0] == pairs.n_pairs
+    elif variant == "box":
+        assert tested[0] == 0 and pairs.n_pairs
+    else:
+        assert tested[0] <= 0.02 * pairs.n_pairs
+    assert np.array_equal(pairs.visible,
+                          brute_visibility_pairs(grid).visible)
 
 
 def test_visibility_pairs_curved_bells_disconnected(curved_dumbbell):
@@ -112,8 +132,8 @@ def test_visibility_pairs_curved_bells_disconnected(curved_dumbbell):
 @pytest.mark.parametrize("block", [7, 1000, 16835, 1 << 21])
 def test_visibility_pairs_blocks_give_triu_order(monkeypatch, annulus_grid,
                                                  block):
-    """Each block builds its own pairs; together they are np.triu_indices
-    with the whole-array distances, whatever the block size."""
+    """The pairs are np.triu_indices with the whole-array distances, and
+    the flags do not depend on the block size of the part-pair rule."""
     whole = mesh.visibility_pairs(annulus_grid)
     monkeypatch.setattr(mesh, "PAIR_BLOCK", block)
     pairs = mesh.visibility_pairs(annulus_grid)
@@ -142,3 +162,19 @@ def test_cell_mean(unit_square):
     assert mesh.cell_mean(grid, [3.0, 3.0, 3.0]) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         mesh.cell_mean(grid, [1.0, 2.0])
+
+
+def test_visibility_pairs_bell_with_a_hole(straight_dumbbell):
+    """A bell part whose columns have a hole is no target of the portal
+    rule, so its pairs with the corridor cells get segment tests; the
+    flags still equal a segment test of every pair."""
+    grid = mesh.build_grid(straight_dumbbell, (0.0, 0.0), 4.0, 0.5)
+    minus = grid.tags == geo.TAG_MINUS
+    keep = ~(minus & (grid.ix == grid.ix[minus].max()) & (grid.iy == 0))
+    assert keep.sum() == grid.n_cells - 1
+    grid = dataclasses.replace(grid, **{
+        f: getattr(grid, f)[keep]
+        for f in ("centers", "measures", "tags", "ix", "iy")})
+    pairs = mesh.visibility_pairs(grid)
+    assert np.array_equal(pairs.visible,
+                          brute_visibility_pairs(grid).visible)

@@ -109,7 +109,8 @@ def assemble(grid, pairs, kernel, mode, p=2.0):
         keep = pairs.visible & (pairs.r < radius)
     i = pairs.i[keep]
     j = pairs.j[keep]
-    w = kernel.k(pairs.r[keep]) * grid.measures[i] * grid.measures[j]
+    m = grid.cell_measure
+    w = kernel.k(pairs.r[keep]) * m * m
     pos = w > 0.0                      # truncated profiles zero out far pairs
     return FormOperator(mode=mode, grid=grid, kernel=kernel, p=float(p),
                         pair_i=i[pos], pair_j=j[pos], weight=w[pos])
@@ -164,7 +165,7 @@ def _local_energy(form, u, p):
         d = np.zeros(grid.n_cells)
         d[has] = (u[nbr[has]] - u[has]) / h
         g2 += d * d
-    return float(np.sum(grid.measures * g2 ** (p / 2.0)))
+    return float(np.sum(grid.cell_measure * g2 ** (p / 2.0)))
 
 
 def grouped_energy(grid, kernel, mode, u, p):
@@ -198,6 +199,9 @@ def grouped_energy(grid, kernel, mode, u, p):
 # visible pairs and streamed pair evaluation: runs of the portal rule to the
 # bells, segment tests for the other vis-mode blocks
 # ---------------------------------------------------------------------------
+
+#: pairs per block of ``_row_blocks``
+PAIR_BLOCK = 1 << 21
 
 #: (source, column) entries per bell-to-bell block of the portal rule's runs,
 #: and candidate pairs per corridor-to-bell block
@@ -357,7 +361,7 @@ def _row_blocks(jobs):
         if B is A:
             blocks += [(g, A[k:k + 1], A[k + 1:]) for k in range(A.size - 1)]
             continue
-        rows = max(1, mesh.PAIR_BLOCK // B.size)
+        rows = max(1, PAIR_BLOCK // B.size)
         blocks += [(g, A[lo:lo + rows], B) for lo in range(0, A.size, rows)]
     return blocks
 
@@ -371,35 +375,37 @@ def _weight_sums(grid, kernel, jobs, sums, delta=None, test=False):
     Each block of ``_row_blocks`` is summed apart in (source, B) order, so
     a job's sum does not depend on the jobs beside it.
     """
+    m = grid.cell_measure
     blocks = _row_blocks(jobs)
     masks = _segment_masks(grid, blocks) if test else [None] * len(blocks)
     for (g, a, B), keep in zip(blocks, masks):
         # pair k of the block is (a[k // |B|], B[k % |B|])
         r = _on_block(_distance, grid.centers[a], grid.centers[B]).ravel()
-        mass = _on_block(np.multiply, grid.measures[a],
-                         grid.measures[B]).ravel()
         if delta is not None:
             # a survivor has r < max(delta_i, delta_j) / 2, so its segment
             # lies in the open ball of radius delta about one end, inside
             # D: it needs no segment test
             keep = r < _on_block(np.maximum, delta[a], delta[B]).ravel() / 2.0
         if keep is not None:
-            r, mass = r[keep], mass[keep]
+            r = r[keep]
         if r.size:
-            mass *= kernel.k(r)
-            sums[g] += float(np.sum(mass))
+            w = kernel.k(r)
+            w *= m * m
+            sums[g] += float(np.sum(w))
 
 
 def _segment_masks(grid, blocks):
     """Per block (g, a, B), the segment tests of its pairs in (source, B)
     order, as a mask.  Consecutive blocks share one call of
-    ``segment_inside_many`` of at most PAIR_BLOCK segments (a larger block
-    has a call of its own); a call is made when its first mask is due."""
+    ``segment_inside_many`` of at most ``geometry.SEGMENT_CHUNK`` segments
+    (a larger block has a call of its own); a call is made when its first
+    mask is due."""
     sizes = [a.size * B.size for _, a, B in blocks]
     start = 0
     while start < len(blocks):
         stop, total = start + 1, sizes[start]
-        while stop < len(blocks) and total + sizes[stop] <= mesh.PAIR_BLOCK:
+        while (stop < len(blocks)
+               and total + sizes[stop] <= geometry.SEGMENT_CHUNK):
             total += sizes[stop]
             stop += 1
         X, Y = np.empty((total, 2)), np.empty((total, 2))
@@ -502,7 +508,7 @@ def _run_sum(grid, kernel, A, B, bell, table, per_source=False):
             total[lo:lo + a.size] += np.bincount(i, band, minlength=a.size)
         else:
             total += float(np.sum(runs) + np.sum(band))
-    m = h * h
+    m = grid.cell_measure
     return m * m * total
 
 

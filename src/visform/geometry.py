@@ -345,15 +345,10 @@ class ParabolicTube(Primitive):
 
 @dataclass(frozen=True)
 class DumbbellMeta:
-    """Which primitives form the bells and the corridor of a dumbbell."""
+    """Marks a dumbbell: a domain whose primitives are (minus bell,
+    corridor, plus bell), with the centre x0 of its clip balls."""
 
-    minus_ids: tuple
-    corridor_ids: tuple
-    plus_ids: tuple
-    gamma_star_lo: tuple
-    gamma_star_hi: tuple
     x0: tuple = (0.0, 0.0)
-    gamma_tilde_id: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,6 +438,9 @@ class DomainSpec:
         object.__setattr__(self, "primitives", tuple(self.primitives))
         if not self.primitives:
             raise ValueError("domain needs at least one primitive")
+        if self.dumbbell is not None and len(self.primitives) != 3:
+            raise ValueError("a dumbbell's primitives are (minus bell, "
+                             "corridor, plus bell)")
 
     @property
     def all_visible(self):
@@ -679,11 +677,7 @@ class DomainSpec:
     def _portal_corridor(self):
         """The corridor of a ``make_dumbbell`` domain whose bells see each
         other only through it and its mouths x1 = +-1, else None."""
-        meta = self.dumbbell
-        if (meta is None or len(self.primitives) != 3
-                or (meta.minus_ids, meta.corridor_ids, meta.plus_ids)
-                != ((0,), (1,), (2,))
-                or self.primitives[0] != _MINUS_BELL
+        if (self.dumbbell is None or self.primitives[0] != _MINUS_BELL
                 or self.primitives[2] != _PLUS_BELL):
             return None
         corridor = self.primitives[1]
@@ -738,23 +732,14 @@ class DomainSpec:
             raise ValueError("domain is unbounded; clip it first")
         return lo, hi
 
-    def _in_any(self, ids, pts):
-        """Mask of the points inside any of the primitives ``ids``."""
-        m = np.zeros(pts.shape[0], dtype=bool)
-        for i in ids:
-            m |= self.primitives[i].contains_many(pts)
-        return m
-
     def region_tags(self, pts):
         """Dumbbell region tag per point: 0 other, 1 bell-, 2 corridor*, 3 bell+."""
         if self.dumbbell is None:
             raise ValueError("domain has no dumbbell metadata")
         pts = _as_points(pts)
-        meta = self.dumbbell
         tag = np.zeros(pts.shape[0], dtype=np.int8)
-        minus = self._in_any(meta.minus_ids, pts)
-        plus = self._in_any(meta.plus_ids, pts)
-        corr = self._in_any(meta.corridor_ids, pts)
+        minus, corr, plus = (prim.contains_many(pts)
+                             for prim in self.primitives)
         tag[minus] = TAG_MINUS
         tag[plus] = TAG_PLUS
         tag[corr & ~minus & ~plus] = TAG_STAR
@@ -773,28 +758,22 @@ _PLUS_BELL = HalfSpace(normal=(-1.0, 0.0), offset=-1.0)
 # ---------------------------------------------------------------------------
 
 def make_dumbbell(variant="straight"):
-    """Two half-planes joined by a corridor of radius 1.
+    """Two half-planes joined by a corridor of radius 1: the primitives
+    (minus bell, corridor, plus bell), about x0 = (0, 0).
 
     ``straight`` uses the slab {|x2| < 1}; every left-right crossing can be
-    seen through it, and the slab doubles as the convex sub-corridor used
-    by the convex sub-corridor overlap checks.  ``curved`` uses the
-    parabolic tube, which blocks all direct left-right visibility.
+    seen through it, and the slab, being convex, doubles as the convex
+    sub-corridor of the overlap checks.  ``curved`` uses the parabolic
+    tube, which blocks all direct left-right visibility.
     """
-    r = 1.0
     if variant == "straight":
-        corridor = Box(lo=(-_INF, -r), hi=(_INF, r))
-        gamma_tilde_id = 1
+        corridor = Box(lo=(-_INF, -1.0), hi=(_INF, 1.0))
     elif variant == "curved":
-        corridor = ParabolicTube(amplitude=2.0, radius=r)
-        gamma_tilde_id = None
+        corridor = ParabolicTube(amplitude=2.0, radius=1.0)
     else:
         raise ValueError(f"unknown dumbbell variant {variant!r}")
-    meta = DumbbellMeta(
-        minus_ids=(0,), corridor_ids=(1,), plus_ids=(2,),
-        gamma_star_lo=(-1.0, -r - 2.0), gamma_star_hi=(1.0, r),
-        x0=(0.0, 0.0), gamma_tilde_id=gamma_tilde_id)
     return DomainSpec(primitives=(_MINUS_BELL, corridor, _PLUS_BELL),
-                      dumbbell=meta, name=f"{variant}-dumbbell")
+                      dumbbell=DumbbellMeta(), name=f"{variant}-dumbbell")
 
 
 def make_annulus(r_in=1.0 / 3.0, r_out=1.0):
@@ -853,7 +832,6 @@ class DumbbellStructureReport:
     violated: list
     bell_ratios: dict = field(default_factory=dict)   # R -> (minus, plus)
     tilde_ratios: dict = field(default_factory=dict)  # R -> (minus, plus)
-    gamma_star_bounded: bool = True
     gamma_tilde_present: bool = False
 
     def summary_lines(self):
@@ -875,43 +853,35 @@ def audit_dumbbell_structure(domain, R_list=(8, 16, 32), n_samples=40000, seed=0
     """Monte Carlo audit of the dumbbell volume-growth structure.
 
     Estimates |bell cap B(x0,R)| / R^2 for both bells at each R and checks
-    the ratios sit in a fixed band, that the corridor remainder is bounded
-    (metadata), that both bells overlap the corridor, and, when a convex
-    sub-corridor is present, that its overlap with the clipped bells grows
-    linearly in R.
+    the ratios sit in a fixed band, that both bells overlap the corridor,
+    and, when the corridor is convex (a convex sub-corridor), that its
+    overlap with the clipped bells grows linearly in R.
     """
     if domain.dumbbell is None:
         raise ValueError("dumbbell structure audit needs dumbbell metadata")
-    meta = domain.dumbbell
+    bells = domain.primitives[::2]
+    corridor = domain.primitives[1]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6E0A]))
-    x0 = np.asarray(meta.x0)
+    x0 = np.asarray(domain.dumbbell.x0)
     violated = []
     report = DumbbellStructureReport(ok=True, violated=violated)
-    report.gamma_star_bounded = all(
-        np.isfinite(meta.gamma_star_lo)) and all(np.isfinite(meta.gamma_star_hi))
-    if not report.gamma_star_bounded:
-        violated.append("gamma_star_unbounded")
-    tilde = (None if meta.gamma_tilde_id is None
-             else domain.primitives[meta.gamma_tilde_id])
-    report.gamma_tilde_present = tilde is not None
+    report.gamma_tilde_present = corridor.convex
 
     for R in R_list:
         pts = x0 + rng.uniform(-R, R, size=(n_samples, 2))
         in_ball = np.einsum("ij,ij->i", pts - x0, pts - x0) < R * R
         box_area = 4.0 * R * R
-        minus = domain._in_any(meta.minus_ids, pts) & in_ball
-        plus = domain._in_any(meta.plus_ids, pts) & in_ball
-        ratios = (minus.mean() * box_area / R ** 2,
-                  plus.mean() * box_area / R ** 2)
+        in_bells = [bell.contains_many(pts) for bell in bells]
+        ratios = tuple((in_bell & in_ball).mean() * box_area / R ** 2
+                       for in_bell in in_bells)
         report.bell_ratios[R] = ratios
         for side, val in zip(("minus", "plus"), ratios):
             if not BELL_RATIO_BAND[0] <= val <= BELL_RATIO_BAND[1]:
                 violated.append(f"bell_growth_{side}_R={R}")
-        if tilde is not None:
-            in_tilde = tilde.contains_many(pts) & in_ball
-            tr = tuple((in_tilde & domain._in_any(ids, pts)).mean()
-                       * box_area / R
-                       for ids in (meta.minus_ids, meta.plus_ids))
+        if corridor.convex:
+            in_tilde = corridor.contains_many(pts) & in_ball
+            tr = tuple((in_tilde & in_bell).mean() * box_area / R
+                       for in_bell in in_bells)
             report.tilde_ratios[R] = tr
             for side, val in zip(("minus", "plus"), tr):
                 if not TILDE_RATIO_BAND[0] <= val <= TILDE_RATIO_BAND[1]:
@@ -920,13 +890,10 @@ def audit_dumbbell_structure(domain, R_list=(8, 16, 32), n_samples=40000, seed=0
     # the bells must overlap the corridor on a set of positive measure
     Rprobe = max(R_list)
     pts = x0 + rng.uniform(-Rprobe, Rprobe, size=(n_samples, 2))
-    corr = domain._in_any(meta.corridor_ids, pts)
-    hits = (int((corr & domain._in_any(meta.minus_ids, pts)).sum()),
-            int((corr & domain._in_any(meta.plus_ids, pts)).sum()))
-    if hits[0] == 0:
-        violated.append("corridor_bell_minus_overlap_empty")
-    if hits[1] == 0:
-        violated.append("corridor_bell_plus_overlap_empty")
+    corr = corridor.contains_many(pts)
+    for side, bell in zip(("minus", "plus"), bells):
+        if not (corr & bell.contains_many(pts)).any():
+            violated.append(f"corridor_bell_{side}_overlap_empty")
 
     report.ok = not violated
     return report

@@ -21,7 +21,6 @@ class Grid:
 
     h: float
     centers: np.ndarray          # (N, 2)
-    measures: np.ndarray         # (N,)
     tags: np.ndarray             # (N,) int8 region tags (all 0 wo. metadata)
     ix: np.ndarray               # (N,) lattice indices
     iy: np.ndarray
@@ -32,6 +31,11 @@ class Grid:
     @property
     def n_cells(self):
         return self.centers.shape[0]
+
+    @property
+    def cell_measure(self):
+        """h^2, the measure of every cell."""
+        return self.h * self.h
 
 
 def build_grid(domain, x0, R, h):
@@ -53,14 +57,12 @@ def build_grid(domain, x0, R, h):
     if centers.shape[0] == 0:
         raise ValueError("empty grid: no cell centers inside the clipped domain")
 
-    measures = np.full(centers.shape[0], h * h)
-
     if domain.dumbbell is not None:
         tags = domain.region_tags(centers)
     else:
         tags = np.zeros(centers.shape[0], dtype=np.int8)
 
-    return Grid(h=float(h), centers=centers, measures=measures, tags=tags,
+    return Grid(h=float(h), centers=centers, tags=tags,
                 ix=ix, iy=iy, domain=domain, x0=(float(x0[0]), float(x0[1])),
                 R=float(R))
 
@@ -82,11 +84,6 @@ class PairSet:
     @property
     def n_pairs(self):
         return self.i.shape[0]
-
-
-#: pairs processed per vectorized visibility block, here and in the
-#: streamed energies of ``forms``
-PAIR_BLOCK = 1 << 21
 
 
 def visibility_pairs(grid):
@@ -128,9 +125,9 @@ def visibility_pairs(grid):
 
 
 def cell_mean(grid, u):
-    """Measure-weighted mean of per-cell values."""
+    """Mean of per-cell values: every cell has measure h^2."""
     u = np.asarray(u, dtype=float)
     if u.shape[0] != grid.n_cells:
         raise ValueError("value vector length does not match the grid")
     # thread-count independent sum, as in forms.energy
-    return float(np.sum(u * grid.measures) / grid.measures.sum())
+    return float(np.sum(u) / u.size)

@@ -2,9 +2,9 @@
 
 For p = 2 the best constant is the reciprocal of the smallest nonzero
 eigenvalue of the generalized problem  A u = lambda M u,  with A the
-energy quadratic form and M the diagonal cell-measure matrix; it is
+energy quadratic form and M = h^2 I the cell-measure matrix; it is
 computed by Lanczos (``scipy.sparse.linalg.eigsh``) on the whitened
-operator M^-1/2 A M^-1/2.  Two forms have an eigen path: a lazy vis
+operator A / h^2.  Two forms have an eigen path: a lazy vis
 form on a dumbbell grid gets a matrix-free A (FFT convolution inside the
 bells, sparse entries for the other visible pairs), and a local form its
 sparse stencil, solved by shift-invert.  For general p the step-profile
@@ -55,8 +55,9 @@ class VisOperator:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
-        n, m = grid.n_cells, grid.measures
+        n = grid.n_cells
         self.shape = (n, n)
+        self._m = m = grid.cell_measure
         bells = [np.flatnonzero(grid.tags == tag)
                  for tag in (TAG_MINUS, TAG_PLUS)]
         if not all(cells.size for cells in bells):
@@ -70,7 +71,6 @@ class VisOperator:
         self._cells = np.concatenate(bells)
         self._pos = np.concatenate([b * self._buf[0].size + x * 2 * ny + y
                                     for b, x, y in zip((0, 1), lx, ly)])
-        self._mb = m[self._cells]
         # k(h |offset|) on the offsets 0..nx, 0..ny, laid out circularly
         ox, oy = np.ogrid[:nx + 1, :ny + 1]
         r = grid.h * np.sqrt(ox * ox + oy * oy)
@@ -95,14 +95,15 @@ class VisOperator:
             forms._visible_pairs(grid, rest, rest)))
         d = grid.centers[j] - grid.centers[i]
         w = kernel.k(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
-        w *= m[i] * m[j]
+        w *= m * m
         pos = w > 0.0             # truncated profiles zero out far pairs
         i, j, w = i[pos], j[pos], w[pos]
         self._sparse = csr_matrix(
             (np.concatenate((w, w)), (np.concatenate((i, j)),
                                       np.concatenate((j, i)))), shape=(n, n))
         self._diag = np.asarray(self._sparse.sum(axis=1)).ravel()
-        self._diag[self._cells] += self._mb * self._convolve(self._mb)
+        self._diag[self._cells] += m * self._convolve(
+            np.full(self._cells.size, m))
 
         # a bell is a clique of positive weights: link it to its first cell
         li = np.concatenate([i] + bells)
@@ -121,16 +122,8 @@ class VisOperator:
         """A x for x of shape (n,)."""
         x = np.asarray(x, dtype=np.float64)
         wx = self._sparse @ x
-        wx[self._cells] += self._mb * self._convolve(self._mb * x[self._cells])
+        wx[self._cells] += self._m * self._convolve(self._m * x[self._cells])
         return 2.0 * (self._diag * x - wx)
-
-
-def _convex_bells(domain):
-    """True when each bell of the dumbbell is one convex primitive."""
-    meta = domain.dumbbell
-    return meta is not None and all(
-        len(ids) == 1 and domain.primitives[ids[0]].convex
-        for ids in (meta.minus_ids, meta.plus_ids))
 
 
 def quadratic_matrix(form):
@@ -141,8 +134,10 @@ def quadratic_matrix(form):
     other form is refused.
     """
     grid = form.grid
+    prims = grid.domain.primitives
     if (form.mode == "vis" and form.pair_i is None
-            and _convex_bells(grid.domain)):
+            and grid.domain.dumbbell is not None
+            and prims[0].convex and prims[2].convex):
         A = VisOperator(grid, form.kernel)
         return A, A.connected
     if form.mode != "local":
@@ -155,8 +150,8 @@ def quadratic_matrix(form):
     has = [np.flatnonzero(nbr >= 0) for nbr in (form.nbr_right, form.nbr_up)]
     i = np.concatenate(has)
     j = np.concatenate([form.nbr_right[has[0]], form.nbr_up[has[1]]])
-    c = grid.measures[i] / grid.h ** 2
-    # +c on both ends' diagonal, -c off it, duplicates summed
+    c = np.ones(i.size)
+    # +1 on both ends' diagonal, -1 off it, duplicates summed
     A = sp.coo_matrix((np.concatenate((c, c, -c, -c)),
                        (np.concatenate((i, j, i, j)),
                         np.concatenate((i, j, j, i)))), shape=(n, n)).tocsr()
@@ -170,32 +165,29 @@ def poincare_constant_l2(form, grid=None, seed=0):
     """Best L2 Poincare constant 1/lambda_1 of the generalized problem.
 
     lambda_1 is the smallest eigenvalue of  E(u, v) = lambda <u, v>_m  on
-    the measure-weighted mean-zero subspace, for a lazy vis form on a
-    ``make_dumbbell`` grid or a local form (``quadratic_matrix`` refuses
-    any other).  A disconnected pair graph has lambda_1 = 0 and the
-    constant is reported as inf.  ``seed`` fixes the Lanczos start vector,
-    so repeated calls return the same bits.
+    the mean-zero subspace, for a lazy vis form on a ``make_dumbbell``
+    grid or a local form (``quadratic_matrix`` refuses any other).  A
+    disconnected pair graph has lambda_1 = 0 and the constant is reported
+    as inf.  ``seed`` fixes the Lanczos start vector, so repeated calls
+    return the same bits.
     """
-    import scipy.sparse as sp
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     grid = form.grid if grid is None else grid
-    if np.any(grid.measures <= 0):
-        raise ValueError("grid measures must be positive")
     A, connected = quadratic_matrix(form)
     if not connected:
         return float("inf")
     # whiten: M^-1/2 A M^-1/2 has the eigenvalues of A u = lambda M u, with
-    # lambda_0 = 0 on sqrt(m)
+    # lambda_0 = 0 on the constants
     n = grid.n_cells
-    inv_sqm = 1.0 / np.sqrt(grid.measures)
+    inv_sqm = 1.0 / np.sqrt(grid.cell_measure)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51E5]))
     v0 = rng.standard_normal(n)
     if form.mode == "local":
         # shift-invert about a point just below 0: the two eigenvalues
         # nearest it are lambda_0 = 0 and lambda_1, and the shifted matrix
         # is positive definite
-        A = sp.diags(inv_sqm) @ A @ sp.diags(inv_sqm)
+        A = A * inv_sqm * inv_sqm
         sigma = -1e-6 * float(A.diagonal().max())
         lam = eigsh(A, k=2, sigma=sigma, which="LM",
                     return_eigenvectors=False, v0=v0)
@@ -237,7 +229,7 @@ def rayleigh_ratio(form, grid, u, p=2.0):
                          "component, the Rayleigh quotient is undefined")
     ubar = mesh.cell_mean(grid, u)
     # thread-count independent sum, as in forms.energy
-    num = float(np.sum(grid.measures * np.abs(u - ubar) ** p))
+    num = float(np.sum(grid.cell_measure * np.abs(u - ubar) ** p))
     return num / den
 
 
@@ -302,7 +294,7 @@ def corridor_radius(domain):
     """Half-width of the dumbbell corridor (slab half-height or tube radius)."""
     if domain.dumbbell is None:
         raise ValueError("domain has no dumbbell metadata")
-    prim = domain.primitives[domain.dumbbell.corridor_ids[0]]
+    prim = domain.primitives[1]
     if isinstance(prim, geometry.Box):
         return prim.hi[1]
     if isinstance(prim, geometry.ParabolicTube):
@@ -329,8 +321,7 @@ def predicted_exponent(domain, kernel, p, d=2):
     s = kernel.s
     if not (1 <= p < d / s):
         raise ValueError(f"hypothesis 1 <= p < d/s violated: p={p}, d/s={d/s:g}")
-    has_tilde = (domain.dumbbell is not None
-                 and domain.dumbbell.gamma_tilde_id is not None)
+    has_tilde = domain.dumbbell is not None and domain.primitives[1].convex
     if has_tilde and s < 1.0 / p:
         return float(d - 1 + s * p), False
     return float(d), False

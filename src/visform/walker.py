@@ -130,7 +130,7 @@ class CrossingStats:
 def mean_crossing_time(chain, n_paths=1000, max_steps=1_000_000, seed=0):
     """Expected first-hit step count from the minus bell to the plus bell.
 
-    Paths start from the measure-weighted distribution on live minus-bell
+    Paths start from the uniform distribution on live minus-bell
     cells deep in the bell (x1 below -R/2) and stop on any plus-bell cell.
     Censored paths (max_steps) are excluded from the mean and reported;
     more than MAX_CENSORED_FRACTION of them fails.
@@ -152,8 +152,9 @@ def mean_crossing_time(chain, n_paths=1000, max_steps=1_000_000, seed=0):
         raise ValueError("no target cells")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3A1C]))
-    weights = grid.measures[source]
-    cur = rng.choice(source, size=n_paths, p=weights / weights.sum())
+    # cells weigh h^2 each; passing p= keeps rng.choice's stream of draws
+    cur = rng.choice(source, size=n_paths,
+                     p=np.full(source.size, 1.0 / source.size))
     active = np.arange(n_paths)
     steps = np.zeros(n_paths, dtype=np.int64)
     direct = 0

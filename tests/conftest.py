@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from visform import geometry, mesh
+from visform import forms, geometry, mesh
 
 
 @pytest.fixture(scope="session")
@@ -32,10 +32,10 @@ def annulus_grid(annulus):
 
 
 def two_cell_grid(domain=None, distance=1.0):
-    """Degenerate two-cell grid with unit measures, centers on a line."""
+    """Degenerate two-cell grid of unit cells, centers on a line."""
     domain = domain if domain is not None else geometry.make_box(3.0, 1.0)
     centers = np.array([[0.5, 0.5], [0.5 + distance, 0.5]])
-    return mesh.Grid(h=1.0, centers=centers, measures=np.array([1.0, 1.0]),
+    return mesh.Grid(h=1.0, centers=centers,
                      tags=np.zeros(2, dtype=np.int8),
                      ix=np.array([0, 1]), iy=np.array([0, 0]),
                      domain=domain, x0=(0.0, 0.0), R=10.0)
@@ -68,8 +68,8 @@ def brute_visibility_pairs(grid):
             member = prim.contains_many(C)
             visible |= member[pairs.i] & member[pairs.j]
     test = np.flatnonzero(~visible)
-    for lo in range(0, test.size, mesh.PAIR_BLOCK):
-        t = test[lo:lo + mesh.PAIR_BLOCK]
+    for lo in range(0, test.size, forms.PAIR_BLOCK):
+        t = test[lo:lo + forms.PAIR_BLOCK]
         visible[t] = grid.domain.segment_inside_many(C[pairs.i[t]],
                                                      C[pairs.j[t]])
     return dataclasses.replace(pairs, visible=visible)

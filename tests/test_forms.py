@@ -246,7 +246,7 @@ def test_lazy_energy_across_block_boundaries(monkeypatch, annulus_grid):
                                                mode), u)
              for mode in ("vis", "cen", "ball")}
     for block in (1, 7, n_b - 1, n_b + 1):
-        monkeypatch.setattr(mesh, "PAIR_BLOCK", block)
+        monkeypatch.setattr(forms, "PAIR_BLOCK", block)
         for mode in ("vis", "cen", "ball"):
             form = forms.lazy_form(annulus_grid, kernel, mode)
             cold = forms.energy(form, u)
@@ -264,8 +264,8 @@ def _brute_energy(grid, kernel, u, p=2.0):
     for a in range(values.size):
         for b in range(a + 1, values.size):
             A, B = groups[a], groups[b]
-            cB, mB = grid.centers[B], grid.measures[B]
-            rows = max(1, mesh.PAIR_BLOCK // B.size)
+            cB, m = grid.centers[B], grid.cell_measure
+            rows = max(1, forms.PAIR_BLOCK // B.size)
             part = 0.0
             for lo in range(0, A.size, rows):
                 cA = grid.centers[A[lo:lo + rows]]
@@ -274,11 +274,9 @@ def _brute_energy(grid, kernel, u, p=2.0):
                 r = np.sqrt(dx * dx + dy * dy).ravel()
                 keep = grid.domain.segment_inside_many(
                     np.repeat(cA, B.size, axis=0), np.tile(cB, (len(cA), 1)))
-                mass = np.outer(grid.measures[A[lo:lo + rows]], mB).ravel()
-                r, mass = r[keep], mass[keep]
+                r = r[keep]
                 if r.size:
-                    mass *= kernel.k(r)
-                    part += float(np.sum(mass))
+                    part += float(np.sum(kernel.k(r) * (m * m)))
             total += abs(values[a] - values[b]) ** p * part
     return float(2.0 * total)
 
@@ -388,9 +386,10 @@ def test_convex_pieces_take_no_slot_test(monkeypatch, variant, h):
 
 def test_segment_masks_share_calls(monkeypatch, annulus_grid):
     """The segment tests of consecutive blocks share calls of at most
-    PAIR_BLOCK segments, a larger block has a call of its own, and each
+    SEGMENT_CHUNK segments, a larger block has a call of its own, and each
     block's mask equals a segment test of that block alone."""
-    monkeypatch.setattr(mesh, "PAIR_BLOCK", 64)
+    monkeypatch.setattr(forms, "PAIR_BLOCK", 64)
+    monkeypatch.setattr(geo, "SEGMENT_CHUNK", 64)
     cells = np.arange(annulus_grid.n_cells)
     assert cells.size > 120
     jobs = [(0, cells[:10], cells[10:13]), (1, cells[20:24], cells[30:35]),
@@ -488,7 +487,7 @@ def test_screened_sums_equal_per_group_pair(monkeypatch, variant, h):
                                                 [pair])[0] for pair in pairs]
         with monkeypatch.context() as m:
             m.setattr(forms, "RUN_BLOCK", 5)
-            m.setattr(mesh, "PAIR_BLOCK", 64)
+            m.setattr(forms, "PAIR_BLOCK", 64)
             got = forms._cross_weight_sums(grid, kernel, "vis", groups, pairs)
         assert got == pytest.approx(want, rel=CORRIDOR_RTOL, abs=0.0)
 
@@ -577,15 +576,15 @@ def test_counterexample_matches_dense_oracle():
     n = 4
     h = 1.0 / (8 * n)
     grid = mesh.build_grid(geo.make_box(1, 1), (0.5, 0.5), 2.0, h)
-    C, m = grid.centers, grid.measures
+    C, m = grid.centers, grid.cell_measure
     u = (C[:, 0] + C[:, 1] < 1.0 / n).astype(float)
     ii, jj = np.triu_indices(grid.n_cells, k=1)
     r2 = np.sum((C[ii] - C[jj]) ** 2, axis=1)
     du2 = (u[ii] - u[jj]) ** 2
-    den_oracle = 2.0 * np.sum(1.0 / r2 * m[ii] * m[jj] * du2)
+    den_oracle = 2.0 * np.sum(1.0 / r2 * m * m * du2)
     delta = np.minimum.reduce([C[:, 0], C[:, 1], 1 - C[:, 0], 1 - C[:, 1]])
     near = np.sqrt(r2) < np.maximum(delta[ii], delta[jj]) / 2.0
-    num_oracle = 2.0 * np.sum((1.0 / r2 * m[ii] * m[jj] * du2)[near])
+    num_oracle = 2.0 * np.sum((1.0 / r2 * m * m * du2)[near])
     num, den, _ = forms.counterexample_ratio(4)
     assert den == pytest.approx(den_oracle, rel=1e-12)
     assert num == pytest.approx(num_oracle, rel=1e-12)

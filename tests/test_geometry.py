@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from visform import forms, geometry as geo, mesh
+from visform import forms, geometry as geo, mesh, spectral
+from visform.kernels import KernelSpec
 from conftest import sample_points_in
 
 
@@ -224,7 +225,7 @@ def test_portal_pairs_equal_segment_tests(variant, R, h):
     visible = 0
     for A, B in directions:
         mask = _pair_mask(grid, A, B)
-        rows = max(1, mesh.PAIR_BLOCK // B.size)
+        rows = max(1, forms.PAIR_BLOCK // B.size)
         for lo in range(0, A.size, rows):
             assert np.array_equal(mask[lo:lo + rows], _brute_mask(
                 grid.domain, grid.centers[A[lo:lo + rows]], grid.centers[B]))
@@ -547,10 +548,22 @@ def test_delta_ball_inside_domain(maker, request):
 # ---------------------------------------------------------------------------
 
 def test_make_dumbbell_metadata(straight_dumbbell, curved_dumbbell):
-    assert straight_dumbbell.dumbbell.gamma_tilde_id is not None
-    assert curved_dumbbell.dumbbell.gamma_tilde_id is None
-    assert straight_dumbbell.dumbbell.x0 == (0.0, 0.0)
-    assert np.all(np.isfinite(straight_dumbbell.dumbbell.gamma_star_lo))
+    """The corridor, primitive 1, is a convex sub-corridor on the slab and
+    none on the tube, for the audit and for the rate table."""
+    kernel = KernelSpec("power", s=0.25, p=2)
+    for dom, tilde, rate in [(straight_dumbbell, "present", 1.5),
+                             (curved_dumbbell, "absent", 2.0)]:
+        assert dom.dumbbell.x0 == (0.0, 0.0)
+        rep = geo.audit_dumbbell_structure(dom, R_list=(8,), n_samples=1000)
+        assert f"gamma_tilde={tilde}" in rep.summary_lines()
+        assert spectral.predicted_exponent(dom, kernel, 2) == (rate, False)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_dumbbell_needs_three_primitives(straight_dumbbell, n):
+    prims = (straight_dumbbell.primitives * 2)[:n]
+    with pytest.raises(ValueError, match="minus bell, corridor, plus bell"):
+        geo.DomainSpec(prims, dumbbell=geo.DumbbellMeta())
 
 
 def test_make_dumbbell_bad_variant():
@@ -621,10 +634,7 @@ def test_condition_A_detects_missing_overlap():
     minus = geo.HalfSpace((1.0, 0.0), -1.0)
     plus = geo.HalfSpace((-1.0, 0.0), -1.0)
     corridor = geo.Box((-0.5, -1.0), (0.5, 1.0))
-    meta = geo.DumbbellMeta(minus_ids=(0,), corridor_ids=(1,), plus_ids=(2,),
-                            gamma_star_lo=(-1.0, -1.0),
-                            gamma_star_hi=(1.0, 1.0))
-    dom = geo.DomainSpec((minus, corridor, plus), dumbbell=meta)
+    dom = geo.DomainSpec((minus, corridor, plus), dumbbell=geo.DumbbellMeta())
     rep = geo.audit_dumbbell_structure(dom, R_list=(8, 16), n_samples=5_000, seed=0)
     assert not rep.ok
     assert any("overlap_empty" in v for v in rep.violated)

@@ -3,23 +3,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from visform import geometry as geo, mesh
+from visform import forms, geometry as geo, mesh
 from conftest import brute_visibility_pairs
 
 
 def test_exact_tiling_four_cells(unit_square):
     grid = mesh.build_grid(unit_square, (0.5, 0.5), 1.0, 0.5)
     assert grid.n_cells == 4
-    assert np.allclose(grid.measures, 0.25)
+    assert grid.cell_measure == 0.25
     assert np.all(grid.domain.contains_many(grid.centers))
 
 
 def test_ball_measure_subsampled():
     ball = geo.DomainSpec((geo.Ball((0.0, 0.0), 1.0),))
     grid = mesh.build_grid(ball, (0.0, 0.0), 1.0, 0.25)
-    assert grid.measures.sum() == pytest.approx(np.pi, rel=0.05)
-    assert np.all(grid.measures > 0)
-    assert np.all(grid.measures <= 0.25 ** 2 + 1e-15)
+    assert grid.n_cells * grid.cell_measure == pytest.approx(np.pi, rel=0.05)
+    assert grid.cell_measure == 0.25 ** 2
 
 
 def test_corridor_tags(straight_dumbbell):
@@ -56,8 +55,8 @@ def test_refinement_measure_stability(maker, x0, R, request):
     dom = request.getfixturevalue(maker)
     coarse = mesh.build_grid(dom, x0, R, 0.5)
     fine = mesh.build_grid(dom, x0, R, 0.25)
-    assert fine.measures.sum() == pytest.approx(coarse.measures.sum(),
-                                                rel=0.03)
+    assert fine.n_cells * fine.cell_measure == pytest.approx(
+        coarse.n_cells * coarse.cell_measure, rel=0.03)
 
 
 def test_visibility_pairs_convex_all_visible(unit_square):
@@ -135,7 +134,7 @@ def test_visibility_pairs_blocks_give_triu_order(monkeypatch, annulus_grid,
     """The pairs are np.triu_indices with the whole-array distances, and
     the flags do not depend on the block size of the part-pair rule."""
     whole = mesh.visibility_pairs(annulus_grid)
-    monkeypatch.setattr(mesh, "PAIR_BLOCK", block)
+    monkeypatch.setattr(forms, "PAIR_BLOCK", block)
     pairs = mesh.visibility_pairs(annulus_grid)
     ii, jj = np.triu_indices(annulus_grid.n_cells, k=1)
     assert pairs.i.dtype == pairs.j.dtype == np.int32
@@ -154,11 +153,10 @@ def test_pair_distances_match_centers(annulus_grid):
 
 def test_cell_mean(unit_square):
     grid = mesh.Grid(h=1.0, centers=np.zeros((3, 2)),
-                     measures=np.array([1.0, 1.0, 2.0]),
                      tags=np.zeros(3, dtype=np.int8),
                      ix=np.arange(3), iy=np.arange(3),
                      domain=unit_square, x0=(0.0, 0.0), R=1.0)
-    assert mesh.cell_mean(grid, [0.0, 1.0, 2.0]) == pytest.approx(1.25)
+    assert mesh.cell_mean(grid, [0.0, 1.0, 2.0]) == pytest.approx(1.0)
     assert mesh.cell_mean(grid, [3.0, 3.0, 3.0]) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         mesh.cell_mean(grid, [1.0, 2.0])
@@ -174,7 +172,7 @@ def test_visibility_pairs_bell_with_a_hole(straight_dumbbell):
     assert keep.sum() == grid.n_cells - 1
     grid = dataclasses.replace(grid, **{
         f: getattr(grid, f)[keep]
-        for f in ("centers", "measures", "tags", "ix", "iy")})
+        for f in ("centers", "tags", "ix", "iy")})
     pairs = mesh.visibility_pairs(grid)
     assert np.array_equal(pairs.visible,
                           brute_visibility_pairs(grid).visible)

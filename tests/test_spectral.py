@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -168,7 +169,8 @@ def test_matrix_free_constant_against_eigh(variant):
     cp = spectral.poincare_constant_l2(forms.lazy_form(grid, kernel, "vis"))
     dense = _dense_quadratic(
         forms.assemble(grid, mesh.visibility_pairs(grid), kernel, "vis"))
-    w = scipy.linalg.eigh(dense, np.diag(grid.measures), eigvals_only=True)
+    w = scipy.linalg.eigh(dense, grid.cell_measure * np.eye(grid.n_cells),
+                          eigvals_only=True)
     assert cp == pytest.approx(1.0 / w[1], rel=1e-10)
 
 
@@ -194,8 +196,45 @@ def test_witness_mass_grows_like_area(straight_dumbbell):
         grid = mesh.build_grid(straight_dumbbell, (0.0, 0.0), R, 0.5)
         u = spectral.witness_step_function(grid)
         ubar = mesh.cell_mean(grid, u)
-        vals[R] = float(np.dot(grid.measures, np.abs(u - ubar) ** 2))
+        vals[R] = grid.cell_measure * float(np.sum(np.abs(u - ubar) ** 2))
     assert 3.5 <= vals[16.0] / vals[8.0] <= 4.5
+
+
+#: (variant, R, h, witness quotient, its cell_mean, its local energy, and
+#: sha256 prefixes of VisOperator's A @ x and diagonal) off the dyadic
+#: lattice, where h^2 rounds and so the order of the products counts
+_OFF_LATTICE_BITS = [
+    ("straight", 9.0, 0.4, "0x1.bc94cca937849p+1", "0x0.0p+0",
+     "0x1.999999999999bp+1", "71c83dc84fc2754b", "467969ba42a405fb"),
+    ("straight", 10.0, 0.3, "0x1.02431ab6c6351p+2", "0x0.0p+0",
+     "0x1.b99999999999ap+1", "ff816ec000877c60", "2c57d485d6fb1456"),
+    ("curved", 9.0, 0.4, "0x1.428c59eab198ep+4", "0x0.0p+0",
+     "0x1.3333333333335p+1", "91a60b9a793af28a", "fd9c6906534cb113"),
+    ("curved", 10.0, 0.3, "0x1.ab98d460a48b4p+4", "0x0.0p+0",
+     "0x1.970a3d70a3d70p+1", "cd0457e5b7e4a0b9", "74a4e9a89d568277"),
+]
+
+
+@pytest.mark.parametrize("variant,R,h,quotient,mean,local,ax,diag",
+                         _OFF_LATTICE_BITS,
+                         ids=[f"{v}-{R}-{h}" for v, R, h, *_ in
+                              _OFF_LATTICE_BITS])
+def test_off_lattice_bits(variant, R, h, quotient, mean, local, ax, diag):
+    """The witness quotient, cell_mean and local energy, and the vis
+    operator's A @ x and diagonal keep their bits at h = 0.4 and 0.3 (no
+    BLAS call is involved)."""
+    grid = mesh.build_grid(geo.make_dumbbell(variant), (0.0, 0.0), R, h)
+    kernel = kn.KernelSpec("power", s=0.25, p=2)
+    u = spectral.witness_step_function(grid)
+    lazy = forms.lazy_form(grid, kernel, "vis")
+    assert spectral.rayleigh_ratio(lazy, grid, u).hex() == quotient
+    assert mesh.cell_mean(grid, u).hex() == mean
+    stencil = forms.assemble(grid, None, None, "local")
+    assert forms.energy(stencil, u).hex() == local
+    A = spectral.VisOperator(grid, kernel)
+    x = grid.centers[:, 0] - 2.0 * grid.centers[:, 1]
+    assert [hashlib.sha256(v.tobytes()).hexdigest()[:16]
+            for v in (A @ x, A._diag)] == [ax, diag]
 
 
 def test_witness_needs_tags(annulus_grid):

@@ -22,8 +22,8 @@ def _dense_chain(grid, pairs, kernel):
     i = pairs.i[keep]
     j = pairs.j[keep]
     k = kernel.k(pairs.r[keep])
-    W[i, j] = k * grid.measures[j]
-    W[j, i] = k * grid.measures[i]
+    W[i, j] = k * grid.cell_measure
+    W[j, i] = k * grid.cell_measure
     rates = W.sum(axis=1)
     live = rates > 0.0
     P = np.zeros_like(W)
@@ -60,7 +60,7 @@ def _two_state_chain(q=0.5):
     """State 0 jumps to state 1 with probability q, else stays."""
     dom = geo.make_dumbbell("straight")
     centers = np.array([[-9.0, 0.0], [9.0, 0.0]])
-    grid = mesh.Grid(h=1.0, centers=centers, measures=np.ones(2),
+    grid = mesh.Grid(h=1.0, centers=centers,
                      tags=np.array([TAG_MINUS, TAG_PLUS], dtype=np.int8),
                      ix=np.arange(2), iy=np.zeros(2, dtype=int),
                      domain=dom, x0=(0.0, 0.0), R=16.0)
@@ -247,7 +247,7 @@ def test_two_state_geometric_mean():
 def test_build_chain_two_visible_cells():
     dom = geo.make_box(3.0, 1.0)
     centers = np.array([[0.5, 0.5], [1.5, 0.5]])
-    grid = mesh.Grid(h=1.0, centers=centers, measures=np.ones(2),
+    grid = mesh.Grid(h=1.0, centers=centers,
                      tags=np.zeros(2, dtype=np.int8),
                      ix=np.arange(2), iy=np.zeros(2, dtype=int),
                      domain=dom, x0=(0.0, 0.0), R=4.0)
@@ -264,7 +264,7 @@ def test_build_chain_detailed_balance(annulus_grid):
     assert np.allclose(P.sum(axis=1)[~chain.isolated], 1.0, atol=1e-12)
     # total jump rates sum_j k(r) m_j, from the assembled weights k(r) m_i m_j
     form = forms.assemble(annulus_grid, pairs, kernel, "vis")
-    m = annulus_grid.measures
+    m = np.full(annulus_grid.n_cells, annulus_grid.cell_measure)
     rates = (np.bincount(form.pair_i, form.weight, m.size)
              + np.bincount(form.pair_j, form.weight, m.size)) / m
     flow = m[:, None] * rates[:, None] * P
@@ -274,7 +274,7 @@ def test_build_chain_detailed_balance(annulus_grid):
 def test_build_chain_rejects_all_isolated():
     dom = geo.make_box(9.0, 1.0)
     centers = np.array([[0.5, 0.5], [8.5, 0.5]])
-    grid = mesh.Grid(h=1.0, centers=centers, measures=np.ones(2),
+    grid = mesh.Grid(h=1.0, centers=centers,
                      tags=np.zeros(2, dtype=np.int8),
                      ix=np.arange(2), iy=np.zeros(2, dtype=int),
                      domain=dom, x0=(0.0, 0.0), R=16.0)
@@ -300,8 +300,8 @@ def test_curved_chain_has_no_direct_cross(curved_dumbbell):
 
 def _exact_mean_crossing(chain):
     """Exact mean first-hit step count: (I - Q) t = 1 solved densely over
-    the non-target states, averaged over the measure-weighted live start
-    cells deep in the minus bell."""
+    the non-target states, averaged over the live start cells deep in the
+    minus bell."""
     grid = chain.grid
     rest = np.flatnonzero(grid.tags != TAG_PLUS)
     Q = _dense_P(chain)[np.ix_(rest, rest)]
@@ -310,8 +310,7 @@ def _exact_mean_crossing(chain):
     start = np.flatnonzero((grid.tags == TAG_MINUS)
                            & (grid.centers[:, 0] < -0.5 * grid.R)
                            & ~chain.isolated)
-    w = grid.measures[start]
-    return float(np.sum(w * t[start]) / np.sum(w))
+    return float(np.mean(t[start]))
 
 
 @pytest.mark.parametrize("name, R", [("straight", 8.0), ("curved", 8.0),

@@ -4,12 +4,14 @@ Every experiment writes its own directory under ``--outdir``:
 
 * ``samples.csv``   the quantitative rows (schema per experiment),
 * ``summary.txt``   machine-readable key=value lines incl. the verdict,
-* ``config.txt``    the normalized configuration that produced the run,
+* ``config.txt``    the normalized configuration that produced the run:
+  the name, the experiment's own fields, ``seed`` and ``outdir``,
 * ``plot.gp``       a gnuplot script over samples.csv,
 * ``timings.log``   wall-clock per step (excluded from determinism checks).
 
-``COMMANDS`` holds each experiment's flags and defaults: the subcommands,
-``run --config`` and the ``reproduce-all`` suite all start from it.
+``COMMANDS`` holds each experiment's fields and defaults, the only schema:
+the subcommands, ``run --config`` and the ``reproduce-all`` suite all start
+from it, and a key an experiment does not have is refused.
 
 Exit code 0 means every quantitative check passed, 2 means at least one
 failed, 1 means the run errored.  Identical configurations reproduce the
@@ -21,23 +23,23 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import io
 import sys
 import time
-from dataclasses import dataclass
+import types
 from pathlib import Path
 
 import numpy as np
 
 from . import forms, geometry, kernels, mesh, spectral, walker, whitney
 
-#: each experiment's subcommand flags with their defaults, which a config
-#: file's left-out keys take too; other fields keep ExperimentConfig's
+#: each experiment's own fields and their defaults, the one schema: they
+#: are its subcommand's flags and its config file's keys; a key left out
+#: takes its default, and a given one is parsed to the default's type
 COMMANDS = {
     "counterexample": dict(n_list=(4, 8, 16, 32), resolution_factor=8),
     "scaling-nonlocal": dict(domain="straight-dumbbell",
-                             kernel="power:s=0.25,p=2", p=2.0,
+                             kernel="power:s=0.25,p=2",
                              R=(8.0, 16.0, 32.0, 64.0), method="witness",
                              h=0.5),
     "scaling-local": dict(domain="straight-dumbbell", p=1.0,
@@ -52,7 +54,9 @@ COMMANDS = {
     "check-domain": dict(domain="straight-dumbbell", R=(8.0, 16.0, 32.0),
                          samples=40_000),
 }
-EXPERIMENTS = tuple(COMMANDS)
+#: the fields of every experiment besides its own; ``counterexample`` draws
+#: nothing from the seed
+COMMON = dict(outdir="out", seed=0)
 
 #: fixed quantitative bands of the aggregate checks; the counterexample's
 #: n^2-scaled numerator must agree across n to this relative tolerance
@@ -63,74 +67,55 @@ WHITNEY_RESIDUAL_FRACTION = 0.02
 WHITNEY_SUP_DRIFT = 2.0
 
 
-@dataclass
-class ExperimentConfig:
-    name: str
-    domain: str = "straight-dumbbell"
-    kernel: str = "power:s=0.25,p=2"
-    p: float = 2.0
-    R: tuple = (8.0, 16.0, 32.0, 64.0)
-    h: float = 0.5
-    seed: int = 0
-    outdir: str = "out"
-    method: str = "witness"
-    n_list: tuple = (4, 8, 16, 32)
-    resolution_factor: int = 8
-    n_random: int = 200
-    epsilon: float = 0.05
-    max_level: int = 8
-    pairs: int = 100
-    paths: int = 1000
-    max_steps: int = 200_000
-    clip_R: float = 8.0
-    samples: int = 40_000
-    path_audit: bool = False
+class ExperimentConfig(types.SimpleNamespace):
+    """Experiment ``name`` with the fields ``COMMANDS[name] | COMMON``, each
+    at its default unless given; a key outside them is refused."""
+
+    def __init__(self, name, **values):
+        if name not in COMMANDS:
+            raise ValueError(f"unknown experiment {name!r}")
+        fields = COMMANDS[name] | COMMON
+        for key in values:
+            if key not in fields:
+                raise ValueError(f"unknown config key {key!r} for {name}")
+        super().__init__(name=name, **fields | values)
 
     def validate(self):
-        if self.name not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.name!r}")
-        domain = geometry.parse_domain(self.domain)
-        if self.name in ("scaling-nonlocal", "comparability", "walk"):
-            spec = kernels.parse_kernel(self.kernel)
-        if self.name == "comparability":
-            domain.bounding_box()            # the grid spans the domain's box
-        if (self.name in ("scaling-nonlocal", "scaling-local", "walk",
-                          "check-domain") and domain.dumbbell is None):
-            raise ValueError(f"{self.name} needs a dumbbell domain, got "
-                             f"{self.domain!r}")
-        if self.name in ("scaling-nonlocal", "scaling-local"):
-            if self.method == "eigen" and self.p != 2:
-                raise ValueError("the eigen method needs p = 2")
-            kernel = spec if self.name == "scaling-nonlocal" else None
-            spectral.predicted_exponent(domain, kernel, self.p)
-            if kernel is not None and abs(kernel.p - self.p) > 1e-12:
-                raise ValueError(
-                    f"kernel integrability exponent p={kernel.p} must match "
-                    f"the energy exponent p={self.p}")
-            spectral.check_sweep(domain, self.R, self.h)
+        """Refuse values the experiment cannot run with; a field is
+        checked only on the experiments that have it."""
+        has = vars(self)
+        for key in ("h", "clip_R", "epsilon", "pairs", "paths", "max_steps",
+                    "n_random", "samples"):
+            if key in has and not has[key] > 0:
+                raise ValueError(f"{key} must be positive, got {has[key]}")
+        if "R" in has and not all(R > 0 for R in self.R):
+            raise ValueError(f"radii must be positive, got {self.R}")
+        if "max_level" in has and self.max_level < 0:
+            raise ValueError(f"max_level must be >= 0, got {self.max_level}")
         if self.name == "counterexample":
             if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ValueError(f"n_list must be strictly increasing, "
                                  f"got {self.n_list}")
             forms.check_counterexample(self.n_list, self.resolution_factor)
+            return self
+        domain = geometry.parse_domain(self.domain)
+        kernel = kernels.parse_kernel(self.kernel) if "kernel" in has else None
+        if self.name == "comparability":
+            domain.bounding_box()            # the grid spans the domain's box
+        # every radius R clips a ball about the dumbbell's centre
+        if "R" in has and domain.dumbbell is None:
+            raise ValueError(f"{self.name} needs a dumbbell domain, got "
+                             f"{self.domain!r}")
         if self.name == "walk" and len(self.R) != 1:
             raise ValueError(f"walk takes one radius, got {self.R}")
-        if self.method not in ("witness", "eigen"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if not all(R > 0 for R in self.R):
-            raise ValueError(f"radii must be positive, got {self.R}")
-        if not self.clip_R > 0:
-            raise ValueError(f"clip_R must be positive, got {self.clip_R}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_level < 0:
-            raise ValueError(f"max_level must be >= 0, got {self.max_level}")
-        for key in ("pairs", "paths", "max_steps", "n_random", "samples"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1, got {value}")
+        if "method" in has:                  # the scaling experiments
+            if self.method not in ("witness", "eigen"):
+                raise ValueError(f"unknown method {self.method!r}")
+            p = self.p if kernel is None else kernel.p
+            if self.method == "eigen" and p != 2:
+                raise ValueError("the eigen method needs p = 2")
+            spectral.predicted_exponent(domain, kernel, p)
+            spectral.check_sweep(domain, self.R, self.h)
         return self
 
 
@@ -141,26 +126,24 @@ def _parse_bool(s):
         raise ValueError(f"not a boolean: {s!r}") from None
 
 
-_FIELD_PARSERS = {
-    "domain": str, "kernel": str, "outdir": str, "method": str,
-    "p": float, "h": float, "seed": int, "resolution_factor": int,
-    "n_random": int, "epsilon": float, "max_level": int, "pairs": int,
-    "paths": int, "max_steps": int, "clip_R": float, "samples": int,
-    "path_audit": _parse_bool,
-    "R": lambda s: tuple(float(v) for v in s.split(",")),
-    "n_list": lambda s: tuple(int(v) for v in s.split(",")),
-}
+def _parse(default, text):
+    """``text`` as a value of ``default``'s type; a tuple's items take the
+    type of its first item."""
+    if isinstance(default, bool):
+        return _parse_bool(text)
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(v) for v in text.split(","))
+    return type(default)(text)
 
 
 def _config(name, raw):
-    """Experiment ``name`` at its subcommand's defaults, overridden by the
-    ``{field: text}`` of ``raw``, each parsed by its ``_FIELD_PARSERS``."""
-    values = dict(COMMANDS.get(name, {}))
+    """Experiment ``name`` with each ``{field: text}`` of ``raw`` parsed like
+    the field's default; the constructor refuses a key ``name`` lacks."""
+    defaults = vars(ExperimentConfig(name))
+    values = {}
     for key, text in raw.items():
-        if key not in _FIELD_PARSERS:
-            raise ValueError(f"unknown config key {key!r}")
         try:
-            values[key] = _FIELD_PARSERS[key](text)
+            values[key] = _parse(defaults.get(key, text), text)
         except ValueError as exc:
             raise ValueError(f"bad {key}: {exc}") from None
     return ExperimentConfig(name, **values).validate()
@@ -294,7 +277,8 @@ def run_counterexample(cfg, rundir):
 
 def _run_scaling(cfg, rundir, kernel):
     dom = geometry.parse_domain(cfg.domain)
-    rep = spectral.scaling_experiment(dom, kernel, cfg.p, list(cfg.R),
+    p = cfg.p if kernel is None else kernel.p
+    rep = spectral.scaling_experiment(dom, kernel, p, list(cfg.R),
                                       method=cfg.method, h=cfg.h,
                                       seed=cfg.seed)
     rows = [(R, n, v, cfg.method)
@@ -330,8 +314,8 @@ def run_comparability(cfg, rundir):
         R = float(np.max(hi - lo))
         grid = mesh.build_grid(dom, x0, R, h)
         pairset = mesh.visibility_pairs(grid)
-        vis = forms.assemble(grid, pairset, kernel, "vis", cfg.p)
-        cen = forms.assemble(grid, pairset, kernel, "cen", cfg.p)
+        vis = forms.assemble(grid, pairset, kernel, "vis", kernel.p)
+        cen = forms.assemble(grid, pairset, kernel, "cen", kernel.p)
         worst = 0.0
         for _ in range(cfg.n_random):
             u = rng.standard_normal(grid.n_cells)
@@ -458,8 +442,7 @@ def run_check_domain(cfg, rundir):
                                "tilde_minus", "tilde_plus"), rows)
     rundir.plot("R", "bell ratio", using="1:2", logscale=False)
     _summary(rundir, [("experiment", cfg.name)]
-             + [tuple(line.split("=", 1)) if "=" in line else ("note", line)
-                for line in rep.summary_lines()]
+             + [tuple(line.split("=", 1)) for line in rep.summary_lines()]
              + [("verdict", "pass" if rep.ok else "fail")])
     return rep.ok
 
@@ -481,8 +464,8 @@ def run(cfg, subdir=None):
     rundir = RunDir(cfg.outdir, subdir or cfg.name)
     # the echoed config describes the experiment, not where it landed, so
     # identical runs into different trees stay byte-identical
-    rundir.write("config.txt",
-                 config_to_text(dataclasses.replace(cfg, outdir=".")))
+    echo = ExperimentConfig(**vars(cfg) | {"outdir": "."})
+    rundir.write("config.txt", config_to_text(echo))
     try:
         ok = _RUNNERS[cfg.name](cfg, rundir)
     except (ValueError, RuntimeError) as exc:
@@ -526,7 +509,7 @@ def suite_configs(outdir, seed=0, quick=False):
         ("walk-curved", "walk", {}, walk_small),
     ]
     return [(subdir, ExperimentConfig(
-                name, **COMMANDS[name] | changes | (small if quick else {}),
+                name, **changes | (small if quick else {}),
                 outdir=outdir, seed=seed))
             for subdir, name, changes, small in suite]
 
@@ -564,7 +547,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     for name, defaults in COMMANDS.items():
         sp = sub.add_parser(name)
-        for field in [*defaults, "outdir", "seed"]:
+        for field in [*defaults, *COMMON]:
             flag = _FLAG_NAMES.get(field, "--" + field.replace("_", "-"))
             if isinstance(defaults.get(field), bool):
                 sp.add_argument(flag, dest=field, action="store_const",

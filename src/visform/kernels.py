@@ -1,11 +1,11 @@
 """Radial jump-kernel profiles.
 
-A kernel is k(x, y) = profile(|x-y|) / |x-y|^d for a radial profile from
-one of four families:
+In dimension d = 2 a kernel is k(x, y) = profile(|x-y|) / |x-y|^2 for a
+radial profile from one of four families:
 
 * ``power``      profile(r) = r^(-s*p), s in (0,1), p >= 1
 * ``power-log``  profile(r) = r^(-2s) * ln(1 + 1/r)^(+-1)
-* ``constant``   profile(r) = 1          (in d=2 this is k = 1/r^2)
+* ``constant``   profile(r) = 1          (k = 1/r^2)
 * ``truncated``  profile(r) = 1 on (0, rho), 0 beyond
 
 The hypothesis 1 <= p < d/s of the scaling theorem is enforced where it
@@ -24,14 +24,13 @@ FAMILIES = ("power", "power-log", "constant", "truncated")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One radial profile; ``k(r)`` evaluates profile(r) / r^d."""
+    """One radial profile; ``k(r)`` evaluates profile(r) / r^2."""
 
     family: str
     s: float = 0.5
     p: float = 2.0
     sign: int = 1
     rho: float = 1.0
-    d: int = 2
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -63,14 +62,14 @@ class KernelSpec:
         return np.where(r < self.rho, 1.0, 0.0)
 
     def k(self, r):
-        """Jump density profile(r) / r^d."""
+        """Jump density profile(r) / r^2."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0):
             raise ValueError("kernel is defined for r > 0 only")
         if self.family == "power":
             # single power law, evaluated fused for speed in the hot loops
-            return r ** (-(self.d + self.s * self.p))
-        return self.profile(r) / r ** self.d
+            return r ** (-(2 + self.s * self.p))
+        return self.profile(r) / r ** 2
 
     def label(self):
         if self.family == "power":

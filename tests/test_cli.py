@@ -11,8 +11,7 @@ def test_config_round_trip():
 name = scaling-nonlocal
 domain = straight-dumbbell
 kernel = power:s=0.25,p=2
-p = 2
-R = 8,16
+R = 8,16,32
 h = 0.5
 seed = 3
 outdir = out
@@ -20,6 +19,7 @@ method = witness
 """
     cfg = cli.ExperimentConfig(
         "scaling-nonlocal", R=(8.0, 16.0, 32.0), seed=3)
+    assert cli.parse_config(text) == cfg
     normalized = cli.config_to_text(cfg)
     assert cli.config_to_text(cli.parse_config(normalized)) == normalized
     # a radius that {:g} would round is echoed exactly
@@ -48,19 +48,14 @@ def test_parse_config_rejects_bad_keys():
 
 def test_validate_hypothesis_guards():
     cfg = cli.ExperimentConfig("scaling-nonlocal",
-                               kernel="power:s=0.75,p=2", p=2.0,
+                               kernel="power:s=0.75,p=2",
                                R=(8.0, 16.0, 32.0))
     cfg.validate()          # p = 2 < d/s = 2.67
     bad = cli.ExperimentConfig("scaling-nonlocal",
-                               kernel="power:s=0.9,p=2.5", p=2.5,
+                               kernel="power:s=0.9,p=2.5",
                                R=(8.0, 16.0, 32.0))
     with pytest.raises(ValueError, match="1 <= p < d/s"):
-        bad.validate()
-    mismatch = cli.ExperimentConfig("scaling-nonlocal",
-                                    kernel="power:s=0.25,p=2", p=1.5,
-                                    R=(8.0, 16.0, 32.0))
-    with pytest.raises(ValueError, match="must match"):
-        mismatch.validate()
+        bad.validate()      # p is the kernel's: 2.5 >= d/s = 2.22
 
 
 def test_malformed_kernel_exits_one(tmp_path):
@@ -210,10 +205,14 @@ def test_run_unknown_override_key_exits_one(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfgfile),
                      "--set", "smaples=5"]) == 1
     assert "'smaples'" in capsys.readouterr().err
-    assert cli.main(["run", "--config", str(cfgfile),
+    audit = tmp_path / "audit.cfg"
+    audit.write_text("[experiment]\nname = whitney-audit\n"
+                     f"outdir = {tmp_path}\n")
+    assert cli.main(["run", "--config", str(audit),
                      "--set", "path_audit=ture"]) == 1
     assert "'ture'" in capsys.readouterr().err
     assert not (tmp_path / "counterexample").exists()
+    assert not (tmp_path / "whitney-audit").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -262,7 +261,7 @@ def test_out_of_range_values_exit_one(tmp_path, capsys, argv):
 
 
 
-@pytest.mark.parametrize("name", cli.EXPERIMENTS)
+@pytest.mark.parametrize("name", cli.COMMANDS)
 def test_config_file_takes_subcommand_defaults(monkeypatch, name):
     ran = []
     monkeypatch.setattr(cli, "run", lambda cfg: ran.append(cfg) or 0)
@@ -276,7 +275,7 @@ def test_cli_surface():
     scaling = {"--domain", "--p", "--R", "--method", "--h"}
     expected = {
         "counterexample": {"--n", "--factor"} | common,
-        "scaling-nonlocal": scaling | {"--kernel"} | common,
+        "scaling-nonlocal": scaling - {"--p"} | {"--kernel"} | common,
         "scaling-local": scaling | common,
         "comparability": {"--domain", "--kernel", "--h", "--n-random"}
         | common,
@@ -294,3 +293,34 @@ def test_cli_surface():
                   for flag in action.option_strings} - {"-h", "--help"}
            for name, sp in sub.choices.items()}
     assert got == expected
+
+
+def _text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_config_holds_only_its_experiments_fields(tmp_path, monkeypatch,
+                                                  capsys, name):
+    out = tmp_path / "out"
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"[experiment]\nname = {name}\noutdir = {out}\n")
+    own = cli.COMMANDS[name].keys() | {"seed", "outdir"}
+    foreign = {key: value for other in cli.COMMANDS.values()
+               for key, value in other.items() if key not in own}
+    assert foreign
+    for key, value in foreign.items():
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            cli.parse_config(f"[experiment]\nname = {name}\n"
+                             f"{key} = {_text(value)}\n")
+        assert cli.main(["run", "--config", str(cfgfile),
+                         "--set", f"{key}={_text(value)}"]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+    # config.txt echoes the name and exactly the experiment's own fields
+    monkeypatch.setitem(cli._RUNNERS, name, lambda cfg, rundir: True)
+    assert cli.main(["run", "--config", str(cfgfile)]) == 0
+    lines = (out / name / "config.txt").read_text().splitlines()
+    assert lines[:2] == ["[experiment]", f"name = {name}"]
+    assert {line.split(" = ")[0] for line in lines[2:]} == own
+    assert len(lines) == 2 + len(own)

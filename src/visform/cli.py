@@ -102,20 +102,16 @@ class ExperimentConfig(types.SimpleNamespace):
         kernel = kernels.parse_kernel(self.kernel) if "kernel" in has else None
         if self.name == "comparability":
             domain.bounding_box()            # the grid spans the domain's box
+        if "method" in has:                  # the scaling experiments
+            spectral.check_scaling(domain, kernel,
+                                   self.p if kernel is None else kernel.p,
+                                   self.R, self.h, self.method)
         # every radius R clips a ball about the dumbbell's centre
         if "R" in has and domain.dumbbell is None:
             raise ValueError(f"{self.name} needs a dumbbell domain, got "
                              f"{self.domain!r}")
         if self.name == "walk" and len(self.R) != 1:
             raise ValueError(f"walk takes one radius, got {self.R}")
-        if "method" in has:                  # the scaling experiments
-            if self.method not in ("witness", "eigen"):
-                raise ValueError(f"unknown method {self.method!r}")
-            p = self.p if kernel is None else kernel.p
-            if self.method == "eigen" and p != 2:
-                raise ValueError("the eigen method needs p = 2")
-            spectral.predicted_exponent(domain, kernel, p)
-            spectral.check_sweep(domain, self.R, self.h)
         return self
 
 
@@ -138,7 +134,8 @@ def _parse(default, text):
 
 def _config(name, raw):
     """Experiment ``name`` with each ``{field: text}`` of ``raw`` parsed like
-    the field's default; the constructor refuses a key ``name`` lacks."""
+    the field's default; the constructor refuses a key ``name`` lacks, and
+    ``run`` validates the values."""
     defaults = vars(ExperimentConfig(name))
     values = {}
     for key, text in raw.items():
@@ -146,7 +143,7 @@ def _config(name, raw):
             values[key] = _parse(defaults.get(key, text), text)
         except ValueError as exc:
             raise ValueError(f"bad {key}: {exc}") from None
-    return ExperimentConfig(name, **values).validate()
+    return ExperimentConfig(name, **values)
 
 
 def parse_config(text, overrides=()):

@@ -1,7 +1,7 @@
 """Constructive domains as finite unions of analytic primitives.
 
-A domain is a union of primitives (half-space, ball, box, parabolic tube,
-annulus), optionally intersected with a clipping ball.  Every primitive
+A domain is a union of primitives (ball, box, parabolic tube, annulus),
+optionally intersected with a clipping ball.  Every primitive
 supports three exact queries, all vectorized over point/segment batches:
 
 * membership of a point,
@@ -66,46 +66,6 @@ class Primitive:
     def signed_distance(self, pts):
         """Distance to the primitive boundary, positive inside."""
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class HalfSpace(Primitive):
-    """Open half-space {x : n.x < c} with |n| = 1."""
-
-    normal: tuple
-    offset: float
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        norm = float(np.hypot(n[0], n[1]))
-        if norm == 0.0:
-            raise ValueError("half-space normal must be nonzero")
-        object.__setattr__(self, "normal", (n[0] / norm, n[1] / norm))
-        object.__setattr__(self, "offset", float(self.offset) / norm)
-
-    def contains_many(self, pts):
-        n = np.asarray(self.normal)
-        return pts @ n < self.offset
-
-    def segment_slots(self, X, V):
-        n = np.asarray(self.normal)
-        a = V @ n
-        b = X @ n - self.offset          # f(t) = b + t a < 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tstar = -b / a
-        lo = np.where(a > 0, -_INF, tstar)
-        hi = np.where(a > 0, tstar, _INF)
-        # segments parallel to the boundary lie wholly in or out
-        zero = np.flatnonzero(a == 0.0)
-        if zero.size:
-            inside = b[zero] < 0
-            lo[zero] = np.where(inside, 0.0, 2.0)
-            hi[zero] = np.where(inside, 1.0, -1.0)
-        return [(lo, hi)]
-
-    def signed_distance(self, pts):
-        n = np.asarray(self.normal)
-        return self.offset - pts @ n
 
 
 @dataclass(frozen=True)
@@ -313,23 +273,17 @@ class ParabolicTube(Primitive):
         a, w = self.amplitude, self.radius
         px, py = pts[:, 0], pts[:, 1]
         lead = 2.0 * a * a
-        # a root px = 0 is split off by np.roots; those few points use it
-        full = px != 0.0
         best = np.full(px.shape[0], _INF)
         for sigma in (w, -w):
             # minimize (u-px)^2 + (a u^2 - a + sigma - py)^2 over u: the real
             # roots of lead u^3 + lin u - px, as eigenvalues of the companion
             # matrix that np.roots builds, all points in one batch
             lin = 2.0 * a * (sigma - a - py) + 1.0
-            comp = np.zeros((int(full.sum()), 3, 3))
-            comp[:, 0, 0] = -0.0 / lead
-            comp[:, 0, 1] = -lin[full] / lead
-            comp[:, 0, 2] = px[full] / lead
+            comp = np.zeros((px.shape[0], 3, 3))
+            comp[:, 0, 1] = -lin / lead
+            comp[:, 0, 2] = px / lead
             comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-            roots = np.empty((px.shape[0], 3), dtype=complex)
-            roots[full] = np.linalg.eigvals(comp)
-            for i in np.flatnonzero(~full):
-                roots[i] = np.roots([lead, 0.0, lin[i], -px[i]])
+            roots = np.linalg.eigvals(comp)
             u = roots.real
             d2 = (u - px[:, None]) ** 2 + (a * u * u - a + sigma
                                            - py[:, None]) ** 2
@@ -748,9 +702,10 @@ class DomainSpec:
 
 TAG_OTHER, TAG_MINUS, TAG_STAR, TAG_PLUS = 0, 1, 2, 3
 
-#: the bells of ``make_dumbbell``: {x1 < -1} and {x1 > 1}
-_MINUS_BELL = HalfSpace(normal=(1.0, 0.0), offset=-1.0)
-_PLUS_BELL = HalfSpace(normal=(-1.0, 0.0), offset=-1.0)
+#: the bells of ``make_dumbbell``, half-planes as boxes with three infinite
+#: bounds: {x1 < -1} and {x1 > 1}
+_MINUS_BELL = Box((-_INF, -_INF), (-1.0, _INF))
+_PLUS_BELL = Box((1.0, -_INF), (_INF, _INF))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ radial profile from one of four families:
 * ``truncated``  profile(r) = 1 on (0, rho), 0 beyond
 
 The hypothesis 1 <= p < d/s of the scaling theorem is enforced where it
-is used: by ``spectral.predicted_exponent`` and by the experiment
-configuration (``cli.ExperimentConfig.validate``).
+is used: by ``spectral.predicted_exponent`` and by the scaling runs' input
+check (``spectral.check_scaling``), which calls it.
 """
 
 from __future__ import annotations

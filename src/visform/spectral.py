@@ -324,18 +324,25 @@ def predicted_exponent(domain, kernel, p, d=2):
     return float(d), False
 
 
-def check_sweep(domain, R_list, h):
-    """Refuse a radius sweep that ``scaling_experiment`` cannot run."""
+def check_scaling(domain, kernel, p, R_list, h, method):
+    """Refuse a run that ``scaling_experiment`` cannot do; returns
+    ``predicted_exponent``'s (exponent, log_correction_flag)."""
+    if method not in ("witness", "eigen"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "eigen" and p != 2:
+        raise ValueError(f"the eigen method needs p = 2, got p = {p:g}")
     if len(R_list) < 3:
         raise ValueError("need at least 3 radii to fit an exponent")
     if any(a > b for a, b in zip(R_list, R_list[1:])):
         raise ValueError("R_list must be ascending")
     if domain.dumbbell is None:
-        raise ValueError("scaling experiments run on dumbbell domains")
+        raise ValueError("scaling experiments run on dumbbell domains, "
+                         f"got {domain.name!r}")
     r_corr = corridor_radius(domain)
     if h > r_corr / 2.0:
         raise ValueError(f"h={h} too coarse for corridor radius {r_corr}: "
                          "need h <= radius/2 (four cells across)")
+    return predicted_exponent(domain, kernel, p)
 
 
 def scaling_experiment(domain, kernel, p, R_list, method="witness", h=0.5,
@@ -350,12 +357,7 @@ def scaling_experiment(domain, kernel, p, R_list, method="witness", h=0.5,
     discrete operator family is compared at all radii.
     """
     R_list = [float(R) for R in R_list]
-    check_sweep(domain, R_list, h)
-    if method not in ("witness", "eigen"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "eigen" and p != 2:
-        raise ValueError("the eigen method computes the p = 2 constant")
-    predicted, log_corr = predicted_exponent(domain, kernel, p)
+    predicted, log_corr = check_scaling(domain, kernel, p, R_list, h, method)
 
     x0 = domain.dumbbell.x0
     samples = []

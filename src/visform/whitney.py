@@ -87,8 +87,6 @@ def _exact_min_sd(prim, lows, highs, corners):
     """
     n, k, dim = corners.shape
     flat = corners.reshape(n * k, dim)
-    if isinstance(prim, geometry.HalfSpace):
-        return prim.signed_distance(flat).reshape(n, k).min(axis=1)
     if isinstance(prim, (geometry.Ball, geometry.Annulus)):
         c = np.asarray(prim.center)
         off = flat - c

@@ -2,7 +2,7 @@ import argparse
 
 import pytest
 
-from visform import cli
+from visform import cli, geometry, kernels, spectral
 
 
 def test_config_round_trip():
@@ -56,6 +56,48 @@ def test_validate_hypothesis_guards():
                                R=(8.0, 16.0, 32.0))
     with pytest.raises(ValueError, match="1 <= p < d/s"):
         bad.validate()      # p is the kernel's: 2.5 >= d/s = 2.22
+
+
+@pytest.mark.parametrize("name, changes", [
+    ("scaling-nonlocal", dict(method="eigne")),
+    ("scaling-local", dict(method="eigen", p=1.0)),
+    ("scaling-nonlocal", dict(R=(8.0, 16.0))),
+    ("scaling-nonlocal", dict(R=(32.0, 16.0, 8.0))),
+    ("scaling-local", dict(domain="box:1,1")),
+    ("scaling-nonlocal", dict(h=2.0)),
+    ("scaling-nonlocal", dict(kernel="power:s=0.9,p=2.5")),
+], ids=["method", "eigen-p1", "two-radii", "descending", "box", "coarse-h",
+        "p-above-d-over-s"])
+def test_scaling_rules_have_one_message(name, changes):
+    # the configuration and the experiment refuse a bad sweep alike
+    cfg = cli.ExperimentConfig(name, **changes)
+    with pytest.raises(ValueError) as from_config:
+        cfg.validate()
+    kernel = kernels.parse_kernel(cfg.kernel) if "kernel" in vars(cfg) \
+        else None
+    p = cfg.p if kernel is None else kernel.p
+    with pytest.raises(ValueError) as from_run:
+        spectral.scaling_experiment(geometry.parse_domain(cfg.domain), kernel,
+                                    p, cfg.R, method=cfg.method, h=cfg.h)
+    assert str(from_config.value) == str(from_run.value)
+
+
+@pytest.mark.parametrize("command", ["subcommand", "run"])
+def test_a_run_is_validated_once(tmp_path, monkeypatch, command):
+    calls = []
+    validate = cli.ExperimentConfig.validate
+    monkeypatch.setattr(cli.ExperimentConfig, "validate",
+                        lambda cfg: calls.append(cfg) or validate(cfg))
+    monkeypatch.setitem(cli._RUNNERS, "counterexample",
+                        lambda cfg, rundir: True)
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("[experiment]\nname = counterexample\n"
+                       f"outdir = {tmp_path}\n")
+    argv = {"subcommand": ["counterexample", "--n", "4,8",
+                           "--outdir", str(tmp_path)],
+            "run": ["run", "--config", str(cfgfile), "--set", "n_list=4,8"]}
+    assert cli.main(argv[command]) == 0
+    assert len(calls) == 1
 
 
 def test_malformed_kernel_exits_one(tmp_path):

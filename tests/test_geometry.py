@@ -530,6 +530,38 @@ def test_tube_distance_batch_matches_per_point_roots():
     assert np.array_equal(tube.signed_distance(pts), ref)
 
 
+def _tube_distance_by_np_roots(tube, pts):
+    """The tube's signed distance with one np.roots call per point."""
+    a, w = tube.amplitude, tube.radius
+    out = []
+    for px, py in pts:
+        best = np.inf
+        for sigma in (w, -w):
+            roots = np.roots([2.0 * a * a, 0.0,
+                              2.0 * a * (sigma - a - py) + 1.0, -px])
+            u = roots.real
+            d2 = (u - px) ** 2 + (a * u * u - a + sigma - py) ** 2
+            d2[np.abs(roots.imag) >= 1e-9] = np.inf
+            best = min(best, np.sqrt(d2.min()))
+        q = py - a * px * px + a
+        out.append(best if abs(q) < w else -best)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("amplitude, radius", [(2.0, 1.0), (3.0, 0.5),
+                                               (0.75, 1.25)])
+def test_tube_distance_on_the_axis_x1_zero(amplitude, radius):
+    # np.roots splits the root u = 0 off at x1 = 0 and solves a quadratic;
+    # the one batched companion-matrix solve must give the same bits there
+    tube = geo.ParabolicTube(amplitude, radius)
+    rng = np.random.default_rng(5)
+    x2 = np.concatenate([np.arange(-6.0, 4.0, 1.0 / 32.0),
+                         rng.uniform(-6.0, 4.0, 300)])
+    pts = np.stack([np.where(np.arange(x2.size) % 2, 0.0, -0.0), x2], axis=1)
+    assert tube.signed_distance(pts).tobytes() == \
+        _tube_distance_by_np_roots(tube, pts).tobytes()
+
+
 @pytest.mark.parametrize("maker", ["unit_square", "annulus",
                                    "straight_dumbbell", "curved_dumbbell"])
 def test_delta_ball_inside_domain(maker, request):
@@ -566,13 +598,48 @@ def test_dumbbell_needs_three_primitives(straight_dumbbell, n):
         geo.DomainSpec(prims, dumbbell=geo.DumbbellMeta())
 
 
+@pytest.mark.parametrize("variant", ["straight", "curved"])
+def test_dumbbell_bells_are_exact_half_planes(variant):
+    """The bells are {x1 < -1} and {x1 > 1}: membership, signed distance
+    and the clipped slot of a segment are the half-planes' own formulas,
+    exactly (on a mouth line the zero distance is -0.0, as on any box's
+    boundary)."""
+    minus, _, plus = geo.make_dumbbell(variant).primitives
+    rng = np.random.default_rng(29)
+    pts = np.vstack([rng.uniform(-4.0, 4.0, (5000, 2)),
+                     [[-1.0, 0.5], [1.0, -3.0], [np.nextafter(-1.0, 0.0), 0.0]]])
+    x1 = pts[:, 0]
+    assert np.array_equal(minus.contains_many(pts), x1 < -1.0)
+    assert np.array_equal(plus.contains_many(pts), x1 > 1.0)
+    assert np.array_equal(minus.signed_distance(pts), -1.0 - x1)
+    assert np.array_equal(plus.signed_distance(pts), x1 - 1.0)
+    X = rng.uniform(-4.0, 4.0, (5000, 2))
+    V = rng.uniform(-4.0, 4.0, (5000, 2))
+    V[:500, 0] = 0.0                         # parallel to the mouths
+    X[:100, 0] = rng.choice([-1.0, 1.0], 100)
+    for bell, mouth in ((minus, -1.0), (plus, 1.0)):
+        (lo, hi), = bell.segment_slots(X, V)
+        lo, hi = np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.clip((mouth - X[:, 0]) / V[:, 0], 0.0, 1.0)
+        # a segment leaving the bell is in it for t < cross, else t > cross
+        leaving = V[:, 0] * mouth < 0.0
+        inside = bell.contains_many(X)
+        want_lo = np.where(V[:, 0] == 0.0, np.where(inside, 0.0, 1.0),
+                           np.where(leaving, 0.0, cross))
+        want_hi = np.where(V[:, 0] == 0.0, np.where(inside, 1.0, 0.0),
+                           np.where(leaving, cross, 1.0))
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
 def test_make_dumbbell_bad_variant():
     with pytest.raises(ValueError):
         geo.make_dumbbell("twisted")
 
 
 def test_clip_ball_membership():
-    half = geo.DomainSpec((geo.HalfSpace((-1.0, 0.0), -1.0),))  # x1 > 1
+    # the half-plane x1 > 1
+    half = geo.DomainSpec((geo.Box((1.0, -np.inf), (np.inf, np.inf)),))
     clipped = geo.clip_ball(half, (0.0, 0.0), 4.0)
     assert np.array_equal(clipped.contains_many([(2.0, 0.0), (5.0, 0.0)]),
                           [True, False])
@@ -631,8 +698,8 @@ def test_condition_A_needs_metadata(annulus):
 
 def test_condition_A_detects_missing_overlap():
     # two half-planes plus a corridor that touches neither bell
-    minus = geo.HalfSpace((1.0, 0.0), -1.0)
-    plus = geo.HalfSpace((-1.0, 0.0), -1.0)
+    minus = geo.Box((-np.inf, -np.inf), (-1.0, np.inf))
+    plus = geo.Box((1.0, -np.inf), (np.inf, np.inf))
     corridor = geo.Box((-0.5, -1.0), (0.5, 1.0))
     dom = geo.DomainSpec((minus, corridor, plus), dumbbell=geo.DumbbellMeta())
     rep = geo.audit_dumbbell_structure(dom, R_list=(8, 16), n_samples=5_000, seed=0)

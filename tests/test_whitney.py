@@ -38,8 +38,6 @@ def _ref_corners(lo, hi):
 
 def _ref_exact_min_sd(prim, lo, hi, corners):
     """Exact min over the box of the primitive's signed distance, or None."""
-    if isinstance(prim, geo.HalfSpace):
-        return float(prim.signed_distance(corners).min())
     if isinstance(prim, geo.Ball):
         c = np.asarray(prim.center)
         far = np.sqrt(np.max(np.einsum("ij,ij->i", corners - c, corners - c)))
